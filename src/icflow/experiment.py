@@ -147,6 +147,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if not isinstance(value, (int, float)) or not value > 0.0:
             raise ParameterError(f"{key} must be a positive number, got {value!r}")
         merged[key] = float(value)
+    if merged["snapshot_interval"] < merged["dt"]:
+        raise ParameterError(
+            f"snapshot_interval {merged['snapshot_interval']:g} is shorter than "
+            f"dt {merged['dt']:g}; every snapshot needs a step of its own")
     for key in ("n", "seed", "resample_every"):
         value = merged[key]
         if not isinstance(value, int) or isinstance(value, bool):

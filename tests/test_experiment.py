@@ -100,6 +100,24 @@ def test_config_rejects_bad_values(data):
         config_from_dict(data)
 
 
+def test_snapshot_interval_shorter_than_dt_is_rejected(tmp_path, capsys):
+    with pytest.raises(ParameterError, match="snapshot_interval"):
+        config_from_dict({"dt": 1e-3, "snapshot_interval": 2.5e-4})
+    code = cli.main([
+        "run", "--shape", "circle", "--n", "64", "--dt", "1e-3",
+        "--snapshot-interval", "2.5e-4", "--t-end", "0.003", "--mode", "normalized",
+        "--out", str(tmp_path / "run.csv"),
+    ])
+    assert code == 2
+    assert "snapshot_interval" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_snapshot_interval_equal_to_dt_writes_each_time_once(tmp_path):
+    result = run_experiment(circle_config(tmp_path, snapshot_interval=1e-3, t_end=0.003))
+    assert [row["t"] for row in result.rows] == pytest.approx([0.0, 0.001, 0.002, 0.003])
+
+
 def test_load_config_file_with_overrides(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"shape": "ellipse", "n": 64, "dt": 1e-3}))

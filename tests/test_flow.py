@@ -5,6 +5,7 @@ import pytest
 
 from icflow import (
     ConvexityLossError,
+    DegenerateCurveError,
     FlowState,
     ParameterError,
     StepControl,
@@ -19,11 +20,13 @@ from icflow import (
     make_perturbed_circle,
     polyline_hausdorff,
     renormalize,
+    resample_uniform,
     smooth_periodic,
     smoothing_order,
     step_normalized,
     step_unnormalized,
 )
+from icflow.flow import _geometry, _smooth_in_place
 
 
 def test_step_control_validation():
@@ -175,6 +178,9 @@ def test_nonconvex_curve_is_rejected_at_start():
     with pytest.raises(ConvexityLossError) as info:
         step_unnormalized(s, StepControl(dt=1e-3))
     assert info.value.time == 0.0
+    with pytest.raises(ConvexityLossError) as info:
+        evolve(s, StepControl(dt=1e-3), 0.01)
+    assert info.value.time == 0.0
 
 
 def test_ellipse_rounds_toward_a_circle():
@@ -214,3 +220,112 @@ def test_cross_check_shrinks_under_refinement():
     coarse = cross_check_formulations(make_ellipse(2.0, 1.0, 64), StepControl(dt=2e-3), 0.5)
     fine = cross_check_formulations(make_ellipse(2.0, 1.0, 128), StepControl(dt=1e-3), 0.5)
     assert fine < coarse
+
+
+# --- the step kernel against its compute_metrics-based definition ---------
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        make_circle(1.0, 128),
+        make_ellipse(2.0, 1.0, 256),
+        make_perturbed_circle(1.0, 200, [0.05, 0.02], [3, 5], seed=3),
+    ],
+    ids=["circle", "ellipse", "perturbed"],
+)
+def test_kernel_geometry_is_compute_metrics_bit_for_bit(v):
+    edge_len, kappa, normal = _geometry(v)
+    m = compute_metrics(v)
+    assert np.array_equal(edge_len, m.edge_lengths)
+    assert np.array_equal(kappa, m.curvature)
+    assert np.array_equal(normal, m.outward_normal)
+
+
+def test_in_place_smoother_is_smooth_periodic_bit_for_bit(rng):
+    for order in range(21):
+        field = rng.standard_normal(97)
+        expected = smooth_periodic(field, order)
+        assert np.array_equal(_smooth_in_place(field.copy(), order), expected), order
+
+
+def _reference_evolve(vertices, mode, control, steps):
+    """Euler steps spelled out with compute_metrics and smooth_periodic."""
+    v = vertices
+    for k in range(1, steps + 1):
+        m = compute_metrics(v)
+        order = smoothing_order(
+            control.dt, float(np.min(m.edge_lengths)), float(np.min(m.curvature)),
+            control.safety, control.max_smoothing)
+        speed = smooth_periodic(1.0 / m.curvature, order)
+        if mode == "unnormalized":
+            v = v + control.dt * speed[:, None] * m.outward_normal
+        else:
+            v = renormalize(v + control.dt * (-v + speed[:, None] * m.outward_normal))
+        if k % control.resample_every == 0:
+            v = resample_uniform(v, v.shape[0])
+            if mode == "normalized":
+                v = renormalize(v)
+    return v
+
+
+@pytest.mark.parametrize("mode", ["normalized", "unnormalized"])
+def test_evolve_matches_the_reference_stepper_bit_for_bit(mode):
+    control = StepControl(dt=5e-4, resample_every=7)
+    s = initial_state(make_perturbed_circle(1.0, 128, [0.05], [3], seed=1), mode)
+    out = evolve(s, control, 40 * control.dt)
+    assert np.array_equal(out.vertices, _reference_evolve(s.vertices, mode, control, 40))
+
+
+def test_normalized_step_is_renormalized_raw_step_at_stretched_dt():
+    # (1 - dt) v + dt * speed * normal = (1 - dt) (v + dt/(1 - dt) * speed * normal),
+    # and renormalization removes the factor (1 - dt)
+    dt = 1e-3
+    raw_dt = dt / (1.0 - dt)
+    norm = initial_state(make_ellipse(2.0, 1.0, 128), "normalized")
+    raw = initial_state(norm.vertices, "unnormalized")
+    m = compute_metrics(norm.vertices)
+    orders = [
+        smoothing_order(h, float(np.min(m.edge_lengths)), float(np.min(m.curvature)), 0.2, 20)
+        for h in (dt, raw_dt)
+    ]
+    assert orders[0] == orders[1] > 0
+    stepped = step_normalized(norm, StepControl(dt=dt)).vertices
+    stretched = renormalize(step_unnormalized(raw, StepControl(dt=raw_dt)).vertices)
+    assert np.max(np.abs(stepped - stretched)) < 1e-12
+
+
+def test_evolve_fires_each_state_at_most_once():
+    # a snapshot interval shorter than dt used to re-fire one state for every
+    # snapshot time a step passed
+    times = []
+    s = initial_state(make_circle(1.0, 64), "normalized")
+    evolve(
+        s,
+        StepControl(dt=1e-3),
+        0.003,
+        observers=[lambda t, v, m: times.append(t)],
+        snapshot_interval=2.5e-4,
+    )
+    assert times == pytest.approx([0.0, 0.001, 0.002, 0.003], abs=1e-12)
+
+
+@pytest.mark.parametrize("defect", ["nan", "repeated"])
+def test_evolve_rejects_degenerate_vertices(defect):
+    v = make_circle(1.0, 64)
+    if defect == "nan":
+        v[10, 1] = np.nan
+    else:
+        v[10] = v[11]
+    s = FlowState(vertices=v, time=0.0, mode="normalized", initial_length=2 * np.pi)
+    with pytest.raises(DegenerateCurveError):
+        evolve(s, StepControl(dt=1e-3), 0.01)
+    with pytest.raises(DegenerateCurveError):
+        _geometry(v)
+
+
+def test_kernel_geometry_rejects_coincident_neighbours():
+    v = make_circle(1.0, 64)
+    v[12] = v[10]  # edges 10->11 and 11->12 are nonzero, but the chord at 11 is not
+    with pytest.raises(DegenerateCurveError, match="coincide"):
+        _geometry(v)
