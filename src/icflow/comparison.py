@@ -18,6 +18,11 @@ two-point gap
     gap(i, j) = chord(i, j) - profile(arc(i, j), t - offset)
 
 over all vertex pairs of a snapshot.
+
+Both pair computations share one kernel: the scan is exhaustive, with no
+pruning, and evaluates the n(n-1)/2 pairs as cyclic diagonals in
+cache-sized blocks, so memory stays at a few blocks rather than O(n^2)
+arrays.  Each pair's value is the float a plain np.triu_indices scan gives.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .curves import compute_metrics, convexity_check, validate_vertices
+from .curves import compute_metrics, convexity_check, edge_lengths, validate_vertices
 from .errors import NoAdmissibleOffsetError, ParameterError
 
 # Below this argument the direct arctan(w) - w/(1+w^2) suffers cancellation;
@@ -52,6 +58,28 @@ def _maybe_scalar(value: np.ndarray, *inputs) -> float | np.ndarray:
     return value
 
 
+def _profile_of_z(z, t):
+    """2 e^t arctan(e^{-t} z): the profile from z = sin(x/2).
+
+    Once w = e^{-t} z exceeds _LARGE_ARG the arctan is replaced by
+    pi/2 - 1/w.  When no w does, the np.where branches select arctan(w)
+    everywhere and are skipped, which changes no value.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.asarray(np.exp(-t) * z)
+        if np.max(w, initial=-np.inf) <= _LARGE_ARG:
+            arct = np.arctan(w, out=w)
+        else:
+            big = w > _LARGE_ARG
+            arct = np.where(
+                big,
+                0.5 * np.pi - 1.0 / np.where(big, w, 1.0),
+                np.arctan(np.where(big, 0.0, w)),
+            )
+        arct *= 2.0 * np.exp(t)
+        return arct
+
+
 def profile_value(x, t):
     """The comparison profile 2 e^t arctan(e^{-t} sin(x/2)) for x in [0, 2pi].
 
@@ -61,17 +89,7 @@ def profile_value(x, t):
     """
     xa = _as_domain(x, 0.0, 2.0 * np.pi, "x")
     ta = np.asarray(t, dtype=float)
-    z = np.sin(0.5 * xa)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = np.exp(-ta) * z
-        big = w > _LARGE_ARG
-        arct = np.where(
-            big,
-            0.5 * np.pi - 1.0 / np.where(big, w, 1.0),
-            np.arctan(np.where(big, 0.0, w)),
-        )
-        out = 2.0 * np.exp(ta) * arct
-    return _maybe_scalar(np.asarray(out), x, t)
+    return _maybe_scalar(np.asarray(_profile_of_z(np.sin(0.5 * xa), ta)), x, t)
 
 
 def profile_dx(x, t):
@@ -284,20 +302,57 @@ def numerator_grid_min(z_values, alphas) -> tuple[float, tuple[float, float]]:
     return float(vals[ai, zi]), (float(z[zi]), float(a[ai]))
 
 
-def _pair_geometry(vertices: np.ndarray):
-    """Chord and shorter-arc distances for all vertex pairs i < j."""
-    v = validate_vertices(vertices)
+# Pairs per block of the all-pairs kernel: 2**15 doubles are 256 KB per
+# array, so a block's handful of temporaries stays cache-resident.
+_BLOCK_PAIRS = 1 << 15
+
+
+def _pair_blocks(v: np.ndarray):
+    """All vertex pairs of a validated polygon, one block at a time.
+
+    Returns the total length and a generator of (k, chord, z) blocks; the
+    block arrays are reused buffers, valid until the next block is drawn.
+    Pairs are walked as cyclic diagonals (i, i + k mod n), k = 1..n//2, each
+    unordered pair exactly once: the k = n/2 diagonal of an even n repeats
+    itself after n/2 entries, so only i < n/2 is kept there.  A block holds
+    rows k, k + 1, ... of width entries i = 0..width-1; its operands are
+    views into the doubled coordinate and arc-length arrays, so no index
+    arrays or gathers are built.  The values equal the triu scan's bit for
+    bit: chord is hypot(v[j] - v[i]), and hypot ignores the sign flip of a
+    wrapped pair; the forward arc |s[j] - s[i]| is the triu difference, and
+    min(forward, total - forward) the shorter arc; z = sin(arc/2) with arc
+    capped at 2 pi, as profile_value computes it.
+    """
     n = v.shape[0]
-    edges = np.roll(v, -1, axis=0) - v
-    edge_len = np.hypot(edges[:, 0], edges[:, 1])
+    edge_len = edge_lengths(v)
     s = np.concatenate([[0.0], np.cumsum(edge_len[:-1])])
     total = float(np.sum(edge_len))
-    i, j = np.triu_indices(n, k=1)
-    diff = v[j] - v[i]
-    chord = np.hypot(diff[:, 0], diff[:, 1])
-    forward = s[j] - s[i]
-    arc = np.minimum(forward, total - forward)
-    return i, j, chord, arc, total
+    x, y = v[:, 0], v[:, 1]
+    # row k of each window view is the array rotated by k
+    xk, yk, sk = (sliding_window_view(np.concatenate([a, a]), n) for a in (x, y, s))
+    full = (n - 1) // 2  # diagonals that hold n distinct pairs
+    rows = max(1, _BLOCK_PAIRS // n)
+    spans = [(k, min(k + rows, full + 1), n) for k in range(1, full + 1, rows)]
+    if n % 2 == 0:
+        spans.append((n // 2, n // 2 + 1, n // 2))
+
+    def blocks():
+        buffers = [np.empty(rows * n) for _ in range(3)]
+        for k0, k1, width in spans:
+            shape = (k1 - k0, width)
+            chord, z, back = (b[:shape[0] * shape[1]].reshape(shape) for b in buffers)
+            np.subtract(xk[k0:k1, :width], x[:width], out=chord)
+            np.subtract(yk[k0:k1, :width], y[:width], out=z)
+            np.hypot(chord, z, out=chord)
+            np.subtract(sk[k0:k1, :width], s[:width], out=z)
+            np.abs(z, out=z)  # the forward arc
+            np.subtract(total, z, out=back)
+            np.minimum(z, back, out=z)
+            np.minimum(z, 2.0 * np.pi, out=z)
+            z *= 0.5
+            yield k0, chord, np.sin(z, out=z)
+
+    return total, blocks()
 
 
 def _require_normalized_length(total: float) -> None:
@@ -319,19 +374,43 @@ class TwoPointReport:
 def two_point_gap_scan(vertices: np.ndarray, time: float, offset: float) -> TwoPointReport:
     """Exact minimum of chord - profile(arc, time - offset) over all pairs.
 
-    O(n^2) over vertex pairs, no pruning: at the mesh sizes this package
-    targets the full scan costs milliseconds and leaves no gaps for a
-    minimum to hide in.
+    Exhaustive, no pruning: every one of the n(n-1)/2 vertex pairs is
+    evaluated, in cache-sized blocks of cyclic diagonals.  Each gap is the
+    same float as in a scan over np.triu_indices order, and among exact
+    minima the pair (i, j), i < j, that comes first in that order is
+    reported, so the result does not depend on the blocking.
     """
-    i, j, chord, arc, total = _pair_geometry(vertices)
+    v = validate_vertices(vertices)
+    n = v.shape[0]
+    total, blocks = _pair_blocks(v)
     _require_normalized_length(total)
-    gaps = chord - profile_value(np.minimum(arc, 2.0 * np.pi), time - offset)
-    k = int(np.argmin(gaps))
+    t = time - offset
+    best = np.inf
+    best_key = n * n  # i * n + j of the reported pair; triu order is key order
+    for k0, chord, z in blocks:
+        gaps = _profile_of_z(z, t)
+        np.subtract(chord, gaps, out=gaps)
+        # np.argmin semantics: the first NaN wins, else the first minimum
+        low = gaps.min()
+        nan = np.isnan(low)
+        if nan:
+            hits = np.isnan(gaps)
+        elif low <= best:
+            hits = gaps == low
+        else:
+            continue
+        r, i = np.nonzero(hits)
+        j = (i + k0 + r) % n
+        key = int(np.min(np.minimum(i, j) * n + np.maximum(i, j)))
+        if nan == np.isnan(best) and (nan or low == best):
+            best_key = min(best_key, key)
+        else:
+            best, best_key = low, key
     return TwoPointReport(
         time=float(time),
         offset=float(offset),
-        min_gap=float(gaps[k]),
-        argmin_pair=(int(i[k]), int(j[k])),
+        min_gap=float(best),
+        argmin_pair=divmod(best_key, n),
     )
 
 
@@ -363,6 +442,11 @@ def admissible_offset(
     monitor starts from a violated state.  Curves with max curvature <= 1
     (circles) have an inactive floor and return lo, every offset being
     pair-feasible for them.
+
+    Chords and sin(arc/2) are computed once, outside the bisection.  Each
+    feasibility test walks the pair blocks and stops at the first violating
+    one; the next test starts at that block.  The answer of every test, and
+    with it the bisection path, is the same as over all pairs at once.
     """
     v = validate_vertices(vertices)
     if not convexity_check(v):
@@ -372,12 +456,20 @@ def admissible_offset(
     if not tol > 0.0:
         raise ParameterError("tolerance must be positive")
 
-    i, j, chord, arc, total = _pair_geometry(v)
+    total, blocks = _pair_blocks(v)
     _require_normalized_length(total)
-    arc = np.minimum(arc, 2.0 * np.pi)
+    pairs = [(chord.copy(), z.copy()) for _, chord, z in blocks]
+    start = 0
 
     def feasible(offset: float) -> bool:
-        return bool(np.all(chord >= profile_value(arc, -offset)))
+        # one violating block decides; begin with the block that decided last
+        nonlocal start
+        for b in range(start, start + len(pairs)):
+            chord, z = pairs[b % len(pairs)]
+            if not np.all(chord >= _profile_of_z(z, -offset)):
+                start = b % len(pairs)
+                return False
+        return True
 
     if not feasible(hi):
         raise NoAdmissibleOffsetError(

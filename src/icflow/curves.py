@@ -26,6 +26,18 @@ _GAUSS5_WEIGHTS = np.array(
 )
 
 
+def edge_lengths(v: np.ndarray) -> np.ndarray:
+    """|v[i+1] - v[i]| with index n wrapping to 0, for a float (n, 2) array.
+
+    The same subtractions as np.roll(v, -1, axis=0) - v, done on slices, so
+    the values match the roll form bit for bit.
+    """
+    edges = np.empty_like(v)
+    np.subtract(v[1:], v[:-1], out=edges[:-1])
+    np.subtract(v[0], v[-1], out=edges[-1])
+    return np.hypot(edges[:, 0], edges[:, 1])
+
+
 def validate_vertices(vertices: np.ndarray) -> np.ndarray:
     """Coerce to a float (n, 2) array and check basic polygon sanity."""
     v = np.asarray(vertices, dtype=float)
@@ -35,8 +47,7 @@ def validate_vertices(vertices: np.ndarray) -> np.ndarray:
         raise ParameterError(f"need at least {MIN_VERTICES} vertices, got {v.shape[0]}")
     if not np.all(np.isfinite(v)):
         raise DegenerateCurveError("vertex coordinates contain NaN or Inf")
-    edges = np.roll(v, -1, axis=0) - v
-    if np.min(np.hypot(edges[:, 0], edges[:, 1])) <= 0.0:
+    if np.min(edge_lengths(v)) <= 0.0:
         raise DegenerateCurveError("curve has a zero-length edge (repeated vertices)")
     return v
 
@@ -215,8 +226,7 @@ def dual_cell_weights(vertices: np.ndarray) -> np.ndarray:
     trapezoidal integrals over the curve.
     """
     v = validate_vertices(vertices)
-    edges = np.roll(v, -1, axis=0) - v
-    edge_len = np.hypot(edges[:, 0], edges[:, 1])
+    edge_len = edge_lengths(v)
     return 0.5 * (edge_len + np.roll(edge_len, 1))
 
 
@@ -232,8 +242,7 @@ def resample_uniform(vertices: np.ndarray, n: int) -> np.ndarray:
     v = validate_vertices(vertices)
     if n < MIN_VERTICES:
         raise ParameterError(f"need at least {MIN_VERTICES} vertices, got {n}")
-    edges = np.roll(v, -1, axis=0) - v
-    edge_len = np.hypot(edges[:, 0], edges[:, 1])
+    edge_len = edge_lengths(v)
     s = np.concatenate([[0.0], np.cumsum(edge_len)])
     closed = np.vstack([v, v[:1]])
     targets = s[-1] * np.arange(n) / n
@@ -258,8 +267,7 @@ def arc_distance(vertices: np.ndarray, i: int, j: int) -> float:
     monotone range.
     """
     v = validate_vertices(vertices)
-    edges = np.roll(v, -1, axis=0) - v
-    edge_len = np.hypot(edges[:, 0], edges[:, 1])
+    edge_len = edge_lengths(v)
     s = np.concatenate([[0.0], np.cumsum(edge_len)])
     total = s[-1]
     forward = (s[j % len(v)] - s[i % len(v)]) % total

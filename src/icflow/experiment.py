@@ -27,7 +27,7 @@ from .curves import (
     make_perturbed_circle,
     resample_uniform,
 )
-from .errors import FlowError, NoAdmissibleOffsetError, ParameterError
+from .errors import FlowError, IcflowError, NoAdmissibleOffsetError, ParameterError
 from .flow import (
     StepControl,
     evolve,
@@ -241,6 +241,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Exit code semantics: 0 all enabled checks pass, 1 a check failed,
     3 the flow itself failed (the failing time is recorded in the summary).
+    Any other package error raised while the flow runs, say by a snapshot
+    monitor, also ends the run with exit 3 and both files; its time is that
+    of the snapshot being observed (None outside an observer).
     Configuration problems raise ParameterError before anything runs.
     """
     enabled = config.resolved_checks()
@@ -254,6 +257,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     raw_snaps: list[np.ndarray] = []
     offset: float | None = None
     failure: dict | None = None
+    observing: float | None = None  # time of the snapshot an observer handles
 
     initial = resample_uniform(build_initial_curve(config), config.n)
     if not convexity_check(initial):
@@ -307,6 +311,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if config.mode == "both":
             raw_snaps.append(renormalize(vertices))
 
+    def observed(observer):
+        def call(time, vertices, metrics):
+            nonlocal observing
+            observing = time
+            observer(time, vertices, metrics)
+            observing = None
+        return call
+
     if failure is None:
         if config.svg_dir is not None:
             os.makedirs(config.svg_dir, exist_ok=True)
@@ -316,13 +328,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     initial_state(initial, "normalized", offset=offset),
                     control,
                     config.t_end,
-                    observers=[stats_observer],
+                    observers=[observed(stats_observer)],
                     snapshot_interval=config.snapshot_interval,
                 )
             if config.mode in ("unnormalized", "both"):
-                observers = [raw_observer]
+                observers = [observed(raw_observer)]
                 if config.mode == "unnormalized":
-                    observers.append(stats_observer)
+                    observers.append(observed(stats_observer))
                 evolve(
                     initial_state(initial, "unnormalized", offset=offset),
                     control,
@@ -330,11 +342,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     observers=observers,
                     snapshot_interval=config.snapshot_interval,
                 )
-        except FlowError as exc:
+        except IcflowError as exc:
             failure = {
                 "error": type(exc).__name__,
                 "message": str(exc),
-                "time": exc.time,
+                "time": exc.time if isinstance(exc, FlowError) else observing,
             }
 
     cross_distances = [

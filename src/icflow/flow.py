@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import compute_metrics, resample_uniform, validate_vertices
+from .curves import compute_metrics, edge_lengths, resample_uniform, validate_vertices
 from .errors import ConvexityLossError, DegenerateCurveError, ParameterError, StepRejectedError
 
 MODES = ("unnormalized", "normalized")
@@ -93,16 +93,8 @@ def renormalize(vertices: np.ndarray) -> np.ndarray:
     return _rescale(validate_vertices(vertices))
 
 
-def _edge_lengths(v: np.ndarray) -> np.ndarray:
-    # |v[i+1] - v[i]| with index n wrapping to 0: np.roll's values, by slicing
-    edges = np.empty_like(v)
-    np.subtract(v[1:], v[:-1], out=edges[:-1])
-    np.subtract(v[0], v[-1], out=edges[-1])
-    return np.hypot(edges[:, 0], edges[:, 1])
-
-
 def _rescale(v: np.ndarray) -> np.ndarray:
-    total = float(np.sum(_edge_lengths(v)))
+    total = float(np.sum(edge_lengths(v)))
     return (2.0 * np.pi / total) * v
 
 
@@ -113,7 +105,7 @@ def initial_state(vertices: np.ndarray, mode: str, offset: float | None = None) 
     v = validate_vertices(vertices).copy()
     if mode == "normalized":
         v = renormalize(v)
-    total = float(np.sum(_edge_lengths(v)))
+    total = float(np.sum(edge_lengths(v)))
     return FlowState(vertices=v, time=0.0, mode=mode, initial_length=total, offset=offset)
 
 

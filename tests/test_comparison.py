@@ -15,6 +15,7 @@ from icflow import (
     compute_metrics,
     make_circle,
     make_ellipse,
+    make_perturbed_circle,
     numerator_grid_min,
     profile_dt,
     profile_dx,
@@ -26,6 +27,7 @@ from icflow import (
     residual_dx_numerator,
     two_point_gap_scan,
 )
+from icflow import comparison
 
 # (x, t) -> value tables, mpmath 40-digit reference
 PROFILE_VALUES = [
@@ -231,3 +233,85 @@ def test_admissible_offset_reports_infeasible_brackets():
         admissible_offset(v, hi=0.5)
     with pytest.raises(NoAdmissibleOffsetError):
         admissible_offset(v, hi=0.72)
+
+
+def triu_pairs(v):
+    # the all-pairs geometry over np.triu_indices order, as first written
+    edge_len = np.hypot(*(np.roll(v, -1, axis=0) - v).T)
+    s = np.concatenate([[0.0], np.cumsum(edge_len[:-1])])
+    total = np.sum(edge_len)
+    i, j = np.triu_indices(v.shape[0], k=1)
+    forward = s[j] - s[i]
+    arc = np.minimum(np.minimum(forward, total - forward), 2.0 * np.pi)
+    return i, j, np.hypot(*(v[j] - v[i]).T), arc
+
+
+def triu_scan(v, time, offset):
+    i, j, chord, arc = triu_pairs(v)
+    gaps = chord - profile_value(arc, time - offset)
+    k = int(np.argmin(gaps))
+    return float(gaps[k]), (int(i[k]), int(j[k]))
+
+
+def triu_bisection(v, lo=-50.0, hi=50.0, tol=1e-6):
+    _, _, chord, arc = triu_pairs(v)
+
+    def feasible(offset):
+        return bool(np.all(chord >= profile_value(arc, -offset)))
+
+    if feasible(lo):
+        return lo
+    a, b = lo, hi
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        a, b = (a, mid) if feasible(mid) else (mid, b)
+    return b
+
+
+ORACLE_CURVES = {
+    "circle256": lambda: normalized_circle(256),
+    "ellipse256": lambda: normalized_ellipse(256),
+    "ellipse257": lambda: normalized_ellipse(257),
+    "perturbed300": lambda: renormalize(
+        make_perturbed_circle(1.0, 300, [0.05, 0.02], [3, 5], seed=3)),
+    "ellipse16": lambda: normalized_ellipse(16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+def test_blocked_kernel_is_bit_identical_to_the_triu_scan(name, monkeypatch):
+    v = ORACLE_CURVES[name]()
+    for time, offset in [(0.0, 0.2), (3.0, -50.0), (0.5, 0.7), (0.0, 25.0), (0.0, 50.0)]:
+        report = two_point_gap_scan(v, time, offset)
+        assert (report.min_gap, report.argmin_pair) == triu_scan(v, time, offset)
+    # without the curvature floor the offset is the pair bisection's own result
+    monkeypatch.setattr(comparison, "_FLOOR_ACTIVATION", np.inf)
+    assert admissible_offset(v) == triu_bisection(v)
+
+
+def test_circle_ties_resolve_to_the_first_pair_in_triu_order():
+    # far below the barrier the gap is the chord, and two edges of the
+    # circle mesh share the shortest one exactly
+    v = normalized_circle(256)
+    _, _, chord, arc = triu_pairs(v)
+    gaps = chord - profile_value(arc, -50.0)
+    assert np.count_nonzero(gaps == gaps.min()) == 2
+    assert two_point_gap_scan(v, 0.0, 50.0).argmin_pair == triu_scan(v, 0.0, 50.0)[1]
+
+
+def test_admissible_offset_rejects_unnormalized_and_nonconvex_curves():
+    # the two-point scan's length check and the infeasible brackets are
+    # pinned above; these are admissible_offset's own rejections
+    with pytest.raises(ParameterError, match="not 2\\*pi"):
+        admissible_offset(make_ellipse(2.0, 1.0, 128))
+    star = renormalize(make_perturbed_circle(1.0, 64, [0.5], [7], seed=0))
+    with pytest.raises(ParameterError, match="convex"):
+        admissible_offset(star)
+
+
+def test_overflowing_profile_reports_the_first_nan_pair_like_argmin():
+    # at time - offset > 709, e^t overflows and every gap is NaN; np.argmin
+    # over triu order reports the first NaN, so the scan does too
+    report = two_point_gap_scan(normalized_ellipse(), time=800.0, offset=0.0)
+    assert np.isnan(report.min_gap)
+    assert report.argmin_pair == (0, 1)

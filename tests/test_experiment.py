@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from icflow import ParameterError, cli
+from icflow import ParameterError, cli, experiment
 from icflow.experiment import (
     CSV_HEADER,
     DEFAULT_TOLERANCES,
@@ -300,6 +300,35 @@ def test_cli_nonconvex_run_exits_3(tmp_path, capsys):
     ])
     assert code == 3
     assert "aborted" in capsys.readouterr().err
+
+
+def test_monitor_error_mid_run_exits_3_with_both_files(tmp_path, capsys, monkeypatch):
+    # a snapshot monitor that raises a package error on its third call
+    real_scan = experiment.two_point_gap_scan
+    calls = []
+
+    def faulty_scan(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) == 3:
+            raise ParameterError("injected monitor fault")
+        return real_scan(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "two_point_gap_scan", faulty_scan)
+    code = cli.main([
+        "run", "--shape", "circle", "--n", "64", "--dt", "1e-3", "--t-end", "0.05",
+        "--snapshot-interval", "0.01", "--out", str(tmp_path / "run.csv"),
+    ])
+    assert code == 3
+    assert "aborted at t = 0.02" in capsys.readouterr().err
+    lines = (tmp_path / "run.csv").read_text().splitlines()
+    assert lines[0] == EXPECTED_HEADER
+    assert len(lines) == 3  # the two snapshots observed before the fault
+    summary = json.loads((tmp_path / "run_summary.json").read_text())
+    assert summary["exit_code"] == 3
+    assert summary["status"] == "aborted"
+    assert summary["failure"] == {
+        "error": "ParameterError", "message": "injected monitor fault", "time": calls[2]}
+    assert list(summary["checks"]) == list(checks_for_mode("normalized"))
 
 
 def test_cli_tbar_subcommand(capsys):
