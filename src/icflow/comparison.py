@@ -11,7 +11,8 @@ profile, its derivatives, the residual of the barrier operator
 
     residual = (profile_x^2 - 1)/profile_xx - profile - profile_t
 
-together with the positivity certificates for the residual and its x-slope,
+together with the positivity certificates for the residual and its x-slope
+and a closed-form versus finite-difference check of the derivatives,
 computes the admissible time offset for a concrete curve, and scans the
 two-point gap
 
@@ -134,6 +135,39 @@ def profile_dt(x, t):
     return _maybe_scalar(np.asarray(out), x, t)
 
 
+def _residual_of_z(z, z2, alpha, t):
+    """profile_residual from z = sin(x/2), z2 = z * z and alpha = e^{-2t}.
+
+    z and t broadcast against each other; the scan passes x rows and a t
+    column, the public wrapper whatever its caller gave.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = 1.0 + 2.0 * alpha - alpha * z2
+        q = 1.0 + alpha * z2
+        quotient = 2.0 * z * (1.0 + 2.0 * alpha + alpha * alpha * z2) / p
+        return quotient - 2.0 * _profile_of_z(z, t) + 2.0 * z / q
+
+
+def _residual_dx_of_z(z2, c, alpha):
+    """profile_residual_dx from z2 = sin^2(x/2), c = cos(x/2), alpha = e^{-2t}."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = alpha * alpha
+        q = 1.0 + alpha * z2
+        p = 1.0 + 2.0 * alpha - alpha * z2
+        return (
+            -c / q
+            - 2.0 * alpha * z2 * c / (q * q)
+            + c * (1.0 + 2.0 * alpha + 3.0 * a2 * z2) / p
+            + 2.0 * alpha * z2 * c * (1.0 + 2.0 * alpha + a2 * z2) / (p * p)
+        )
+
+
+def _alpha(t):
+    """e^{-2t}; overflows to inf for t below about -354."""
+    with np.errstate(over="ignore"):
+        return np.exp(-2.0 * t)
+
+
 def profile_residual(x, t):
     """Barrier-operator residual (profile_x^2 - 1)/profile_xx - profile - profile_t.
 
@@ -152,13 +186,7 @@ def profile_residual(x, t):
         raise ParameterError("x = 0 is a removable singularity; evaluate at x > 0")
     ta = np.asarray(t, dtype=float)
     z = np.sin(0.5 * xa)
-    with np.errstate(over="ignore", invalid="ignore"):
-        alpha = np.exp(-2.0 * ta)
-        z2 = z * z
-        p = 1.0 + 2.0 * alpha - alpha * z2
-        q = 1.0 + alpha * z2
-        quotient = 2.0 * z * (1.0 + 2.0 * alpha + alpha * alpha * z2) / p
-        out = quotient - 2.0 * profile_value(xa, ta) + 2.0 * z / q
+    out = _residual_of_z(z, z * z, _alpha(ta), ta)
     return _maybe_scalar(np.asarray(out), x, t)
 
 
@@ -174,19 +202,7 @@ def profile_residual_dx(x, t):
         raise ParameterError("profile_residual_dx requires x > 0")
     ta = np.asarray(t, dtype=float)
     z = np.sin(0.5 * xa)
-    c = np.cos(0.5 * xa)
-    with np.errstate(over="ignore", invalid="ignore"):
-        alpha = np.exp(-2.0 * ta)
-        z2 = z * z
-        a2 = alpha * alpha
-        q = 1.0 + alpha * z2
-        p = 1.0 + 2.0 * alpha - alpha * z2
-        out = (
-            -c / q
-            - 2.0 * alpha * z2 * c / (q * q)
-            + c * (1.0 + 2.0 * alpha + 3.0 * a2 * z2) / p
-            + 2.0 * alpha * z2 * c * (1.0 + 2.0 * alpha + a2 * z2) / (p * p)
-        )
+    out = _residual_dx_of_z(z * z, np.cos(0.5 * xa), _alpha(ta))
     return _maybe_scalar(np.asarray(out), x, t)
 
 
@@ -233,6 +249,25 @@ class ProfileCertificate:
     max_slope_mismatch: float
 
 
+# Values per block of the certificate scan and of the all-pairs kernel:
+# 2**15 doubles are 256 KB per array, so a block's temporaries stay within a
+# few MB of cache.
+_BLOCK_PAIRS = 1 << 15
+
+
+def _fold_argmin(best, block: np.ndarray, row0: int):
+    """Fold a block of grid rows into the running (value, row, column) minimum.
+
+    Blocks arrive in row order, so the result is np.argmin's over the whole
+    grid: the first NaN wins, else the first exact minimum.
+    """
+    r, k = np.unravel_index(int(np.argmin(block)), block.shape)
+    value = block[r, k]
+    if not np.isnan(best[0]) and (np.isnan(value) or value < best[0]):
+        return float(value), row0 + int(r), int(k)
+    return best
+
+
 def residual_certificate_scan(
     x_values: np.ndarray,
     t_values: np.ndarray,
@@ -240,8 +275,16 @@ def residual_certificate_scan(
 ) -> ProfileCertificate:
     """Scan the residual and its x-slope over an (x, t) grid.
 
-    Iterates over t (vectorized in x) to keep memory flat on the large
-    certification grids.  Raises if any x lies outside (0, pi].
+    The t-independent factors sin(x/2), cos(x/2) and sin^2(x/2) are
+    computed once, for x and for the stencil points x +/- fd_step; the
+    grid is then evaluated in blocks of t-rows (about _BLOCK_PAIRS values
+    each, at least one row), so memory stays at a few blocks.  Every value
+    is the float that profile_residual and profile_residual_dx give at
+    that (x, t).  Each minimum and its location follow np.argmin over the
+    grid in (t, x) order: the first exact minimum, or the first NaN if any
+    value is NaN (an overflowed evaluation is never certified), and
+    max_slope_mismatch is NaN if any mismatch is.  Raises if any x lies
+    outside (0, pi].
     """
     x = np.asarray(x_values, dtype=float)
     t = np.asarray(t_values, dtype=float)
@@ -253,43 +296,65 @@ def residual_certificate_scan(
     stencil = (x - h > 0.0) & (x + h <= np.pi + _DOMAIN_SLACK)
     xs = x[stencil]
 
-    min_res = np.inf
-    min_res_at = (np.nan, np.nan)
-    min_fd = np.inf
-    min_fd_at = (np.nan, np.nan)
-    min_closed = np.inf
-    min_closed_at = (np.nan, np.nan)
+    z, c = np.sin(0.5 * x), np.cos(0.5 * x)
+    z2 = z * z
+    z_plus, z_minus = np.sin(0.5 * (xs + h)), np.sin(0.5 * (xs - h))
+    z2_plus, z2_minus = z_plus * z_plus, z_minus * z_minus
+
+    best_res = best_fd = best_closed = (np.inf, -1, -1)  # value, t index, x index
     max_mismatch = 0.0
-
-    for tv in t:
-        res = profile_residual(x, tv)
-        i = int(np.argmin(res))
-        if res[i] < min_res:
-            min_res, min_res_at = float(res[i]), (float(x[i]), float(tv))
-
-        closed = profile_residual_dx(x, tv)
-        i = int(np.argmin(closed))
-        if closed[i] < min_closed:
-            min_closed, min_closed_at = float(closed[i]), (float(x[i]), float(tv))
-
+    rows = max(1, _BLOCK_PAIRS // x.size)
+    for row0 in range(0, t.size, rows):
+        tb = t[row0:row0 + rows, None]
+        alpha = _alpha(tb)
+        best_res = _fold_argmin(best_res, _residual_of_z(z, z2, alpha, tb), row0)
+        closed = _residual_dx_of_z(z2, c, alpha)
+        best_closed = _fold_argmin(best_closed, closed, row0)
         if xs.size:
-            fd = (profile_residual(xs + h, tv) - profile_residual(xs - h, tv)) / (2.0 * h)
-            i = int(np.argmin(fd))
-            if fd[i] < min_fd:
-                min_fd, min_fd_at = float(fd[i]), (float(xs[i]), float(tv))
-            mism = float(np.max(np.abs(fd - profile_residual_dx(xs, tv))))
-            if mism > max_mismatch:
+            fd = (_residual_of_z(z_plus, z2_plus, alpha, tb)
+                  - _residual_of_z(z_minus, z2_minus, alpha, tb)) / (2.0 * h)
+            best_fd = _fold_argmin(best_fd, fd, row0)
+            mism = float(np.max(np.abs(fd - closed[:, stencil])))
+            if mism > max_mismatch or np.isnan(mism):
                 max_mismatch = mism
 
+    def located(best, grid):
+        value, ti, xi = best
+        return value, (np.nan, np.nan) if ti < 0 else (float(grid[xi]), float(t[ti]))
+
     return ProfileCertificate(
-        min_residual=min_res,
-        min_residual_at=min_res_at,
-        min_slope_fd=min_fd,
-        min_slope_fd_at=min_fd_at,
-        min_slope_closed=min_closed,
-        min_slope_closed_at=min_closed_at,
+        *located(best_res, x), *located(best_fd, xs), *located(best_closed, x),
         max_slope_mismatch=max_mismatch,
     )
+
+
+def derivative_cross_check(step: float = 1e-4):
+    """Worst disagreement between closed-form and central-difference
+    derivatives of the profile, over a grid away from the domain edges.
+
+    Returns the worst gap and where it sits, as (name, x, t) with name one
+    of "dx", "dxx", "dt".
+    """
+    x = np.linspace(0.05, 2.0 * np.pi - 0.05, 61)
+    worst = 0.0
+    where = ("dx", 0.0, 0.0)
+    for t in np.linspace(-2.0, 2.0, 17):
+        plus = profile_value(x + step, t)
+        minus = profile_value(x - step, t)
+        mid = profile_value(x, t)
+        candidates = (
+            ("dx", (plus - minus) / (2.0 * step), profile_dx(x, t)),
+            ("dxx", (plus - 2.0 * mid + minus) / step ** 2, profile_dxx(x, t)),
+            ("dt", (profile_value(x, t + step) - profile_value(x, t - step))
+                   / (2.0 * step), profile_dt(x, t)),
+        )
+        for name, approx, exact in candidates:
+            gaps = np.abs(approx - exact)
+            k = int(np.argmax(gaps))
+            if gaps[k] > worst:
+                worst = float(gaps[k])
+                where = (name, float(x[k]), float(t))
+    return worst, where
 
 
 def numerator_grid_min(z_values, alphas) -> tuple[float, tuple[float, float]]:
@@ -300,11 +365,6 @@ def numerator_grid_min(z_values, alphas) -> tuple[float, tuple[float, float]]:
     flat = int(np.argmin(vals))
     ai, zi = divmod(flat, z.size)
     return float(vals[ai, zi]), (float(z[zi]), float(a[ai]))
-
-
-# Pairs per block of the all-pairs kernel: 2**15 doubles are 256 KB per
-# array, so a block's handful of temporaries stays cache-resident.
-_BLOCK_PAIRS = 1 << 15
 
 
 def _pair_blocks(v: np.ndarray):

@@ -144,9 +144,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ParameterError(f"mode must be one of {RUN_MODES}, got {merged['mode']!r}")
     for key in ("radius", "a", "b", "dt", "t_end", "snapshot_interval", "safety"):
         value = merged[key]
-        if not isinstance(value, (int, float)) or not value > 0.0:
-            raise ParameterError(f"{key} must be a positive number, got {value!r}")
-        merged[key] = float(value)
+        if not isinstance(value, (int, float)) or not 0.0 < value < math.inf:
+            raise ParameterError(
+                f"{key} must be a positive finite number, got {value!r}")
+        try:
+            merged[key] = float(value)
+        except OverflowError:
+            raise ParameterError(f"{key} {value!r} is too large for a float") from None
     if merged["snapshot_interval"] < merged["dt"]:
         raise ParameterError(
             f"snapshot_interval {merged['snapshot_interval']:g} is shorter than "

@@ -21,6 +21,7 @@ from icflow import (
     profile_dx,
     profile_dxx,
     profile_residual,
+    profile_residual_dx,
     profile_value,
     renormalize,
     residual_certificate_scan,
@@ -160,6 +161,116 @@ def test_certificate_scan_reports_clean_grid():
     x_at, t_at = cert.min_residual_at
     assert 0.05 <= x_at <= np.pi
     assert -3.0 <= t_at <= 3.0
+
+
+def residual_as_first_written(x, t):
+    z = np.sin(0.5 * x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = np.exp(-2.0 * t)
+        z2 = z * z
+        p = 1.0 + 2.0 * alpha - alpha * z2
+        q = 1.0 + alpha * z2
+        quotient = 2.0 * z * (1.0 + 2.0 * alpha + alpha * alpha * z2) / p
+        return quotient - 2.0 * profile_value(x, t) + 2.0 * z / q
+
+
+def residual_dx_as_first_written(x, t):
+    z = np.sin(0.5 * x)
+    c = np.cos(0.5 * x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = np.exp(-2.0 * t)
+        z2 = z * z
+        a2 = alpha * alpha
+        q = 1.0 + alpha * z2
+        p = 1.0 + 2.0 * alpha - alpha * z2
+        return (
+            -c / q
+            - 2.0 * alpha * z2 * c / (q * q)
+            + c * (1.0 + 2.0 * alpha + 3.0 * a2 * z2) / p
+            + 2.0 * alpha * z2 * c * (1.0 + 2.0 * alpha + a2 * z2) / (p * p)
+        )
+
+
+def test_residual_and_slope_keep_their_first_written_formulas():
+    x = np.linspace(1e-4, np.pi, 301)
+    for t in [-30.0, -5.0, -0.3, 0.0, 1.7, 12.0, 40.0]:
+        assert np.array_equal(profile_residual(x, t), residual_as_first_written(x, t))
+        assert np.array_equal(profile_residual_dx(x, t), residual_dx_as_first_written(x, t))
+        for xv in (x[0], 1.0, np.pi):
+            assert profile_residual(xv, t) == residual_as_first_written(xv, t)
+            assert profile_residual_dx(xv, t) == residual_dx_as_first_written(xv, t)
+    # broadcasting an x row against a t column
+    ts = np.array([[-2.0], [0.5], [3.0]])
+    assert np.array_equal(profile_residual(x, ts), residual_as_first_written(x, ts))
+    assert np.array_equal(profile_residual_dx(x, ts), residual_dx_as_first_written(x, ts))
+
+
+def loop_certificate_scan(x, t, fd_step=1e-5):
+    # the per-t scan as first written: five profile evaluations per t, and
+    # a row whose argmin is NaN never replaces the running minimum
+    h = fd_step
+    xs = x[(x - h > 0.0) & (x + h <= np.pi + 1e-12)]
+    res_min, fd_min, closed_min = ([np.inf, (np.nan, np.nan)] for _ in range(3))
+    mismatch = 0.0
+
+    def fold(best, values, grid, tv):
+        i = int(np.argmin(values))
+        if values[i] < best[0]:
+            best[:] = float(values[i]), (float(grid[i]), float(tv))
+
+    for tv in t:
+        fold(res_min, profile_residual(x, tv), x, tv)
+        fold(closed_min, profile_residual_dx(x, tv), x, tv)
+        if xs.size:
+            fd = (profile_residual(xs + h, tv) - profile_residual(xs - h, tv)) / (2.0 * h)
+            fold(fd_min, fd, xs, tv)
+            mismatch = max(mismatch, float(np.max(np.abs(fd - profile_residual_dx(xs, tv)))))
+    return comparison.ProfileCertificate(*res_min, *fd_min, *closed_min, mismatch)
+
+
+SCAN_GRIDS = {
+    # 23 t-rows, so blocks of 7, 10 and 64 rows end in a partial block; x
+    # holds pi exactly and a point closer to 0 than fd_step, so the stencil
+    # drops both ends
+    "ragged_pi": (np.concatenate([[4e-6], np.linspace(0.05, np.pi, 96)]),
+                  np.linspace(-3.0, 3.0, 23), 1e-5),
+    # fd_step wider than the x range: the stencil is empty
+    "empty_stencil": (np.linspace(0.1, 3.0, 50), np.linspace(-1.0, 1.0, 9), 10.0),
+    # e^{-t} sin(x/2) passes 1e8: the large-argument arctan branch
+    "large_arg": (np.arange(0.5, 1.0 + 1e-12, 0.01), np.arange(-30.0, 30.0 + 1e-9, 0.7), 1e-5),
+    # exact ties: far out in t the residual rounds to the same few values
+    "ties": (np.linspace(0.2, np.pi, 60), np.linspace(35.0, 45.0, 11), 1e-5),
+    # more x points than a block holds: one t-row per block
+    "one_row": (np.linspace(1e-3, np.pi, comparison._BLOCK_PAIRS + 7),
+                np.array([-1.0, 0.0, 2.5]), 1e-5),
+}
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7, 10, 64])
+@pytest.mark.parametrize("name", sorted(SCAN_GRIDS))
+def test_blocked_certificate_scan_is_bit_identical_to_the_per_t_loop(name, rows, monkeypatch):
+    x, t, h = SCAN_GRIDS[name]
+    if rows is not None:
+        monkeypatch.setattr(comparison, "_BLOCK_PAIRS", rows * x.size)
+    assert residual_certificate_scan(x, t, fd_step=h) == loop_certificate_scan(x, t, h)
+
+
+@pytest.mark.parametrize("rows", [None, 1])
+def test_certificate_scan_reports_the_first_nan_like_argmin(rows, monkeypatch):
+    # at t = -400, alpha = e^800 overflows and every value is NaN; the loop
+    # scan skipped such rows and certified the finite t = 0 row
+    x = np.linspace(0.05, np.pi, 64)
+    if rows is not None:
+        monkeypatch.setattr(comparison, "_BLOCK_PAIRS", rows * x.size)
+    t = np.array([0.0, -400.0, 1.0])
+    cert = residual_certificate_scan(x, t)
+    for value, at in [(cert.min_residual, cert.min_residual_at),
+                      (cert.min_slope_fd, cert.min_slope_fd_at),
+                      (cert.min_slope_closed, cert.min_slope_closed_at)]:
+        assert np.isnan(value)
+        assert at == (0.05, -400.0)
+    assert np.isnan(cert.max_slope_mismatch)
+    assert not np.isnan(loop_certificate_scan(x, t).min_residual)
 
 
 @pytest.mark.parametrize("t", [-3.0, 0.0, 3.0])

@@ -100,6 +100,29 @@ def test_config_rejects_bad_values(data):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [{"t_end": float("inf")}, {"dt": float("nan")}, {"radius": float("-inf")},
+     {"snapshot_interval": 10**400}],
+    ids=["t_end_inf", "dt_nan", "radius_neg_inf", "snapshot_interval_huge_int"],
+)
+def test_config_rejects_non_finite_numbers(data):
+    with pytest.raises(ParameterError, match=next(iter(data))):
+        config_from_dict(data)
+
+
+def test_cli_run_with_infinite_t_end_exits_2_before_any_work(tmp_path, capsys):
+    # inf - inf is NaN in the evolve loop test: the run took no step and
+    # reported convergence: pass
+    code = cli.main([
+        "run", "--shape", "circle", "--n", "32", "--dt", "1e-3", "--t-end", "inf",
+        "--snapshot-interval", "1", "--out", str(tmp_path / "run.csv"),
+    ])
+    assert code == 2
+    assert "t_end" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_snapshot_interval_shorter_than_dt_is_rejected(tmp_path, capsys):
     with pytest.raises(ParameterError, match="snapshot_interval"):
         config_from_dict({"dt": 1e-3, "snapshot_interval": 2.5e-4})
@@ -290,6 +313,24 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     assert cli.main(["verify-profile", "--x-step", "0"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("flags", [["--t-step", "nan"], ["--x-min", "nan"], ["--t-max", "inf"]])
+def test_cli_verify_profile_rejects_non_finite_flags(flags, capsys):
+    assert cli.main(["verify-profile", *flags]) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("t", ["-400", "800"])
+def test_cli_verify_profile_fails_on_an_overflowed_grid(t, capsys):
+    # every residual at these t is NaN; the scan once skipped NaN rows and
+    # certified the empty remainder with exit 0
+    assert cli.main(["verify-profile", "--t-min", t, "--t-max", t]) == 1
+    out = capsys.readouterr().out
+    assert f"violation: residual nan at (x, t) = (0.001, {t})" in out
+    assert "all profile certificates hold" not in out
 
 
 def test_cli_nonconvex_run_exits_3(tmp_path, capsys):
