@@ -3,10 +3,9 @@
 Every function here turns a snapshot (or a history of snapshots) into a
 residual that is zero or negative when the corresponding analytic statement
 holds: the squared-curvature sup bound with its exponential envelope, the
-monotonicity of the curvature extrema, the L2 deficit of curvature and its
-decay rate, finite-difference derivative decay, the interpolation-ratio
-monitor, the incircle/circumcircle curvature gap, and plain
-convergence-to-unit-circle metrics.
+L2 deficit of curvature and its decay rate, finite-difference derivative
+decay, the interpolation-ratio monitor, the incircle/circumcircle curvature
+gap, and plain convergence-to-unit-circle metrics.
 
 Noise floors matter throughout: a polygon inscribed in a circle measures a
 strictly positive deficit and Bonnesen gap of order (pi/n)^2 purely from
@@ -68,28 +67,6 @@ def curvature_sup_residual(metrics: CurveMetrics, time: float, offset: float) ->
     """Violation of max kappa^2 <= 1 + 2 e^{-2 (time - offset)} (0 when satisfied)."""
     bound = 1.0 + 2.0 * float(np.exp(-2.0 * (time - offset)))
     return max(0.0, float(np.max(metrics.curvature)) ** 2 - bound)
-
-
-def curvature_extrema_drift(history) -> float:
-    """Worst escape of the curvature range outside its initial envelope.
-
-    The normalized flow squeezes curvature monotonically toward 1, so
-    min kappa may only rise and max kappa only fall; any excursion beyond
-    the first snapshot's range is discretization error.
-    """
-    snaps = list(history)
-    if not snaps:
-        raise ParameterError("empty history")
-    lo0 = float(np.min(snaps[0].curvature))
-    hi0 = float(np.max(snaps[0].curvature))
-    worst = 0.0
-    for m in snaps:
-        worst = max(
-            worst,
-            lo0 - float(np.min(m.curvature)),
-            float(np.max(m.curvature)) - hi0,
-        )
-    return max(worst, 0.0)
 
 
 def curvature_l2_deficit(metrics: CurveMetrics) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .errors import (
 from .experiment import (
     RUN_MODES,
     SHAPES,
+    ExperimentConfig,
     build_initial_curve,
     load_config,
     run_experiment,
@@ -40,6 +42,7 @@ from .flow import renormalize
 CERTIFICATE_TOL = 1e-8  # permitted dip of any certified minimum below zero
 LIMIT_TOL = 1e-5  # |residual| cap at the left edge of its domain
 DERIVATIVE_TOL = 1e-5  # closed-form vs finite-difference agreement for f
+MAX_GRID_POINTS = 10**7  # per verify-profile grid axis
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,43 +102,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
+# config fields whose flags take comma-separated lists: (element type, description)
+_LIST_FLAGS = {"amplitudes": (float, "numbers"), "modes": (int, "integers"),
+               "checks": (str, "names")}
+
+
+def _parse_list(text: str, kind, what: str) -> tuple:
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
+        return tuple(kind(part.strip()) for part in text.split(",") if part.strip())
     except ValueError:
-        raise ParameterError(f"expected comma-separated numbers, got {text!r}") from None
+        raise ParameterError(f"expected comma-separated {what}, got {text!r}") from None
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ParameterError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _collect_overrides(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
+def _collect_overrides(args: argparse.Namespace) -> dict:
+    """The config fields given as flags, with list flags parsed."""
     overrides = {}
-    for key in keys:
-        value = getattr(args, key)
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            overrides[key] = value
-    if getattr(args, "amplitudes", None) is not None:
-        overrides["amplitudes"] = _parse_float_list(args.amplitudes)
-    if getattr(args, "modes", None) is not None:
-        overrides["modes"] = _parse_int_list(args.modes)
-    if getattr(args, "checks", None) is not None:
-        overrides["checks"] = tuple(
-            part.strip() for part in args.checks.split(",") if part.strip())
+            if f.name in _LIST_FLAGS:
+                value = _parse_list(value, *_LIST_FLAGS[f.name])
+            overrides[f.name] = value
     return overrides
 
 
 def _handle_run(args: argparse.Namespace) -> int:
-    overrides = _collect_overrides(args, (
-        "shape", "radius", "a", "b", "n", "dt", "t_end", "mode",
-        "snapshot_interval", "out", "summary_out", "svg_dir", "seed",
-        "resample_every", "safety",
-    ))
-    config = load_config(args.config, overrides)
+    config = load_config(args.config, _collect_overrides(args))
     result = run_experiment(config)
     summary = result.summary
 
@@ -157,7 +149,13 @@ def _handle_run(args: argparse.Namespace) -> int:
 
 
 def _inclusive_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    steps = (hi - lo) / step + 1e-9
+    # checked before anything is allocated; inf when the quotient overflows
+    if not steps < MAX_GRID_POINTS - 1:
+        raise ParameterError(
+            f"grid too large: [{lo:g}, {hi:g}] at step {step:g} would have "
+            f"{MAX_GRID_POINTS} points or more")
+    count = int(math.floor(steps)) + 1
     grid = lo + step * np.arange(count)
     if grid[-1] < hi - 1e-12 * max(1.0, abs(hi)):
         grid = np.append(grid, hi)
@@ -236,9 +234,7 @@ def _handle_verify_profile(args: argparse.Namespace) -> int:
 
 
 def _handle_tbar(args: argparse.Namespace) -> int:
-    overrides = _collect_overrides(
-        args, ("shape", "radius", "a", "b", "n", "seed"))
-    config = load_config(None, overrides)
+    config = load_config(None, _collect_overrides(args))
     curve = resample_uniform(build_initial_curve(config), config.n)
     offset = admissible_offset(renormalize(curve))
     print("%.17g" % offset)

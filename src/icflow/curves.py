@@ -158,24 +158,19 @@ def make_perturbed_circle(
 class CurveMetrics:
     """Per-vertex geometry derived from a closed polygon.
 
-    edge_lengths[i] is |v_{i+1} - v_i| (index mod n), cumulative_arclength
-    starts at 0, tangent_angles are unwrapped so they increase monotonically
-    on convex curves, turning_angles are the exterior angles at each vertex,
-    curvature is the inverse circumradius of each vertex triple (signed), and
-    outward_normal is the unit tangent rotated by -pi/2.
+    edge_lengths[i] is |v_{i+1} - v_i| (index mod n), curvature is the
+    inverse circumradius of each vertex triple (signed), and outward_normal
+    is the unit chord v_{i+1} - v_{i-1} rotated by -pi/2.
     """
 
     edge_lengths: np.ndarray
-    cumulative_arclength: np.ndarray
     total_length: float
-    tangent_angles: np.ndarray
-    turning_angles: np.ndarray
     curvature: np.ndarray
     outward_normal: np.ndarray
 
 
-def compute_metrics(vertices: np.ndarray) -> CurveMetrics:
-    """Compute arc lengths, tangents, curvature, and normals for a polygon.
+def _geometry(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge lengths, curvature and outward normals of a float (n, 2) polygon.
 
     The curvature at vertex i is taken from the circumcircle through
     v_{i-1}, v_i, v_{i+1}:
@@ -185,36 +180,50 @@ def compute_metrics(vertices: np.ndarray) -> CurveMetrics:
     which equals 2 sin(turning angle) / chord and is exact (to roundoff) on
     polygons inscribed in circles — the property the flow's circle invariants
     rely on.  Signs follow orientation: positive on counterclockwise convex
-    curves.
+    curves.  A ghost-padded copy of the vertices supplies the wrapped
+    neighbours.  Raises DegenerateCurveError on non-finite coordinates, zero
+    edges and coincident neighbours; the flow's step kernel calls this
+    directly, without validate_vertices, once per accepted state.
     """
-    v = validate_vertices(vertices)
-    edges = np.roll(v, -1, axis=0) - v
-    edge_len = np.hypot(edges[:, 0], edges[:, 1])
-    total = float(np.sum(edge_len))
-    cum = np.concatenate([[0.0], np.cumsum(edge_len[:-1])])
-
-    e_prev = np.roll(edges, 1, axis=0)
-    len_prev = np.roll(edge_len, 1)
-    chord = v_next_minus_prev = np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)
+    if not np.isfinite(v).all():
+        raise DegenerateCurveError("vertex coordinates contain NaN or Inf")
+    n = v.shape[0]
+    padded = np.empty((n + 2, 2))
+    padded[1:-1] = v
+    padded[0] = v[-1]
+    padded[-1] = v[0]
+    # back[i] = v[i] - v[i-1] (i = 0..n), so back[1:] are the edges and
+    # back[:-1] the edges entering each vertex
+    back = padded[1:] - padded[:-1]
+    back_len = np.hypot(back[:, 0], back[:, 1])
+    edge_len = back_len[1:]
+    if edge_len.min() <= 0.0:
+        raise DegenerateCurveError("curve has a zero-length edge (repeated vertices)")
+    chord = padded[2:] - padded[:-2]
     chord_len = np.hypot(chord[:, 0], chord[:, 1])
-    if np.min(chord_len) <= 0.0:
+    if chord_len.min() <= 0.0:
         raise DegenerateCurveError("vertices i-1 and i+1 coincide; curvature undefined")
+    e_prev, edges = back[:-1], back[1:]
     cross = e_prev[:, 0] * edges[:, 1] - e_prev[:, 1] * edges[:, 0]
-    curvature = 2.0 * cross / (len_prev * edge_len * chord_len)
+    kappa = 2.0 * cross / (back_len[:-1] * edge_len * chord_len)
+    normal = np.empty((n, 2))
+    np.divide(chord[:, 1], chord_len, out=normal[:, 0])
+    np.divide(chord[:, 0], chord_len, out=normal[:, 1])
+    np.negative(normal[:, 1], out=normal[:, 1])
+    return edge_len, kappa, normal
 
-    tangent = v_next_minus_prev / chord_len[:, None]
-    raw_angles = np.arctan2(tangent[:, 1], tangent[:, 0])
-    tangent_angles = np.unwrap(raw_angles)
-    turning = np.arctan2(cross, np.einsum("ij,ij->i", e_prev, edges))
-    normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
 
+def compute_metrics(vertices: np.ndarray) -> CurveMetrics:
+    """Edge lengths, total length, curvature and outward normals of a polygon.
+
+    The step kernel's geometry (_geometry) of the validated vertices, plus
+    the sum of the edge lengths.
+    """
+    edge_len, kappa, normal = _geometry(validate_vertices(vertices))
     return CurveMetrics(
         edge_lengths=edge_len,
-        cumulative_arclength=cum,
-        total_length=total,
-        tangent_angles=tangent_angles,
-        turning_angles=turning,
-        curvature=curvature,
+        total_length=float(np.sum(edge_len)),
+        curvature=kappa,
         outward_normal=normal,
     )
 
@@ -251,27 +260,6 @@ def resample_uniform(vertices: np.ndarray, n: int) -> np.ndarray:
     out[:, 1] = np.interp(targets, s, closed[:, 1])
     out[0] = v[0]
     return out
-
-
-def chord_distance(vertices: np.ndarray, i: int, j: int) -> float:
-    """Straight-line distance between vertices i and j."""
-    v = np.asarray(vertices, dtype=float)
-    return float(np.hypot(*(v[j % len(v)] - v[i % len(v)])))
-
-
-def arc_distance(vertices: np.ndarray, i: int, j: int) -> float:
-    """Length of the SHORTER arc between vertices i and j, in [0, L/2].
-
-    The comparison profile is symmetric under arc -> L - arc, so restricting
-    to the shorter arc loses nothing and keeps the argument in the profile's
-    monotone range.
-    """
-    v = validate_vertices(vertices)
-    edge_len = edge_lengths(v)
-    s = np.concatenate([[0.0], np.cumsum(edge_len)])
-    total = s[-1]
-    forward = (s[j % len(v)] - s[i % len(v)]) % total
-    return float(min(forward, total - forward))
 
 
 def convexity_check(vertices: np.ndarray) -> bool:

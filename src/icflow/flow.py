@@ -23,13 +23,12 @@ constant fields, so circles (constant speed) are advanced without any
 smoothing error and keep their closed-form radius law to roundoff.
 
 One step kernel serves both formulations.  Each accepted state's geometry
-(edge lengths, curvature, outward normals) is computed once, after the step
-and any resampling, with the formulas and operation order of
-compute_metrics, so trajectories match a compute_metrics-based stepper bit
-for bit.  The same geometry is the convexity test (kappa > 0 is the sign of
-each vertex's cross product, since the circumcircle denominators are
-positive) and the input of the next step; the full CurveMetrics is built
-only for snapshot observers.
+(edge lengths, curvature, outward normals; curves._geometry, the same
+computation compute_metrics returns) is computed once, after the step and
+any resampling.  The same geometry is the convexity test (kappa > 0 is the
+sign of each vertex's cross product, since the circumcircle denominators
+are positive) and the input of the next step; the full CurveMetrics is
+built only for snapshot observers.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import compute_metrics, edge_lengths, resample_uniform, validate_vertices
+from .curves import _geometry, compute_metrics, edge_lengths, resample_uniform, validate_vertices
 from .errors import ConvexityLossError, DegenerateCurveError, ParameterError, StepRejectedError
 
 MODES = ("unnormalized", "normalized")
@@ -74,13 +73,11 @@ class StepControl:
 
 @dataclass(frozen=True)
 class FlowState:
-    """Snapshot of an evolving curve: vertices, elapsed time, bookkeeping."""
+    """Snapshot of an evolving curve: vertices, elapsed time, formulation."""
 
     vertices: np.ndarray
     time: float
     mode: str
-    initial_length: float
-    offset: float | None = None
 
 
 def renormalize(vertices: np.ndarray) -> np.ndarray:
@@ -98,15 +95,14 @@ def _rescale(v: np.ndarray) -> np.ndarray:
     return (2.0 * np.pi / total) * v
 
 
-def initial_state(vertices: np.ndarray, mode: str, offset: float | None = None) -> FlowState:
+def initial_state(vertices: np.ndarray, mode: str) -> FlowState:
     """Wrap an initial curve; normalized mode rescales it to length 2*pi."""
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
     v = validate_vertices(vertices).copy()
     if mode == "normalized":
         v = renormalize(v)
-    total = float(np.sum(edge_lengths(v)))
-    return FlowState(vertices=v, time=0.0, mode=mode, initial_length=total, offset=offset)
+    return FlowState(vertices=v, time=0.0, mode=mode)
 
 
 def smooth_periodic(values: np.ndarray, passes: int) -> np.ndarray:
@@ -157,43 +153,6 @@ def smoothing_order(
     raise StepRejectedError(
         f"dt = {dt:g} exceeds the stability budget {budget:g} even at "
         f"smoothing order {max_smoothing}")
-
-
-def _geometry(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge lengths, curvature and outward normals of an (n, 2) polygon.
-
-    The formulas and their operation order are those of compute_metrics, so
-    the three arrays equal its edge_lengths, curvature and outward_normal bit
-    for bit; a ghost-padded copy of the vertices replaces np.roll.  Raises
-    DegenerateCurveError on non-finite coordinates, zero edges and
-    coincident neighbours, as validate_vertices and compute_metrics do.
-    """
-    if not np.isfinite(v).all():
-        raise DegenerateCurveError("vertex coordinates contain NaN or Inf")
-    n = v.shape[0]
-    padded = np.empty((n + 2, 2))
-    padded[1:-1] = v
-    padded[0] = v[-1]
-    padded[-1] = v[0]
-    # back[i] = v[i] - v[i-1] (i = 0..n), so back[1:] are the edges and
-    # back[:-1] the edges entering each vertex
-    back = padded[1:] - padded[:-1]
-    back_len = np.hypot(back[:, 0], back[:, 1])
-    edge_len = back_len[1:]
-    if edge_len.min() <= 0.0:
-        raise DegenerateCurveError("curve has a zero-length edge (repeated vertices)")
-    chord = padded[2:] - padded[:-2]
-    chord_len = np.hypot(chord[:, 0], chord[:, 1])
-    if chord_len.min() <= 0.0:
-        raise DegenerateCurveError("vertices i-1 and i+1 coincide; curvature undefined")
-    e_prev, edges = back[:-1], back[1:]
-    cross = e_prev[:, 0] * edges[:, 1] - e_prev[:, 1] * edges[:, 0]
-    kappa = 2.0 * cross / (back_len[:-1] * edge_len * chord_len)
-    normal = np.empty((n, 2))
-    np.divide(chord[:, 1], chord_len, out=normal[:, 0])
-    np.divide(chord[:, 0], chord_len, out=normal[:, 1])
-    np.negative(normal[:, 1], out=normal[:, 1])
-    return edge_len, kappa, normal
 
 
 def _step(
@@ -327,10 +286,9 @@ def polyline_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     """
 
     def directed(p: np.ndarray, q: np.ndarray) -> float:
-        q0 = q
         d = np.roll(q, -1, axis=0) - q
         len2 = np.maximum(np.einsum("ij,ij->i", d, d), 1e-300)
-        diff = p[:, None, :] - q0[None, :, :]
+        diff = p[:, None, :] - q[None, :, :]
         frac = np.clip(np.einsum("nmj,mj->nm", diff, d) / len2, 0.0, 1.0)
         proj = diff - frac[:, :, None] * d[None, :, :]
         dist = np.sqrt(np.einsum("nmj,nmj->nm", proj, proj))
@@ -339,45 +297,3 @@ def polyline_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     pa = validate_vertices(a)
     pb = validate_vertices(b)
     return max(directed(pa, pb), directed(pb, pa))
-
-
-def cross_check_formulations(
-    initial: np.ndarray,
-    control: StepControl,
-    t_end: float,
-    snapshot_interval: float = 0.1,
-) -> float:
-    """Agreement between the two formulations of the same flow.
-
-    Runs the unnormalized flow and rescales each snapshot to length 2*pi,
-    runs the normalized flow from the rescaled initial curve, and returns
-    the largest Hausdorff distance between snapshots taken at the same
-    times.
-
-    This is not independent evidence of accuracy.  The normalized Euler step
-    at dt is algebraically the renormalized unnormalized step at dt/(1-dt),
-    so the two discrete runs differ only by that O(dt) reparametrization of
-    the clock, compounded over the run, plus the occasional step where the
-    two step sizes select different smoothing orders near a threshold of the
-    stability budget.  The distance therefore shrinks under refinement, but
-    it cannot detect an error the two formulations share.
-    """
-    raw: list[np.ndarray] = []
-    norm: list[np.ndarray] = []
-    evolve(
-        initial_state(initial, "unnormalized"),
-        control,
-        t_end,
-        observers=[lambda t, v, m: raw.append(renormalize(v))],
-        snapshot_interval=snapshot_interval,
-    )
-    evolve(
-        initial_state(initial, "normalized"),
-        control,
-        t_end,
-        observers=[lambda t, v, m: norm.append(v.copy())],
-        snapshot_interval=snapshot_interval,
-    )
-    if len(raw) != len(norm):
-        raise ParameterError("snapshot schedules diverged between formulations")
-    return max(polyline_hausdorff(u, w) for u, w in zip(raw, norm))

@@ -12,7 +12,6 @@ from icflow import (
     compute_metrics,
     convergence_metrics,
     curvature_derivative_profiles,
-    curvature_extrema_drift,
     curvature_l2_deficit,
     curvature_sup_residual,
     decay_slope,
@@ -27,6 +26,7 @@ from icflow import (
     resample_uniform,
     snapshot_report,
 )
+from icflow.experiment import CHECKS, RunSeries
 
 
 def normalized_ellipse(n=256):
@@ -63,12 +63,17 @@ def test_sup_residual_with_distant_offset_measures_kappa_excess():
 
 
 def test_extrema_drift_detects_envelope_escape():
-    widening = [compute_metrics(make_circle(1.0, 64)), compute_metrics(make_circle(1.2, 64))]
-    assert curvature_extrema_drift(widening) == pytest.approx(1.0 - 1.0 / 1.2, abs=1e-10)
-    shrinking = [compute_metrics(normalized_ellipse(128)), compute_metrics(make_circle(1.0, 64))]
-    assert curvature_extrema_drift(shrinking) == 0.0
-    with pytest.raises(ParameterError):
-        curvature_extrema_drift([])
+    def grade(curves, tol=1e-3):
+        kappas = [compute_metrics(v).curvature for v in curves]
+        rows = [{"kappa_min": float(k.min()), "kappa_max": float(k.max())} for k in kappas]
+        passed, worst, _ = CHECKS["extrema_drift"][2](RunSeries(rows, [], [], 64), tol)
+        return passed, worst
+
+    passed, worst = grade([make_circle(1.0, 64), make_circle(1.2, 64)])
+    assert worst == pytest.approx(1.0 - 1.0 / 1.2, abs=1e-10)
+    assert not passed
+    assert grade([make_circle(1.0, 64), make_circle(1.2, 64)], tol=0.2) == (True, worst)
+    assert grade([normalized_ellipse(128), make_circle(1.0, 64)]) == (True, 0.0)
 
 
 def test_decay_slope_recovers_exact_exponentials():

@@ -6,9 +6,7 @@ import pytest
 from icflow import (
     DegenerateCurveError,
     ParameterError,
-    arc_distance,
     centroid,
-    chord_distance,
     compute_metrics,
     convexity_check,
     dual_cell_weights,
@@ -25,6 +23,12 @@ def nonconvex_star(n=64):
     return make_perturbed_circle(1.0, n, [0.5], [7], seed=0)
 
 
+def normal_turning(m):
+    """Signed angle from each outward normal to the next one (index mod n)."""
+    a, b = m.outward_normal, np.roll(m.outward_normal, -1, axis=0)
+    return np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], np.einsum("ij,ij->i", a, b))
+
+
 @pytest.mark.parametrize("n,radius", [(16, 1.0), (128, 0.5), (512, 3.0)])
 def test_circle_metrics_match_closed_forms(n, radius):
     v = make_circle(radius, n)
@@ -32,7 +36,7 @@ def test_circle_metrics_match_closed_forms(n, radius):
     assert m.total_length == pytest.approx(2 * n * radius * np.sin(np.pi / n), rel=1e-14)
     # the circumcircle estimator is exact on circle-inscribed polygons
     assert np.max(np.abs(m.curvature - 1.0 / radius)) < 1e-11 / radius
-    assert np.max(np.abs(m.turning_angles - 2 * np.pi / n)) < 1e-12
+    assert np.max(np.abs(normal_turning(m) - 2 * np.pi / n)) < 1e-12
     assert np.max(np.abs(m.outward_normal - v / radius)) < 1e-12
     assert np.max(np.abs(dual_cell_weights(v) - m.total_length / n)) < 1e-13
 
@@ -43,16 +47,18 @@ def test_circle_honors_center():
 
 
 def test_tangent_angles_increase_on_convex_curves():
+    # the unit tangent is the outward normal rotated by +pi/2
     m = compute_metrics(make_ellipse(2.0, 1.0, 128))
-    assert np.all(np.diff(m.tangent_angles) > 0)
-    assert np.sum(m.turning_angles) == pytest.approx(2 * np.pi, abs=1e-10)
+    tangent_angles = np.unwrap(np.arctan2(m.outward_normal[:, 0], -m.outward_normal[:, 1]))
+    assert np.all(np.diff(tangent_angles) > 0)
+    assert np.sum(normal_turning(m)) == pytest.approx(2 * np.pi, abs=1e-10)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_total_turning_is_one_revolution(seed):
     v = make_perturbed_circle(1.0, 256, [0.05, 0.03], [3, 5], seed=seed)
     m = compute_metrics(v)
-    assert np.sum(m.turning_angles) == pytest.approx(2 * np.pi, abs=1e-10)
+    assert np.sum(normal_turning(m)) == pytest.approx(2 * np.pi, abs=1e-10)
 
 
 @pytest.mark.parametrize("a,b", [(2.0, 1.0), (1.5, 0.7), (1.0, 1.0)])
@@ -139,24 +145,6 @@ def test_resample_changes_vertex_count():
     out = resample_uniform(v, 192)
     assert out.shape == (192, 2)
     assert polyline_hausdorff(v, out) < 5e-3
-
-
-@pytest.mark.parametrize("i,j", [(0, 90), (10, 350), (0, 180), (123, 124)])
-def test_chord_and_arc_distances_on_a_circle(i, j):
-    radius, n = 2.0, 360
-    v = make_circle(radius, n)
-    total = compute_metrics(v).total_length
-    hops = min((j - i) % n, (i - j) % n)
-    assert arc_distance(v, i, j) == pytest.approx(hops * total / n, rel=1e-12)
-    expected_chord = 2 * radius * np.sin(np.pi * hops / n)
-    assert chord_distance(v, i, j) == pytest.approx(expected_chord, rel=1e-12)
-
-
-def test_arc_distance_is_symmetric_and_takes_the_shorter_side():
-    v = make_circle(1.0, 100)
-    assert arc_distance(v, 5, 95) == pytest.approx(arc_distance(v, 95, 5), rel=1e-14)
-    total = compute_metrics(v).total_length
-    assert arc_distance(v, 0, 95) == pytest.approx(5 * total / 100, rel=1e-12)
 
 
 def test_convexity_check_separates_shapes():

@@ -66,6 +66,10 @@ def test_config_tolerance_override_merges():
     merged = cfg.resolved_tolerances()
     assert merged["min_Z"] == 1e-2
     assert merged["convergence"] == DEFAULT_TOLERANCES["convergence"]
+    # a list of pairs works too, and tolerances may be negative
+    cfg = config_from_dict({"tolerances": [["bonnesen_decay", -1], ["min_Z", 1e-2]]})
+    assert cfg.tolerances == (("bonnesen_decay", -1.0), ("min_Z", 1e-2))
+    assert cfg.resolved_tolerances()["bonnesen_decay"] == -1.0
 
 
 def test_config_check_subset_keeps_canonical_order():
@@ -109,6 +113,46 @@ def test_config_rejects_bad_values(data):
 def test_config_rejects_non_finite_numbers(data):
     with pytest.raises(ParameterError, match=next(iter(data))):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"tolerances": [["min_Z", "abc"]]}, "tolerance for 'min_Z'"),
+        ({"tolerances": 5}, "tolerances must be"),
+        ({"checks": 5}, "checks must be"),
+        ({"tolerances": {"min_Z": True}}, "tolerance for 'min_Z'"),
+        ({"tolerances": {"min_Z": float("inf")}}, "tolerance for 'min_Z'"),
+        ({"radius": True}, "radius must be"),
+    ],
+    ids=["tolerance_string", "tolerances_number", "checks_number", "tolerance_bool",
+         "tolerance_inf", "radius_bool"],
+)
+def test_malformed_config_files_exit_2_and_write_nothing(data, message, tmp_path, capsys):
+    # each of these once ended in a traceback (exit 1) or was silently accepted
+    with pytest.raises(ParameterError, match=message):
+        config_from_dict(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(data, shape="circle", n=32, t_end=0.1)))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "run.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_cli_flags_map_onto_config_fields():
+    args = cli.build_parser().parse_args([
+        "run", "--shape", "ellipse", "--radius", "1.5", "--a", "3", "--b", "2", "--n", "64",
+        "--dt", "1e-3", "--t-end", "0.5", "--mode", "both", "--snapshot-interval", "0.1",
+        "--out", "x.csv", "--summary-out", "s.json", "--svg-dir", "d", "--seed", "4",
+        "--amplitudes", "0.03, 0.01", "--modes", "3,5", "--checks", "min_Z, cross_check",
+        "--resample-every", "7", "--safety", "0.3"])
+    assert cli._collect_overrides(args) == {
+        "shape": "ellipse", "radius": 1.5, "a": 3.0, "b": 2.0, "amplitudes": (0.03, 0.01),
+        "modes": (3, 5), "seed": 4, "n": 64, "dt": 1e-3, "t_end": 0.5, "mode": "both",
+        "snapshot_interval": 0.1, "checks": ("min_Z", "cross_check"), "out": "x.csv",
+        "summary_out": "s.json", "svg_dir": "d", "resample_every": 7, "safety": 0.3}
+    args = cli.build_parser().parse_args(["tbar", "--n", "64", "--modes", "4"])
+    assert cli._collect_overrides(args) == {"shape": "circle", "modes": (4,), "n": 64}
 
 
 def test_cli_run_with_infinite_t_end_exits_2_before_any_work(tmp_path, capsys):
@@ -331,6 +375,24 @@ def test_cli_verify_profile_fails_on_an_overflowed_grid(t, capsys):
     out = capsys.readouterr().out
     assert f"violation: residual nan at (x, t) = (0.001, {t})" in out
     assert "all profile certificates hold" not in out
+
+
+@pytest.mark.parametrize("flag", ["--t-step", "--x-step"])
+@pytest.mark.parametrize("step", ["1e-300", "5e-324"])
+def test_cli_verify_profile_rejects_grids_too_large_to_allocate(flag, step, capsys):
+    # these ended in a numpy ValueError / OverflowError traceback with exit 1
+    assert cli.main(["verify-profile", flag, step]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: grid too large")
+    assert captured.out == ""
+
+
+def test_grid_limit_boundary(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 12)
+    assert len(cli._inclusive_grid(0.0, 1.0, 0.1)) == 11
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 11)
+    with pytest.raises(ParameterError, match="grid too large"):
+        cli._inclusive_grid(0.0, 1.0, 0.1)
 
 
 def test_cli_nonconvex_run_exits_3(tmp_path, capsys):

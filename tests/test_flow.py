@@ -11,7 +11,7 @@ from icflow import (
     StepControl,
     StepRejectedError,
     compute_metrics,
-    cross_check_formulations,
+    config_from_dict,
     evolve,
     initial_state,
     length_law_residual,
@@ -21,12 +21,14 @@ from icflow import (
     polyline_hausdorff,
     renormalize,
     resample_uniform,
+    run_experiment,
     smooth_periodic,
     smoothing_order,
     step_normalized,
     step_unnormalized,
 )
-from icflow.flow import _geometry, _smooth_in_place
+from icflow.curves import _geometry
+from icflow.flow import _smooth_in_place
 
 
 def test_step_control_validation():
@@ -54,12 +56,11 @@ def test_renormalize_scales_to_standard_length():
 
 def test_initial_state_normalizes_and_records_length():
     raw = make_ellipse(2.0, 1.0, 128)
-    s = initial_state(raw, "normalized", offset=0.75)
+    s = initial_state(raw, "normalized")
     assert s.time == 0.0
-    assert s.offset == 0.75
-    assert s.initial_length == pytest.approx(2 * np.pi, rel=1e-14)
+    assert compute_metrics(s.vertices).total_length == pytest.approx(2 * np.pi, rel=1e-14)
     u = initial_state(raw, "unnormalized")
-    assert u.initial_length == pytest.approx(compute_metrics(raw).total_length, rel=1e-14)
+    assert np.array_equal(u.vertices, raw)
     with pytest.raises(ParameterError):
         initial_state(raw, "renormalized")
 
@@ -171,10 +172,7 @@ def test_evolve_rejects_bad_schedules():
 
 def test_nonconvex_curve_is_rejected_at_start():
     star = make_perturbed_circle(1.0, 128, [0.5], [7], seed=0)
-    s = FlowState(
-        vertices=star, time=0.0, mode="unnormalized",
-        initial_length=float(compute_metrics(star).total_length),
-    )
+    s = FlowState(vertices=star, time=0.0, mode="unnormalized")
     with pytest.raises(ConvexityLossError) as info:
         step_unnormalized(s, StepControl(dt=1e-3))
     assert info.value.time == 0.0
@@ -212,17 +210,41 @@ def test_polyline_hausdorff_properties():
     assert polyline_hausdorff(a, shifted) < 5e-4
 
 
-def test_cross_check_is_tiny_on_circles():
-    assert cross_check_formulations(make_circle(1.0, 128), StepControl(dt=1e-3), 0.5) < 1e-12
+def _cross_check_worst(tmp_path, **config):
+    config = config_from_dict(dict(
+        config, mode="both", t_end=0.5, checks=["cross_check"],
+        out=str(tmp_path / "run.csv")))
+    return run_experiment(config).summary["checks"]["cross_check"]["worst"]
 
 
-def test_cross_check_shrinks_under_refinement():
-    coarse = cross_check_formulations(make_ellipse(2.0, 1.0, 64), StepControl(dt=2e-3), 0.5)
-    fine = cross_check_formulations(make_ellipse(2.0, 1.0, 128), StepControl(dt=1e-3), 0.5)
+def test_cross_check_is_tiny_on_circles(tmp_path):
+    assert _cross_check_worst(tmp_path, shape="circle", n=128, dt=1e-3) < 1e-12
+
+
+def test_cross_check_shrinks_under_refinement(tmp_path):
+    coarse = _cross_check_worst(tmp_path, shape="ellipse", n=64, dt=2e-3)
+    fine = _cross_check_worst(tmp_path, shape="ellipse", n=128, dt=1e-3)
     assert fine < coarse
 
 
-# --- the step kernel against its compute_metrics-based definition ---------
+# --- the step kernel against the first-written roll formulas --------------
+
+
+def _roll_geometry(v):
+    """Edge lengths, curvature and outward normals by the np.roll formulas
+    the package first computed them with (the regression oracle of the
+    ghost-padded kernel geometry)."""
+    edges = np.roll(v, -1, axis=0) - v
+    edge_len = np.hypot(edges[:, 0], edges[:, 1])
+    e_prev = np.roll(edges, 1, axis=0)
+    len_prev = np.roll(edge_len, 1)
+    chord = np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)
+    chord_len = np.hypot(chord[:, 0], chord[:, 1])
+    cross = e_prev[:, 0] * edges[:, 1] - e_prev[:, 1] * edges[:, 0]
+    curvature = 2.0 * cross / (len_prev * edge_len * chord_len)
+    tangent = chord / chord_len[:, None]
+    normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
+    return edge_len, curvature, normal
 
 
 @pytest.mark.parametrize(
@@ -234,12 +256,13 @@ def test_cross_check_shrinks_under_refinement():
     ],
     ids=["circle", "ellipse", "perturbed"],
 )
-def test_kernel_geometry_is_compute_metrics_bit_for_bit(v):
-    edge_len, kappa, normal = _geometry(v)
+def test_kernel_geometry_is_the_roll_formulas_bit_for_bit(v):
+    expected = _roll_geometry(v)
     m = compute_metrics(v)
-    assert np.array_equal(edge_len, m.edge_lengths)
-    assert np.array_equal(kappa, m.curvature)
-    assert np.array_equal(normal, m.outward_normal)
+    for got in (_geometry(v), (m.edge_lengths, m.curvature, m.outward_normal)):
+        for array, oracle in zip(got, expected):
+            assert np.array_equal(array, oracle)
+    assert m.total_length == float(np.sum(expected[0]))
 
 
 def test_in_place_smoother_is_smooth_periodic_bit_for_bit(rng):
@@ -250,18 +273,18 @@ def test_in_place_smoother_is_smooth_periodic_bit_for_bit(rng):
 
 
 def _reference_evolve(vertices, mode, control, steps):
-    """Euler steps spelled out with compute_metrics and smooth_periodic."""
+    """Euler steps spelled out with the roll formulas and smooth_periodic."""
     v = vertices
     for k in range(1, steps + 1):
-        m = compute_metrics(v)
+        edge_len, curvature, normal = _roll_geometry(v)
         order = smoothing_order(
-            control.dt, float(np.min(m.edge_lengths)), float(np.min(m.curvature)),
+            control.dt, float(np.min(edge_len)), float(np.min(curvature)),
             control.safety, control.max_smoothing)
-        speed = smooth_periodic(1.0 / m.curvature, order)
+        speed = smooth_periodic(1.0 / curvature, order)
         if mode == "unnormalized":
-            v = v + control.dt * speed[:, None] * m.outward_normal
+            v = v + control.dt * speed[:, None] * normal
         else:
-            v = renormalize(v + control.dt * (-v + speed[:, None] * m.outward_normal))
+            v = renormalize(v + control.dt * (-v + speed[:, None] * normal))
         if k % control.resample_every == 0:
             v = resample_uniform(v, v.shape[0])
             if mode == "normalized":
@@ -317,7 +340,7 @@ def test_evolve_rejects_degenerate_vertices(defect):
         v[10, 1] = np.nan
     else:
         v[10] = v[11]
-    s = FlowState(vertices=v, time=0.0, mode="normalized", initial_length=2 * np.pi)
+    s = FlowState(vertices=v, time=0.0, mode="normalized")
     with pytest.raises(DegenerateCurveError):
         evolve(s, StepControl(dt=1e-3), 0.01)
     with pytest.raises(DegenerateCurveError):
