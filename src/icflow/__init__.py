@@ -7,150 +7,4 @@ with the comparison-principle, curvature-envelope, and convergence checks
 that make the continuum theory quantitatively testable at desk scale.
 """
 
-from .bounds import (
-    BoundsReport,
-    LadderReport,
-    bonnesen_floor,
-    bonnesen_gap,
-    convergence_metrics,
-    curvature_derivative_profiles,
-    curvature_l2_deficit,
-    curvature_sup_residual,
-    decay_slope,
-    derivative_ladder_check,
-    derivative_noise_floors,
-    gn_ratio,
-    l2_deficit_floor,
-    snapshot_report,
-)
-from .comparison import (
-    ProfileCertificate,
-    TwoPointReport,
-    admissible_offset,
-    numerator_grid_min,
-    profile_dt,
-    profile_dx,
-    profile_dxx,
-    profile_residual,
-    profile_residual_dx,
-    profile_value,
-    residual_certificate_scan,
-    residual_dx_numerator,
-    two_point_gap_scan,
-)
-from .curves import (
-    CurveMetrics,
-    centroid,
-    compute_metrics,
-    convexity_check,
-    dual_cell_weights,
-    make_circle,
-    make_ellipse,
-    make_perturbed_circle,
-    resample_uniform,
-    validate_vertices,
-)
-from .errors import (
-    ConvexityLossError,
-    DegenerateCurveError,
-    FlowError,
-    IcflowError,
-    NoAdmissibleOffsetError,
-    NoiseFloorError,
-    ParameterError,
-    StepRejectedError,
-)
-from .experiment import (
-    CSV_HEADER,
-    DEFAULT_TOLERANCES,
-    ExperimentConfig,
-    ExperimentResult,
-    build_initial_curve,
-    checks_for_mode,
-    config_from_dict,
-    load_config,
-    run_experiment,
-)
-from .flow import (
-    FlowState,
-    StepControl,
-    evolve,
-    initial_state,
-    length_law_residual,
-    polyline_hausdorff,
-    renormalize,
-    smooth_periodic,
-    smoothing_order,
-    step_normalized,
-    step_unnormalized,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundsReport",
-    "ConvexityLossError",
-    "CSV_HEADER",
-    "CurveMetrics",
-    "DEFAULT_TOLERANCES",
-    "DegenerateCurveError",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FlowError",
-    "FlowState",
-    "IcflowError",
-    "LadderReport",
-    "NoAdmissibleOffsetError",
-    "NoiseFloorError",
-    "ParameterError",
-    "ProfileCertificate",
-    "StepControl",
-    "StepRejectedError",
-    "TwoPointReport",
-    "admissible_offset",
-    "bonnesen_floor",
-    "bonnesen_gap",
-    "build_initial_curve",
-    "centroid",
-    "checks_for_mode",
-    "compute_metrics",
-    "config_from_dict",
-    "convergence_metrics",
-    "convexity_check",
-    "curvature_derivative_profiles",
-    "curvature_l2_deficit",
-    "curvature_sup_residual",
-    "decay_slope",
-    "derivative_ladder_check",
-    "derivative_noise_floors",
-    "dual_cell_weights",
-    "evolve",
-    "gn_ratio",
-    "initial_state",
-    "l2_deficit_floor",
-    "length_law_residual",
-    "load_config",
-    "make_circle",
-    "make_ellipse",
-    "make_perturbed_circle",
-    "numerator_grid_min",
-    "polyline_hausdorff",
-    "profile_dt",
-    "profile_dx",
-    "profile_dxx",
-    "profile_residual",
-    "profile_residual_dx",
-    "profile_value",
-    "renormalize",
-    "resample_uniform",
-    "residual_certificate_scan",
-    "residual_dx_numerator",
-    "run_experiment",
-    "smooth_periodic",
-    "smoothing_order",
-    "snapshot_report",
-    "step_normalized",
-    "step_unnormalized",
-    "two_point_gap_scan",
-    "validate_vertices",
-]

@@ -30,6 +30,10 @@ DERIVATIVE_FLOOR = 1e-12
 # Relative edge-length spread beyond which a mesh no longer counts as
 # uniform for derivative estimation.
 _UNIFORM_SPREAD = 2e-2
+# Time windows of the derivative ladder: the envelope constants are
+# calibrated over the first, the late decay rate is fitted over the second.
+LADDER_CALIBRATION_WINDOW = (0.5, 2.0)
+LADDER_LATE_WINDOW = (2.0, 5.0)
 
 
 def l2_deficit_floor(n: int) -> float:
@@ -141,8 +145,6 @@ def derivative_ladder_check(
     times,
     dkappa_max,
     d2kappa_max,
-    calibration_window: tuple[float, float] = (0.5, 2.0),
-    late_window: tuple[float, float] = (2.0, 5.0),
     floor: float = DERIVATIVE_FLOOR,
     floor2: float | None = None,
 ) -> LadderReport:
@@ -156,7 +158,7 @@ def derivative_ladder_check(
     d2k = np.asarray(d2kappa_max, dtype=float)
     if floor2 is None:
         floor2 = floor
-    lo, hi = calibration_window
+    lo, hi = LADDER_CALIBRATION_WINDOW
     w1 = dk * np.maximum(1.0, np.sqrt(np.maximum(t, 0.0)))
     w2 = d2k * np.maximum(1.0, t)
 
@@ -172,7 +174,7 @@ def derivative_ladder_check(
 
     cal1, excess1 = calibrate(w1, dk, floor)
     cal2, excess2 = calibrate(w2, d2k, floor2)
-    slope = decay_slope(t, dk, late_window[0], late_window[1], floor)
+    slope = decay_slope(t, dk, *LADDER_LATE_WINDOW, floor)
     return LadderReport(
         calibration_dkappa=cal1,
         calibration_d2kappa=cal2,

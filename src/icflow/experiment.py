@@ -20,6 +20,7 @@ import numpy as np
 from . import bounds
 from .comparison import admissible_offset, two_point_gap_scan
 from .curves import (
+    MIN_VERTICES,
     compute_metrics,
     convexity_check,
     make_circle,
@@ -32,7 +33,6 @@ from .flow import (
     StepControl,
     evolve,
     initial_state,
-    length_law_residual,
     polyline_hausdorff,
     renormalize,
 )
@@ -137,9 +137,15 @@ def _grade_convergence(s: RunSeries, tol: float):
 
 
 def _grade_length_law(s: RunSeries, tol: float):
+    # worst relative deviation of the raw lengths from L_0 e^{t - t_0}
     if not s.raw_lengths:
         return False, None, "no unnormalized snapshots"
-    worst = length_law_residual(s.raw_lengths)
+    t0, length0 = s.raw_lengths[0]
+    worst = 0.0
+    for t, length in s.raw_lengths:
+        expected = length0 * np.exp(t - t0)
+        worst = max(worst, abs(length - expected) / expected)
+    worst = float(worst)
     return worst <= tol, worst, None
 
 
@@ -252,11 +258,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         value = merged[key]
         if not isinstance(value, int) or isinstance(value, bool):
             raise ParameterError(f"{key} must be an integer, got {value!r}")
-    try:
-        merged["amplitudes"] = tuple(float(x) for x in merged["amplitudes"])
-        merged["modes"] = tuple(int(k) for k in merged["modes"])
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"bad perturbation lists: {exc}") from None
+    amplitudes, modes = merged["amplitudes"], merged["modes"]
+    if not isinstance(amplitudes, (list, tuple)) or any(
+            _finite_float(x) is None for x in amplitudes):
+        raise ParameterError(
+            f"amplitudes must be a list of finite numbers, got {amplitudes!r}")
+    # _finite_float also rejects bools and integers too large for a float
+    if not isinstance(modes, (list, tuple)) or any(
+            not isinstance(k, int) or _finite_float(k) is None for k in modes):
+        raise ParameterError(f"modes must be a list of integers, got {modes!r}")
+    merged["amplitudes"] = tuple(float(x) for x in amplitudes)
+    merged["modes"] = tuple(modes)
 
     if merged["checks"] is not None:
         requested = merged["checks"]
@@ -299,8 +311,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     # Let StepControl vet the stepping parameters up front (exit code 2
     # territory, not a mid-run surprise).
     StepControl(dt=config.dt, resample_every=config.resample_every, safety=config.safety)
-    if config.n < 16:
-        raise ParameterError(f"need at least 16 vertices, got {config.n}")
+    if config.n < MIN_VERTICES:
+        raise ParameterError(f"need at least {MIN_VERTICES} vertices, got {config.n}")
     return config
 
 
@@ -313,7 +325,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> ExperimentCo
                 data = json.load(fh)
         except OSError as exc:
             raise ParameterError(f"cannot read config {path!r}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        # ValueError: malformed JSON, bad UTF-8 or an integer of over 4300
+        # digits; RecursionError: arrays or objects nested too deeply
+        except (ValueError, RecursionError) as exc:
             raise ParameterError(f"config {path!r} is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ParameterError("config file must hold a JSON object")

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import _geometry, compute_metrics, edge_lengths, resample_uniform, validate_vertices
-from .errors import ConvexityLossError, DegenerateCurveError, ParameterError, StepRejectedError
+from .errors import ConvexityLossError, ParameterError, StepRejectedError
 
 MODES = ("unnormalized", "normalized")
 
@@ -105,21 +105,13 @@ def initial_state(vertices: np.ndarray, mode: str) -> FlowState:
     return FlowState(vertices=v, time=0.0, mode=mode)
 
 
-def smooth_periodic(values: np.ndarray, passes: int) -> np.ndarray:
-    """Apply the circular binomial filter [1/4, 1/2, 1/4] the given number of times."""
-    w = np.asarray(values, dtype=float)
-    for _ in range(passes):
-        w = 0.25 * np.roll(w, 1) + 0.5 * w + 0.25 * np.roll(w, -1)
-    return w
-
-
 def _smooth_in_place(w: np.ndarray, passes: int) -> np.ndarray:
-    """smooth_periodic bit for bit, overwriting the float array w.
+    """Apply the circular binomial filter [1/4, 1/2, 1/4] passes times to w in place.
 
     A quarter of w goes into a ghost-padded buffer whose ends hold the
     wrapped neighbours, so both quarter terms are slices of one product.
     Scaling by 1/4 and 1/2 is exact and addition commutes, so each pass sums
-    (0.25 w[i-1] + 0.5 w[i]) + 0.25 w[i+1] exactly as smooth_periodic does.
+    (0.25 w[i-1] + 0.5 w[i]) + 0.25 w[i+1] exactly as the np.roll form does.
     """
     n = w.shape[0]
     quarter = np.empty(n + 2)
@@ -175,24 +167,6 @@ def _step(
     if mode == "unnormalized":
         return v + dt * speed[:, None] * normal
     return _rescale(v + dt * (-v + speed[:, None] * normal))
-
-
-def _single_step(state: FlowState, control: StepControl, mode: str) -> FlowState:
-    if state.mode != mode:
-        raise ParameterError(f"state mode is {state.mode!r}, expected {mode!r}")
-    v = validate_vertices(state.vertices)
-    v = _step(v, _geometry(v), mode, control.dt, control, state.time)
-    return replace(state, vertices=v, time=state.time + control.dt)
-
-
-def step_unnormalized(state: FlowState, control: StepControl) -> FlowState:
-    """One Euler step of the unnormalized flow (outward speed 1/kappa)."""
-    return _single_step(state, control, "unnormalized")
-
-
-def step_normalized(state: FlowState, control: StepControl) -> FlowState:
-    """One Euler step of the length-preserving flow, renormalized exactly."""
-    return _single_step(state, control, "normalized")
 
 
 def evolve(
@@ -256,26 +230,6 @@ def evolve(
     if time > last_fired + _TIME_SLACK:
         fire(time, v)
     return replace(state, vertices=v, time=time)
-
-
-def length_law_residual(history) -> float:
-    """Worst relative deviation from exponential length growth.
-
-    history holds (time, length) pairs from an unnormalized run; the first
-    entry is the reference, and the residual is
-    max |L_i - L_0 e^{t_i - t_0}| / (L_0 e^{t_i - t_0}).
-    """
-    entries = list(history)
-    if not entries:
-        raise ParameterError("empty history")
-    t0, length0 = entries[0]
-    if not length0 > 0.0:
-        raise ParameterError("reference length must be positive")
-    worst = 0.0
-    for t, length in entries:
-        expected = length0 * np.exp(t - t0)
-        worst = max(worst, abs(length - expected) / expected)
-    return float(worst)
 
 
 def polyline_hausdorff(a: np.ndarray, b: np.ndarray) -> float:

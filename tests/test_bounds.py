@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from icflow import (
-    NoiseFloorError,
-    ParameterError,
-    admissible_offset,
+from icflow.bounds import (
     bonnesen_floor,
     bonnesen_gap,
-    compute_metrics,
     convergence_metrics,
     curvature_derivative_profiles,
     curvature_l2_deficit,
@@ -19,14 +15,19 @@ from icflow import (
     derivative_noise_floors,
     gn_ratio,
     l2_deficit_floor,
+    snapshot_report,
+)
+from icflow.comparison import admissible_offset
+from icflow.curves import (
+    compute_metrics,
     make_circle,
     make_ellipse,
     make_perturbed_circle,
-    renormalize,
     resample_uniform,
-    snapshot_report,
 )
+from icflow.errors import NoiseFloorError, ParameterError
 from icflow.experiment import CHECKS, RunSeries
+from icflow.flow import renormalize
 
 
 def normalized_ellipse(n=256):

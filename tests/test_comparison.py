@@ -8,14 +8,9 @@ formulas), then rounded to double precision.
 import numpy as np
 import pytest
 
-from icflow import (
-    NoAdmissibleOffsetError,
-    ParameterError,
+from icflow import comparison
+from icflow.comparison import (
     admissible_offset,
-    compute_metrics,
-    make_circle,
-    make_ellipse,
-    make_perturbed_circle,
     numerator_grid_min,
     profile_dt,
     profile_dx,
@@ -23,12 +18,18 @@ from icflow import (
     profile_residual,
     profile_residual_dx,
     profile_value,
-    renormalize,
     residual_certificate_scan,
     residual_dx_numerator,
     two_point_gap_scan,
 )
-from icflow import comparison
+from icflow.curves import (
+    compute_metrics,
+    make_circle,
+    make_ellipse,
+    make_perturbed_circle,
+)
+from icflow.errors import NoAdmissibleOffsetError, ParameterError
+from icflow.flow import renormalize
 
 # (x, t) -> value tables, mpmath 40-digit reference
 PROFILE_VALUES = [

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from icflow import (
-    DegenerateCurveError,
-    ParameterError,
+from icflow.curves import (
     centroid,
     compute_metrics,
     convexity_check,
@@ -13,10 +11,11 @@ from icflow import (
     make_circle,
     make_ellipse,
     make_perturbed_circle,
-    polyline_hausdorff,
     resample_uniform,
     validate_vertices,
 )
+from icflow.errors import DegenerateCurveError, ParameterError
+from icflow.flow import polyline_hausdorff
 
 
 def nonconvex_star(n=64):

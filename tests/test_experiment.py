@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from icflow import ParameterError, cli, experiment
+from icflow import cli, experiment
+from icflow.errors import ParameterError
 from icflow.experiment import (
     CSV_HEADER,
     DEFAULT_TOLERANCES,
@@ -124,9 +125,15 @@ def test_config_rejects_non_finite_numbers(data):
         ({"tolerances": {"min_Z": True}}, "tolerance for 'min_Z'"),
         ({"tolerances": {"min_Z": float("inf")}}, "tolerance for 'min_Z'"),
         ({"radius": True}, "radius must be"),
+        ({"amplitudes": [True]}, "amplitudes must be"),
+        ({"amplitudes": [10**400]}, "amplitudes must be"),
+        ({"modes": [True]}, "modes must be"),
+        ({"modes": [3.7]}, "modes must be"),
+        ({"modes": [1e400]}, "modes must be"),
     ],
     ids=["tolerance_string", "tolerances_number", "checks_number", "tolerance_bool",
-         "tolerance_inf", "radius_bool"],
+         "tolerance_inf", "radius_bool", "amplitudes_bool", "amplitudes_huge_int",
+         "modes_bool", "modes_fraction", "modes_inf"],
 )
 def test_malformed_config_files_exit_2_and_write_nothing(data, message, tmp_path, capsys):
     # each of these once ended in a traceback (exit 1) or was silently accepted
@@ -206,6 +213,24 @@ def test_load_config_error_paths(tmp_path):
     arr.write_text("[1, 2]")
     with pytest.raises(ParameterError):
         load_config(str(arr))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"n": ' + "9" * 5000 + "}", "[" * 100000 + "]" * 100000],
+    ids=["over_long_integer", "deep_nesting"],
+)
+def test_config_files_json_cannot_load_exit_2(text, tmp_path, capsys):
+    # json raises a ValueError that is not a JSONDecodeError for integers of
+    # over 4300 digits, and a RecursionError for deep nesting; both once
+    # escaped as tracebacks with exit 1
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ParameterError, match="not valid JSON"):
+        load_config(str(path))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "run.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_build_initial_curve_dispatch():

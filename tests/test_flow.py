@@ -3,32 +3,49 @@
 import numpy as np
 import pytest
 
-from icflow import (
-    ConvexityLossError,
-    DegenerateCurveError,
-    FlowState,
-    ParameterError,
-    StepControl,
-    StepRejectedError,
+from icflow.curves import (
+    _geometry,
     compute_metrics,
-    config_from_dict,
-    evolve,
-    initial_state,
-    length_law_residual,
     make_circle,
     make_ellipse,
     make_perturbed_circle,
+    resample_uniform,
+)
+from icflow.errors import (
+    ConvexityLossError,
+    DegenerateCurveError,
+    ParameterError,
+    StepRejectedError,
+)
+from icflow.experiment import CHECKS, RunSeries, config_from_dict, run_experiment
+from icflow.flow import (
+    FlowState,
+    StepControl,
+    _smooth_in_place,
+    evolve,
+    initial_state,
     polyline_hausdorff,
     renormalize,
-    resample_uniform,
-    run_experiment,
-    smooth_periodic,
     smoothing_order,
-    step_normalized,
-    step_unnormalized,
 )
-from icflow.curves import _geometry
-from icflow.flow import _smooth_in_place
+
+
+def smooth_periodic(values, passes):
+    """The circular binomial filter [1/4, 1/2, 1/4] in its np.roll form (the
+    regression oracle of the in-place filter the step kernel runs)."""
+    w = np.asarray(values, dtype=float)
+    for _ in range(passes):
+        w = 0.25 * np.roll(w, 1) + 0.5 * w + 0.25 * np.roll(w, -1)
+    return w
+
+
+def one_step(state, control):
+    return evolve(state, control, state.time + control.dt)
+
+
+def grade_length_law(history, tol):
+    passed, worst, _ = CHECKS["length_law"][2](RunSeries([], history, [], 0), tol)
+    return passed, worst
 
 
 def test_step_control_validation():
@@ -67,14 +84,14 @@ def test_initial_state_normalizes_and_records_length():
 
 def test_smooth_periodic_filter_identities(rng):
     const = np.full(64, 2.5)
-    assert np.array_equal(smooth_periodic(const, 7), const)
+    assert np.array_equal(_smooth_in_place(const.copy(), 7), const)
     alternating = (-1.0) ** np.arange(64)
-    assert np.array_equal(smooth_periodic(alternating, 1), np.zeros(64))
+    assert np.array_equal(_smooth_in_place(alternating, 1), np.zeros(64))
     field = rng.standard_normal(128)
-    smoothed = smooth_periodic(field, 5)
+    smoothed = _smooth_in_place(field.copy(), 5)
     assert np.mean(smoothed) == pytest.approx(np.mean(field), abs=1e-14)
     assert np.std(smoothed) < np.std(field)
-    assert np.array_equal(smooth_periodic(field, 0), field)
+    assert np.array_equal(_smooth_in_place(field.copy(), 0), field)
 
 
 @pytest.mark.parametrize(
@@ -102,7 +119,7 @@ def test_unnormalized_circle_step_is_exact():
     # exactly dt along its unit normal
     radius, dt = 1.0, 1e-3
     s = initial_state(make_circle(radius, 256), "unnormalized")
-    s = step_unnormalized(s, StepControl(dt=dt))
+    s = one_step(s, StepControl(dt=dt))
     r = np.hypot(s.vertices[:, 0], s.vertices[:, 1])
     r0 = np.hypot(*make_circle(radius, 256).T)
     assert np.max(np.abs(r - (r0 + dt))) < 1e-15
@@ -120,7 +137,7 @@ def test_unnormalized_circle_length_law():
         observers=[lambda t, v, m: history.append((t, m.total_length))],
         snapshot_interval=0.1,
     )
-    assert length_law_residual(history) < 1e-3
+    assert grade_length_law(history, 1e-3)[1] < 1e-3
     assert history[-1][1] / history[0][1] == pytest.approx(np.e, rel=1e-2)
 
 
@@ -129,18 +146,8 @@ def test_normalized_circle_is_a_fixed_point():
     s = initial_state(make_circle(1.0, 256), "normalized")
     frozen = s.vertices.copy()
     for _ in range(200):
-        s = step_normalized(s, control)
+        s = one_step(s, control)
     assert polyline_hausdorff(s.vertices, frozen) < 1e-12
-
-
-def test_step_mode_guards():
-    control = StepControl(dt=1e-3)
-    norm = initial_state(make_circle(1.0, 64), "normalized")
-    unnorm = initial_state(make_circle(1.0, 64), "unnormalized")
-    with pytest.raises(ParameterError):
-        step_unnormalized(norm, control)
-    with pytest.raises(ParameterError):
-        step_normalized(unnorm, control)
 
 
 def test_evolve_snapshot_schedule_is_exact():
@@ -174,9 +181,6 @@ def test_nonconvex_curve_is_rejected_at_start():
     star = make_perturbed_circle(1.0, 128, [0.5], [7], seed=0)
     s = FlowState(vertices=star, time=0.0, mode="unnormalized")
     with pytest.raises(ConvexityLossError) as info:
-        step_unnormalized(s, StepControl(dt=1e-3))
-    assert info.value.time == 0.0
-    with pytest.raises(ConvexityLossError) as info:
         evolve(s, StepControl(dt=1e-3), 0.01)
     assert info.value.time == 0.0
 
@@ -189,12 +193,14 @@ def test_ellipse_rounds_toward_a_circle():
     assert compute_metrics(s.vertices).total_length == pytest.approx(2 * np.pi, rel=1e-12)
 
 
-def test_length_law_residual_edge_cases():
-    with pytest.raises(ParameterError):
-        length_law_residual([])
-    with pytest.raises(ParameterError):
-        length_law_residual([(0.0, 0.0)])
-    assert length_law_residual([(0.0, 5.0), (1.0, 5.0 * np.e)]) < 1e-15
+def test_length_law_grader_edge_cases():
+    assert CHECKS["length_law"][2](RunSeries([], [], [], 0), 1e-2) == (
+        False, None, "no unnormalized snapshots")
+    passed, worst = grade_length_law([(0.0, 5.0), (1.0, 5.0 * np.e)], 1e-2)
+    assert passed and worst < 1e-15
+    # the first entry is the reference, whatever its time
+    passed, worst = grade_length_law([(0.5, 2.0), (1.5, 2.0 * np.e), (2.5, 2.2 * np.e**2)], 0.05)
+    assert not passed and worst == pytest.approx(0.1, rel=1e-12)
 
 
 def test_polyline_hausdorff_properties():
@@ -313,8 +319,8 @@ def test_normalized_step_is_renormalized_raw_step_at_stretched_dt():
         for h in (dt, raw_dt)
     ]
     assert orders[0] == orders[1] > 0
-    stepped = step_normalized(norm, StepControl(dt=dt)).vertices
-    stretched = renormalize(step_unnormalized(raw, StepControl(dt=raw_dt)).vertices)
+    stepped = one_step(norm, StepControl(dt=dt)).vertices
+    stretched = renormalize(one_step(raw, StepControl(dt=raw_dt)).vertices)
     assert np.max(np.abs(stepped - stretched)) < 1e-12
 
 
