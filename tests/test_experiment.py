@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from icflow import cli, experiment
-from icflow.errors import ParameterError
+from icflow import cli, experiment, flow
+from icflow.curves import MAX_VERTICES
+from icflow.errors import ParameterError, StepRejectedError
 from icflow.experiment import (
     CSV_HEADER,
     DEFAULT_TOLERANCES,
@@ -19,6 +20,7 @@ from icflow.experiment import (
     serialize_json,
     write_svg,
 )
+from icflow.flow import Lanes, evolve
 
 EXPECTED_HEADER = (
     "t,length,kappa_min,kappa_max,min_Z,tbar,thm12_residual,l2_deficit,"
@@ -431,17 +433,7 @@ def test_cli_nonconvex_run_exits_3(tmp_path, capsys):
 
 
 def test_monitor_error_mid_run_exits_3_with_both_files(tmp_path, capsys, monkeypatch):
-    # a snapshot monitor that raises a package error on its third call
-    real_scan = experiment.two_point_gap_scan
-    calls = []
-
-    def faulty_scan(*args, **kwargs):
-        calls.append(args[1])
-        if len(calls) == 3:
-            raise ParameterError("injected monitor fault")
-        return real_scan(*args, **kwargs)
-
-    monkeypatch.setattr(experiment, "two_point_gap_scan", faulty_scan)
+    calls = _inject_monitor_fault(monkeypatch)
     code = cli.main([
         "run", "--shape", "circle", "--n", "64", "--dt", "1e-3", "--t-end", "0.05",
         "--snapshot-interval", "0.01", "--out", str(tmp_path / "run.csv"),
@@ -457,6 +449,125 @@ def test_monitor_error_mid_run_exits_3_with_both_files(tmp_path, capsys, monkeyp
     assert summary["failure"] == {
         "error": "ParameterError", "message": "injected monitor fault", "time": calls[2]}
     assert list(summary["checks"]) == list(checks_for_mode("normalized"))
+
+
+def test_config_bounds_the_vertex_count():
+    assert config_from_dict({"n": MAX_VERTICES}).n == MAX_VERTICES
+    for n in (MAX_VERTICES + 1, 10**30):
+        with pytest.raises(ParameterError, match=f"n must be at most {MAX_VERTICES}"):
+            config_from_dict({"n": n})
+
+
+@pytest.mark.parametrize("command", ["run", "tbar"])
+@pytest.mark.parametrize("n", [MAX_VERTICES + 1, 10**30])
+def test_cli_rejects_vertex_counts_above_the_bound(command, n, tmp_path, capsys):
+    # 10**30 ended in a numpy "Maximum allowed size exceeded" traceback
+    argv = [command, "--shape", "circle", "--n", str(n)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "run.csv")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: n must be at most {MAX_VERTICES}, got {n}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "tbar"])
+def test_cli_vertex_bound_boundary(command, tmp_path, capsys, monkeypatch):
+    # a run at the real bound takes hours, so the bound is lowered: n at the
+    # bound runs, one more exits 2 before any work
+    monkeypatch.setattr(experiment, "MAX_VERTICES", 64)
+    for n, code in ((64, 0), (65, 2)):
+        out = tmp_path / str(n)
+        argv = [command, "--shape", "circle", "--n", str(n)]
+        if command == "run":
+            argv += ["--dt", "1e-3", "--t-end", "0.01", "--out", str(out / "run.csv")]
+        assert cli.main(argv) == code
+        assert out.exists() == (command == "run" and code == 0)
+    assert capsys.readouterr().err == "error: n must be at most 64, got 65\n"
+
+
+def sequential_evolve(state, control, t_end, observers=(), snapshot_interval=None):
+    """Lanes run as separate one-lane evolve calls in lane order: the way
+    both mode ran its two formulations before they shared one loop (the
+    regression oracle of the lockstep run)."""
+    if not isinstance(state, Lanes):
+        return evolve(state, control, t_end, observers, snapshot_interval)
+    return Lanes(evolve(lane, control, t_end, lane_observers, snapshot_interval)
+                 for lane, lane_observers in zip(state, observers))
+
+
+def _inject_monitor_fault(monkeypatch):
+    """Make the two-point scan, a snapshot monitor, raise a package error on
+    its third call; returns the snapshot times it was called at."""
+    real_scan = experiment.two_point_gap_scan
+    calls = []
+
+    def faulty_scan(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) == 3:
+            raise ParameterError("injected monitor fault")
+        return real_scan(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "two_point_gap_scan", faulty_scan)
+    return calls
+
+
+def _inject_step_rejection(monkeypatch, lanes):
+    # On the flagship-style ellipse below the normalized curve keeps its
+    # minimum edge near 2 pi / 64 while its minimum curvature rises past 0.6
+    # at t ~ 0.12; the unnormalized curve's minimum edge passes 0.165 at
+    # t ~ 0.09.  The fault depends only on the state, so re-stepping a lane
+    # meets it again.
+    real_order = flow.smoothing_order
+
+    def faulty_order(dt, min_edge, min_curvature, safety, max_smoothing):
+        if "normalized" in lanes and min_edge < 0.12 and min_curvature > 0.6:
+            raise StepRejectedError("injected normalized fault")
+        if "unnormalized" in lanes and min_edge > 0.165:
+            raise StepRejectedError("injected unnormalized fault")
+        return real_order(dt, min_edge, min_curvature, safety, max_smoothing)
+
+    monkeypatch.setattr(flow, "smoothing_order", faulty_order)
+
+
+BOTH_MODE_FAULTS = {
+    "none": lambda mp: None,
+    "monitor": _inject_monitor_fault,
+    "unnormalized_flow": lambda mp: _inject_step_rejection(mp, {"unnormalized"}),
+    "normalized_flow": lambda mp: _inject_step_rejection(mp, {"normalized"}),
+    "both_flows": lambda mp: _inject_step_rejection(mp, {"normalized", "unnormalized"}),
+}
+
+
+@pytest.mark.parametrize("fault", BOTH_MODE_FAULTS)
+def test_both_mode_lockstep_run_matches_sequential_runs(fault, tmp_path, monkeypatch):
+    config = config_from_dict({
+        "shape": "ellipse", "a": 2.0, "b": 1.0, "n": 64, "dt": 1e-3, "t_end": 0.3,
+        "snapshot_interval": 0.05, "mode": "both", "out": str(tmp_path / "run.csv"),
+    })
+    results = []
+    for oracle in (True, False):
+        with monkeypatch.context() as m:
+            BOTH_MODE_FAULTS[fault](m)
+            if oracle:
+                m.setattr(experiment, "evolve", sequential_evolve)
+            result = run_experiment(config)
+        results.append((result.exit_code, (tmp_path / "run.csv").read_bytes(),
+                        (tmp_path / "run_summary.json").read_bytes()))
+    assert results[0] == results[1]
+
+    summary = result.summary
+    assert result.exit_code == (1 if fault == "none" else 3)
+    if fault in ("normalized_flow", "both_flows"):
+        # the normalized failure wins, and no unnormalized data survives it
+        assert summary["failure"]["message"] == "injected normalized fault"
+        assert summary["checks"]["length_law"]["detail"] == "no unnormalized snapshots"
+        assert summary["checks"]["cross_check"]["detail"] == "no paired snapshots"
+    if fault == "unnormalized_flow":
+        # the normalized run still reaches t_end
+        assert summary["failure"]["message"] == "injected unnormalized fault"
+        assert summary["failure"]["time"] < result.rows[-1]["t"] == 0.3
 
 
 def test_cli_tbar_subcommand(capsys):

@@ -17,9 +17,11 @@ from icflow.errors import (
     ParameterError,
     StepRejectedError,
 )
+from icflow import flow
 from icflow.experiment import CHECKS, RunSeries, config_from_dict, run_experiment
 from icflow.flow import (
     FlowState,
+    Lanes,
     StepControl,
     _smooth_in_place,
     evolve,
@@ -214,6 +216,96 @@ def test_polyline_hausdorff_properties():
     theta = 2 * np.pi * (np.arange(128) + 0.5) / 128
     shifted = np.column_stack([np.cos(theta), np.sin(theta)])
     assert polyline_hausdorff(a, shifted) < 5e-4
+
+
+def dense_polyline_hausdorff(a, b):
+    """The Hausdorff distance by (n, m, 2) temporaries, as polyline_hausdorff
+    first computed it (the regression oracle of the blocked kernel)."""
+
+    def directed(p, q):
+        d = np.roll(q, -1, axis=0) - q
+        len2 = np.maximum(np.einsum("ij,ij->i", d, d), 1e-300)
+        diff = p[:, None, :] - q[None, :, :]
+        frac = np.clip(np.einsum("nmj,mj->nm", diff, d) / len2, 0.0, 1.0)
+        proj = diff - frac[:, :, None] * d[None, :, :]
+        dist = np.sqrt(np.einsum("nmj,nmj->nm", proj, proj))
+        return float(np.max(np.min(dist, axis=1)))
+
+    return max(directed(a, b), directed(b, a))
+
+
+@pytest.mark.parametrize("block_pairs", [None, 1, 450])
+def test_blocked_hausdorff_is_the_dense_evaluation_bit_for_bit(block_pairs, monkeypatch):
+    # by default a 200-vertex curve is scanned 163 rows at a time, so 517
+    # rows end in a partial block; 450 pairs give 2-row blocks against the
+    # 200-vertex curve and 1-row blocks against the others
+    if block_pairs is not None:
+        monkeypatch.setattr(flow, "_BLOCK_PAIRS", block_pairs)
+    a = make_ellipse(2.0, 1.0, 200)
+    bumped = resample_uniform(a, 517)
+    bumped[-1] *= 1.05  # its farthest vertex sits in the last block
+    pairs = [
+        (a, make_circle(1.5, 333)),  # unequal vertex counts
+        (a, np.roll(1.001 * a + 0.002, 17, axis=0)),  # scaled, shifted, index-rolled
+        (make_perturbed_circle(1.0, 517, [0.05], [3], seed=2), a),
+        (bumped, a),
+        (a, a),
+    ]
+    for p, q in pairs:
+        for x, y in ((p, q), (q, p)):
+            assert polyline_hausdorff(x, y) == dense_polyline_hausdorff(x, y)
+    assert polyline_hausdorff(a, a.copy()) == 0.0
+
+
+def _start_order(state, control):
+    m = compute_metrics(state.vertices)
+    return smoothing_order(control.dt, float(m.edge_lengths.min()),
+                           float(m.curvature.min()), control.safety, control.max_smoothing)
+
+
+def test_lanes_step_each_curve_as_its_own_run_bit_for_bit():
+    # lanes of different shapes, scales and formulations filter at different
+    # orders; each must still get the floats and the snapshots of a run of
+    # its own, through resamplings and a final partial step
+    control = StepControl(dt=5e-4, resample_every=7)
+    states = [
+        initial_state(make_circle(0.5, 128), "normalized"),
+        initial_state(make_ellipse(2.0, 1.0, 128), "normalized"),
+        initial_state(make_perturbed_circle(3.0, 128, [0.05], [3], seed=1), "unnormalized"),
+    ]
+    assert [_start_order(s, control) for s in states] == [1, 3, 1]
+    out = evolve(Lanes(states), control, 40 * control.dt, observers=[(), (), ()])
+    for state, lane in zip(states, out):
+        expected = _reference_evolve(state.vertices, state.mode, control, 40)
+        assert np.array_equal(lane.vertices, expected)
+
+    t_end = 40.5 * control.dt
+    seen = [[] for _ in states]
+    out = evolve(Lanes(states), control, t_end,
+                 observers=[[lambda t, v, m, log=log: log.append((t, v.copy()))] for log in seen],
+                 snapshot_interval=10 * control.dt)
+    assert isinstance(out, Lanes) and out.time == t_end
+    for state, lane, log in zip(states, out, seen):
+        alone = []
+        single = evolve(state, control, t_end,
+                        observers=[lambda t, v, m: alone.append((t, v.copy()))],
+                        snapshot_interval=10 * control.dt)
+        assert np.array_equal(lane.vertices, single.vertices) and lane.mode == state.mode
+        assert [t for t, _ in log] == [t for t, _ in alone]
+        assert all(np.array_equal(v, w) for (_, v), (_, w) in zip(log, alone))
+
+
+def test_lanes_reject_mismatched_states():
+    control = StepControl(dt=1e-3)
+    a = initial_state(make_circle(1.0, 64), "normalized")
+    with pytest.raises(ParameterError, match="share"):
+        evolve(Lanes([a, initial_state(make_circle(1.0, 65), "normalized")]), control, 0.01,
+               observers=[(), ()])
+    with pytest.raises(ParameterError, match="share"):
+        evolve(Lanes([a, FlowState(a.vertices, 0.5, "normalized")]), control, 0.01,
+               observers=[(), ()])
+    with pytest.raises(ParameterError, match="one observer list per lane"):
+        evolve(Lanes([a, a]), control, 0.01)
 
 
 def _cross_check_worst(tmp_path, **config):
