@@ -33,7 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .curves import compute_metrics, convexity_check, edge_lengths, validate_vertices
+from .curves import (
+    BLOCK_PAIRS,
+    compute_metrics,
+    convexity_check,
+    edge_lengths,
+    validate_vertices,
+)
 from .errors import NoAdmissibleOffsetError, ParameterError
 
 # Below this argument the direct arctan(w) - w/(1+w^2) suffers cancellation;
@@ -249,12 +255,6 @@ class ProfileCertificate:
     max_slope_mismatch: float
 
 
-# Values per block of the certificate scan and of the all-pairs kernel:
-# 2**15 doubles are 256 KB per array, so a block's temporaries stay within a
-# few MB of cache.
-_BLOCK_PAIRS = 1 << 15
-
-
 def _fold_argmin(best, block: np.ndarray, row0: int):
     """Fold a block of grid rows into the running (value, row, column) minimum.
 
@@ -277,7 +277,7 @@ def residual_certificate_scan(
 
     The t-independent factors sin(x/2), cos(x/2) and sin^2(x/2) are
     computed once, for x and for the stencil points x +/- fd_step; the
-    grid is then evaluated in blocks of t-rows (about _BLOCK_PAIRS values
+    grid is then evaluated in blocks of t-rows (about BLOCK_PAIRS values
     each, at least one row), so memory stays at a few blocks.  Every value
     is the float that profile_residual and profile_residual_dx give at
     that (x, t).  Each minimum and its location follow np.argmin over the
@@ -303,7 +303,7 @@ def residual_certificate_scan(
 
     best_res = best_fd = best_closed = (np.inf, -1, -1)  # value, t index, x index
     max_mismatch = 0.0
-    rows = max(1, _BLOCK_PAIRS // x.size)
+    rows = max(1, BLOCK_PAIRS // x.size)
     for row0 in range(0, t.size, rows):
         tb = t[row0:row0 + rows, None]
         alpha = _alpha(tb)
@@ -391,7 +391,7 @@ def _pair_blocks(v: np.ndarray):
     # row k of each window view is the array rotated by k
     xk, yk, sk = (sliding_window_view(np.concatenate([a, a]), n) for a in (x, y, s))
     full = (n - 1) // 2  # diagonals that hold n distinct pairs
-    rows = max(1, _BLOCK_PAIRS // n)
+    rows = max(1, BLOCK_PAIRS // n)
     spans = [(k, min(k + rows, full + 1), n) for k in range(1, full + 1, rows)]
     if n % 2 == 0:
         spans.append((n // 2, n // 2 + 1, n // 2))

@@ -21,6 +21,11 @@ MIN_VERTICES = 16
 # one cannot even be allocated.
 MAX_VERTICES = 2**16
 
+# Values per block of the blocked pair scans (comparison's certificate scan
+# and all-pairs kernel, flow's Hausdorff distance): 2**15 doubles are 256 KB
+# per array, so a block's temporaries stay within a few MB of cache.
+BLOCK_PAIRS = 1 << 15
+
 # 5-point Gauss-Legendre rule on [-1, 1], used to refine arc-length values
 # between table nodes when placing ellipse vertices.
 _GAUSS5_NODES = np.array(
@@ -186,40 +191,35 @@ def _geometry(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     polygons inscribed in circles — the property the flow's circle invariants
     rely on.  Signs follow orientation: positive on counterclockwise convex
     curves.  A ghost-padded copy of the vertices supplies the wrapped
-    neighbours.  v may also be a stack of polygons (n, lanes, 2): the
-    padded copy holds vertex i of every polygon in row i, so the slices
-    along the vertex axis stay contiguous, and the normals are laid out in
-    memory like v.  Every operation is elementwise, so each polygon's floats
-    are those of its own call.  Raises DegenerateCurveError on non-finite
-    coordinates, zero edges and coincident neighbours (of any polygon in a
-    stack); the flow's step kernel calls this directly, without
-    validate_vertices, once per accepted state.
+    neighbours.  Raises DegenerateCurveError on non-finite coordinates, zero
+    edges and coincident neighbours; the flow's step kernel calls this
+    directly, without validate_vertices, once per accepted state.
     """
     if not np.isfinite(v).all():
         raise DegenerateCurveError("vertex coordinates contain NaN or Inf")
     n = v.shape[0]
-    padded = np.empty((n + 2,) + v.shape[1:])
+    padded = np.empty((n + 2, 2))
     padded[1:-1] = v
     padded[0] = v[-1]
     padded[-1] = v[0]
     # back[i] = v[i] - v[i-1] (i = 0..n), so back[1:] are the edges and
     # back[:-1] the edges entering each vertex
     back = padded[1:] - padded[:-1]
-    back_len = np.hypot(back[..., 0], back[..., 1])
+    back_len = np.hypot(back[:, 0], back[:, 1])
     edge_len = back_len[1:]
     if edge_len.min() <= 0.0:
         raise DegenerateCurveError("curve has a zero-length edge (repeated vertices)")
     chord = padded[2:] - padded[:-2]
-    chord_len = np.hypot(chord[..., 0], chord[..., 1])
+    chord_len = np.hypot(chord[:, 0], chord[:, 1])
     if chord_len.min() <= 0.0:
         raise DegenerateCurveError("vertices i-1 and i+1 coincide; curvature undefined")
     e_prev, edges = back[:-1], back[1:]
-    cross = e_prev[..., 0] * edges[..., 1] - e_prev[..., 1] * edges[..., 0]
+    cross = e_prev[:, 0] * edges[:, 1] - e_prev[:, 1] * edges[:, 0]
     kappa = 2.0 * cross / (back_len[:-1] * edge_len * chord_len)
-    normal = np.empty_like(v)
-    np.divide(chord[..., 1], chord_len, out=normal[..., 0])
-    np.divide(chord[..., 0], chord_len, out=normal[..., 1])
-    np.negative(normal[..., 1], out=normal[..., 1])
+    normal = np.empty((n, 2))
+    np.divide(chord[:, 1], chord_len, out=normal[:, 0])
+    np.divide(chord[:, 0], chord_len, out=normal[:, 1])
+    np.negative(normal[:, 1], out=normal[:, 1])
     return edge_len, kappa, normal
 
 

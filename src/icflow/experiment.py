@@ -31,7 +31,6 @@ from .curves import (
 )
 from .errors import FlowError, IcflowError, NoAdmissibleOffsetError, ParameterError
 from .flow import (
-    Lanes,
     StepControl,
     evolve,
     initial_state,
@@ -368,13 +367,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     of the snapshot being observed (None outside an observer).
     Configuration problems raise ParameterError before anything runs.
 
-    Both mode runs the two formulations as two lanes of one lockstep evolve
-    call, normalized first, so its results and its failure are those of a
-    normalized run followed by an unnormalized one: a normalized failure
-    leaves no unnormalized data, and an unnormalized failure lets the
-    normalized run finish.  Each normalized snapshot is paired with the
-    unnormalized snapshot of the same time rescaled to length 2*pi, and
-    cross_check grades the largest Hausdorff distance of the pairs.  That is not
+    In both mode each normalized snapshot is paired with the unnormalized
+    snapshot of the same time rescaled to length 2*pi, and cross_check
+    grades the largest Hausdorff distance of the pairs.  That is not
     independent evidence of accuracy.  The normalized Euler step at dt is
     algebraically the renormalized unnormalized step at dt/(1-dt), so the
     two discrete runs differ only by that O(dt) reparametrization of the
@@ -456,18 +451,25 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if config.svg_dir is not None:
             os.makedirs(config.svg_dir, exist_ok=True)
         try:
-            if config.mode == "both":
-                state = Lanes([initial_state(initial, "normalized"),
-                               initial_state(initial, "unnormalized")])
-                observers = [[observed(stats_observer)], [observed(raw_observer)]]
-            elif config.mode == "normalized":
-                state = initial_state(initial, "normalized")
-                observers = [observed(stats_observer)]
-            else:
-                state = initial_state(initial, "unnormalized")
-                observers = [observed(raw_observer), observed(stats_observer)]
-            evolve(state, control, config.t_end, observers=observers,
-                   snapshot_interval=config.snapshot_interval)
+            if config.mode in ("normalized", "both"):
+                evolve(
+                    initial_state(initial, "normalized"),
+                    control,
+                    config.t_end,
+                    observers=[observed(stats_observer)],
+                    snapshot_interval=config.snapshot_interval,
+                )
+            if config.mode in ("unnormalized", "both"):
+                observers = [observed(raw_observer)]
+                if config.mode == "unnormalized":
+                    observers.append(observed(stats_observer))
+                evolve(
+                    initial_state(initial, "unnormalized"),
+                    control,
+                    config.t_end,
+                    observers=observers,
+                    snapshot_interval=config.snapshot_interval,
+                )
         except IcflowError as exc:
             failure = {
                 "error": type(exc).__name__,

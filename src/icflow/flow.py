@@ -22,16 +22,13 @@ which reduces to the classical constraint at m = 0.  The filter is exact on
 constant fields, so circles (constant speed) are advanced without any
 smoothing error and keep their closed-form radius law to roundoff.
 
-One step kernel serves both formulations, and it advances one or more
-lanes (curves at a common time) in lockstep: several lanes share one
-(n, lanes, 2) array, so the geometry and the filter run once per step for
-all of them, and a single lane stays an (n, 2) array.
-Each accepted state's geometry (edge lengths, curvature, outward normals;
-curves._geometry, the same computation compute_metrics returns) is computed
-once, after the step and any resampling.  The same geometry is the
-convexity test (kappa > 0 is the sign of each vertex's cross product, since
-the circumcircle denominators are positive) and the input of the next step;
-the full CurveMetrics is built only for snapshot observers.
+One step kernel serves both formulations.  Each accepted state's geometry
+(edge lengths, curvature, outward normals; curves._geometry, the same
+computation compute_metrics returns) is computed once, after the step and
+any resampling.  The same geometry is the convexity test (kappa > 0 is the
+sign of each vertex's cross product, since the circumcircle denominators
+are positive) and the input of the next step; the full CurveMetrics is
+built only for snapshot observers.
 """
 
 from __future__ import annotations
@@ -42,9 +39,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .comparison import _BLOCK_PAIRS
-from .curves import _geometry, compute_metrics, edge_lengths, resample_uniform, validate_vertices
-from .errors import ConvexityLossError, IcflowError, ParameterError, StepRejectedError
+from .curves import (
+    BLOCK_PAIRS,
+    _geometry,
+    compute_metrics,
+    edge_lengths,
+    resample_uniform,
+    validate_vertices,
+)
+from .errors import ConvexityLossError, ParameterError, StepRejectedError
 
 MODES = ("unnormalized", "normalized")
 
@@ -86,19 +89,6 @@ class FlowState:
     mode: str
 
 
-class Lanes(tuple):
-    """FlowStates at one common time, for evolve to advance in lockstep.
-
-    The order of the lanes is the order in which separate evolve calls
-    would have run them, and it decides which failure a lockstep run
-    reports (see evolve).
-    """
-
-    @property
-    def time(self) -> float:
-        return self[0].time
-
-
 def renormalize(vertices: np.ndarray) -> np.ndarray:
     """Scale the curve about the ORIGIN to total length 2*pi.
 
@@ -109,9 +99,9 @@ def renormalize(vertices: np.ndarray) -> np.ndarray:
     return _rescale(validate_vertices(vertices))
 
 
-def _rescale(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    total = float(edge_lengths(v).sum())
-    return np.multiply(2.0 * np.pi / total, v, out=out)
+def _rescale(v: np.ndarray) -> np.ndarray:
+    total = float(np.sum(edge_lengths(v)))
+    return (2.0 * np.pi / total) * v
 
 
 def initial_state(vertices: np.ndarray, mode: str) -> FlowState:
@@ -127,23 +117,20 @@ def initial_state(vertices: np.ndarray, mode: str) -> FlowState:
 def _smooth_in_place(w: np.ndarray, passes: int) -> np.ndarray:
     """Apply the circular binomial filter [1/4, 1/2, 1/4] passes times to w in place.
 
-    w is one field (n,) or a stack of fields (n, lanes), each filtered
-    along axis 0.  A quarter of w goes into a ghost-padded buffer whose ends
-    hold the wrapped neighbours, so both quarter terms are slices of one
-    product.  Scaling by 1/4 and 1/2 is exact and addition commutes, so each
-    pass sums (0.25 w[i-1] + 0.5 w[i]) + 0.25 w[i+1] exactly as the np.roll
-    form does.
+    A quarter of w goes into a ghost-padded buffer whose ends hold the
+    wrapped neighbours, so both quarter terms are slices of one product.
+    Scaling by 1/4 and 1/2 is exact and addition commutes, so each pass sums
+    (0.25 w[i-1] + 0.5 w[i]) + 0.25 w[i+1] exactly as the np.roll form does.
     """
     n = w.shape[0]
-    quarter = np.empty((n + 2,) + w.shape[1:])
-    inner, left, right = quarter[1:-1], quarter[:-2], quarter[2:]
+    quarter = np.empty(n + 2)
     for _ in range(passes):
-        np.multiply(w, 0.25, out=inner)
+        np.multiply(w, 0.25, out=quarter[1:-1])
         quarter[0] = quarter[n]
         quarter[-1] = quarter[1]
         w *= 0.5
-        w += left
-        w += right
+        w += quarter[:-2]
+        w += quarter[2:]
     return w
 
 
@@ -171,83 +158,35 @@ def smoothing_order(
         f"smoothing order {max_smoothing}")
 
 
-def _lane_order(
-    min_edge: float, kappa_min: float, dt: float, control: StepControl, time: float
-) -> int:
-    """One lane's filter order for a step from the given time; failures carry that time."""
+def _step(
+    v: np.ndarray, geometry, mode: str, dt: float, control: StepControl, time: float
+) -> np.ndarray:
+    """The Euler step of either formulation from a state at the given time.
+
+    geometry is _geometry(v).  Flow failures carry the pre-step time.
+    """
+    edge_len, kappa, normal = geometry
+    kappa_min = float(kappa.min())
     if kappa_min <= 0.0:
         raise ConvexityLossError(f"non-positive curvature at t = {time:.6g}", time=time)
     try:
-        return smoothing_order(dt, min_edge, kappa_min, control.safety, control.max_smoothing)
+        order = smoothing_order(
+            dt, float(edge_len.min()), kappa_min, control.safety, control.max_smoothing)
     except StepRejectedError as exc:
         raise StepRejectedError(str(exc), time=time) from None
-
-
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """One lane's array as it is; several lanes' stacked on axis 1.
-
-    Each lane's block stays contiguous in memory, so the per-lane updates
-    run on contiguous arrays; the geometry's padded copy puts the lanes side
-    by side for the stacked operations.
-    """
-    return arrays[0] if len(arrays) == 1 else np.stack(arrays).swapaxes(0, 1)
-
-
-def _unstack(a: np.ndarray, ndim: int) -> list[np.ndarray]:
-    """The lanes of a stack whose one-lane arrays have ndim dimensions."""
-    return [a] if a.ndim == ndim else list(a.swapaxes(0, 1))
-
-
-def _step(v, geometry, modes, dt, control, time, t_next, resample):
-    """The Euler step of every lane of the stack v, with geometry _geometry(v).
-
-    modes holds each lane's formulation.  Each lane is filtered at its own
-    order (the passes all lanes need run on the whole stack) and updated
-    with its own formulation's operations, so its floats are those of a
-    one-lane step.  Returns the new stack and its geometry; raises the first
-    failure found in any lane, flow failures carrying the pre-step time, or
-    t_next for a state that is not convex.
-    """
-    edge_len, kappa, normal = geometry
-    orders = [
-        _lane_order(float(lane_edges.min()), float(lane_kappa.min()), dt, control, time)
-        for lane_edges, lane_kappa in zip(_unstack(edge_len, 1), _unstack(kappa, 1))]
-    common = min(orders)
-    speed = _smooth_in_place(1.0 / kappa, common)
-    out = np.empty_like(v)
-    for mode, order, s, x, nrm, new in zip(modes, orders, _unstack(speed, 1), _unstack(v, 2),
-                                           _unstack(normal, 2), _unstack(out, 2)):
-        if order > common:
-            _smooth_in_place(s, order - common)
-        if mode == "unnormalized":
-            np.add(x, (dt * s)[:, None] * nrm, out=new)
-        else:
-            _rescale(x + dt * (-x + s[:, None] * nrm), out=new)
-        if resample:
-            resampled = resample_uniform(new, new.shape[0])
-            if mode == "normalized":
-                _rescale(resampled, out=new)
-            else:
-                new[...] = resampled
-    geometry = _geometry(out)
-    if not (geometry[1] > 0.0).all():  # curvature
-        raise ConvexityLossError(f"convexity lost at t = {t_next:.6g}", time=t_next)
-    return out, geometry
-
-
-def _notify(observers, time: float, vertices: np.ndarray) -> None:
-    m = compute_metrics(vertices)
-    for obs in observers:
-        obs(time, vertices, m)
+    speed = _smooth_in_place(1.0 / kappa, order)
+    if mode == "unnormalized":
+        return v + dt * speed[:, None] * normal
+    return _rescale(v + dt * (-v + speed[:, None] * normal))
 
 
 def evolve(
-    state: FlowState | Lanes,
+    state: FlowState,
     control: StepControl,
     t_end: float,
     observers=(),
     snapshot_interval: float | None = None,
-) -> FlowState | Lanes:
+) -> FlowState:
     """Integrate to t_end, resampling on schedule and firing snapshot observers.
 
     Observers are called with (time, vertices, metrics) at the start state,
@@ -258,81 +197,21 @@ def evolve(
     accumulation, and a shorter final step lands exactly on t_end.  Every
     accepted state must be strictly convex before any observer sees it.
     Flow failures propagate with the failing time attached.
-
-    state may be Lanes of FlowStates with equal times and vertex counts;
-    observers then holds one sequence of observers per lane, and the result
-    is Lanes of the final states.  Every lane's arguments are checked before
-    the first step.  All lanes then take the same steps in one loop, and
-    every lane's floats, observer calls and failure are those of a separate
-    evolve call per lane, made in lane order:
-    * the first lane's observers are called as its snapshots are taken, and
-      its failure is raised at once;
-    * a later lane's snapshots are kept and replayed to its observers after
-      the loop, lane by lane; a lane that fails drops out of the loop while
-      the others run on, and its failure is raised after its replay.
     """
-    lanes_given = isinstance(state, Lanes)
-    states = tuple(state) if lanes_given else (state,)
-    lane_observers = tuple(observers) if lanes_given else (observers,)
-    if len(lane_observers) != len(states):
-        raise ParameterError(
-            f"need one observer list per lane, got {len(lane_observers)} for {len(states)}")
     if snapshot_interval is not None and not snapshot_interval > 0.0:
         raise ParameterError("snapshot_interval must be positive")
     if t_end < state.time - _TIME_SLACK:
         raise ParameterError(f"t_end {t_end} precedes current time {state.time}")
-    for s in states:
-        if s.mode not in MODES:
-            raise ParameterError(f"mode must be one of {MODES}, got {s.mode!r}")
-        if s.time != state.time or np.shape(s.vertices) != np.shape(states[0].vertices):
-            raise ParameterError("lanes must share their time and vertex count")
 
-    # lanes[i] and modes[i] are the lane and mode of the i-th curve of the
-    # stack v; a lane that fails leaves it, and its failure waits in failed.
-    lanes = list(range(len(states)))
-    modes = [s.mode for s in states]
-    v = _stack([validate_vertices(s.vertices) for s in states])
-    replay = {lane: [] for lane in range(1, len(states))}
-    failed: dict[int, IcflowError] = {}
+    def fire(time: float, vertices: np.ndarray) -> None:
+        m = compute_metrics(vertices)
+        for obs in observers:
+            obs(time, vertices, m)
 
-    def fire(time: float, v: np.ndarray) -> None:
-        for lane, vertices in zip(lanes, _unstack(v, 2)):
-            vertices = np.ascontiguousarray(vertices)  # observers see C-ordered (n, 2)
-            if lane == 0:
-                _notify(lane_observers[0], time, vertices)
-            else:
-                replay[lane].append((time, vertices))
-
-    def lockstep(advance, v, geometry):
-        # advance(v, geometry, modes) -> (v, geometry) over the whole stack;
-        # when it fails, over each lane apart, so that only the failed lanes
-        # drop out (lane 0, which never drops out, is always the first).
-        nonlocal lanes, modes
-        try:
-            return advance(v, geometry, modes)
-        except IcflowError:
-            if len(lanes) == 1:
-                raise
-        lane_vertices = _unstack(v, 2)
-        lane_geometry = [None] * len(lanes) if geometry is None else list(zip(
-            *(_unstack(g, ndim) for g, ndim in zip(geometry, (1, 1, 2)))))
-        kept, parts = [], []
-        for i, (lane, mode) in enumerate(zip(lanes, modes)):
-            try:
-                parts.append(advance(lane_vertices[i], lane_geometry[i], [mode]))
-            except IcflowError as exc:
-                if lane == 0:
-                    raise
-                failed[lane] = exc
-                continue
-            kept.append(i)
-        lanes = [lanes[i] for i in kept]
-        modes = [modes[i] for i in kept]
-        return (_stack([part[0] for part in parts]),
-                tuple(_stack(list(g)) for g in zip(*(part[1] for part in parts))))
-
+    mode = state.mode
+    v = validate_vertices(state.vertices)
     fire(state.time, v)
-    v, geometry = lockstep(lambda v, _, modes: (v, _geometry(v)), v, None)
+    geometry = _geometry(v)
     last_fired = time = t0 = state.time
     next_snap = t0 + snapshot_interval if snapshot_interval else np.inf
     half_dt = 0.5 * control.dt
@@ -341,14 +220,17 @@ def evolve(
     while time < t_end - _TIME_SLACK * max(1.0, abs(t_end)):
         remaining = t_end - time
         partial = remaining < control.dt * (1.0 - 1e-9)
-        h = remaining if partial else control.dt
-        t_next = t_end if partial else t0 + (steps + 1) * control.dt
-        resample = (steps + 1) % control.resample_every == 0
-        v, geometry = lockstep(
-            lambda v, g, modes: _step(v, g, modes, h, control, time, t_next, resample),
-            v, geometry)
+        v = _step(v, geometry, mode, remaining if partial else control.dt, control, time)
         steps += 1
-        time = t_next
+        time = t_end if partial else t0 + steps * control.dt
+
+        if steps % control.resample_every == 0:
+            v = resample_uniform(v, v.shape[0])
+            if mode == "normalized":
+                v = _rescale(v)
+        geometry = _geometry(v)
+        if not np.all(geometry[1] > 0.0):  # curvature
+            raise ConvexityLossError(f"convexity lost at t = {time:.6g}", time=time)
 
         if time >= next_snap - half_dt:
             fire(time, v)
@@ -358,14 +240,7 @@ def evolve(
 
     if time > last_fired + _TIME_SLACK:
         fire(time, v)
-    for lane, snapshots in replay.items():
-        for snapshot in snapshots:
-            _notify(lane_observers[lane], *snapshot)
-        if lane in failed:
-            raise failed[lane]
-    final = [replace(s, vertices=np.ascontiguousarray(vertices), time=time)
-             for s, vertices in zip(states, _unstack(v, 2))]
-    return Lanes(final) if lanes_given else final[0]
+    return replace(state, vertices=v, time=time)
 
 
 def polyline_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
@@ -383,17 +258,18 @@ def polyline_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
 def _directed_sq(p: np.ndarray, q: np.ndarray) -> float:
     """Largest squared distance from a vertex of p to the closed polyline q.
 
-    The vertices of p are walked in row blocks of about _BLOCK_PAIRS
-    vertex-segment pairs, with x and y in separate reused buffers.  Each
-    pair's floats are those of the (n, m, 2) evaluation: the projection
-    parameter (diff . d) / |d|^2, as the sum of the x and y products, clipped
-    to [0, 1], and the squared length of diff minus that multiple of d.
+    The vertices of p are walked in row blocks of about BLOCK_PAIRS
+    vertex-segment pairs, with x and y in separate reused buffers, so memory
+    stays at a few blocks rather than (n, m, 2) arrays.  Each pair's floats
+    are those of the (n, m, 2) evaluation: the projection parameter
+    (diff . d) / |d|^2, as the sum of the x and y products, clipped to
+    [0, 1], and the squared length of diff minus that multiple of d.
     """
     d = np.roll(q, -1, axis=0) - q
     len2 = np.maximum(np.einsum("ij,ij->i", d, d), 1e-300)
     qx, qy = np.ascontiguousarray(q.T)
     dx, dy = np.ascontiguousarray(d.T)
-    rows = max(1, _BLOCK_PAIRS // q.shape[0])
+    rows = max(1, BLOCK_PAIRS // q.shape[0])
     buffers = np.empty((4, rows, q.shape[0]))
     worst = 0.0
     for row0 in range(0, p.shape[0], rows):

@@ -242,7 +242,7 @@ SCAN_GRIDS = {
     # exact ties: far out in t the residual rounds to the same few values
     "ties": (np.linspace(0.2, np.pi, 60), np.linspace(35.0, 45.0, 11), 1e-5),
     # more x points than a block holds: one t-row per block
-    "one_row": (np.linspace(1e-3, np.pi, comparison._BLOCK_PAIRS + 7),
+    "one_row": (np.linspace(1e-3, np.pi, comparison.BLOCK_PAIRS + 7),
                 np.array([-1.0, 0.0, 2.5]), 1e-5),
 }
 
@@ -252,7 +252,7 @@ SCAN_GRIDS = {
 def test_blocked_certificate_scan_is_bit_identical_to_the_per_t_loop(name, rows, monkeypatch):
     x, t, h = SCAN_GRIDS[name]
     if rows is not None:
-        monkeypatch.setattr(comparison, "_BLOCK_PAIRS", rows * x.size)
+        monkeypatch.setattr(comparison, "BLOCK_PAIRS", rows * x.size)
     assert residual_certificate_scan(x, t, fd_step=h) == loop_certificate_scan(x, t, h)
 
 
@@ -262,7 +262,7 @@ def test_certificate_scan_reports_the_first_nan_like_argmin(rows, monkeypatch):
     # scan skipped such rows and certified the finite t = 0 row
     x = np.linspace(0.05, np.pi, 64)
     if rows is not None:
-        monkeypatch.setattr(comparison, "_BLOCK_PAIRS", rows * x.size)
+        monkeypatch.setattr(comparison, "BLOCK_PAIRS", rows * x.size)
     t = np.array([0.0, -400.0, 1.0])
     cert = residual_certificate_scan(x, t)
     for value, at in [(cert.min_residual, cert.min_residual_at),

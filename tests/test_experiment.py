@@ -20,7 +20,6 @@ from icflow.experiment import (
     serialize_json,
     write_svg,
 )
-from icflow.flow import Lanes, evolve
 
 EXPECTED_HEADER = (
     "t,length,kappa_min,kappa_max,min_Z,tbar,thm12_residual,l2_deficit,"
@@ -487,16 +486,6 @@ def test_cli_vertex_bound_boundary(command, tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: n must be at most 64, got 65\n"
 
 
-def sequential_evolve(state, control, t_end, observers=(), snapshot_interval=None):
-    """Lanes run as separate one-lane evolve calls in lane order: the way
-    both mode ran its two formulations before they shared one loop (the
-    regression oracle of the lockstep run)."""
-    if not isinstance(state, Lanes):
-        return evolve(state, control, t_end, observers, snapshot_interval)
-    return Lanes(evolve(lane, control, t_end, lane_observers, snapshot_interval)
-                 for lane, lane_observers in zip(state, observers))
-
-
 def _inject_monitor_fault(monkeypatch):
     """Make the two-point scan, a snapshot monitor, raise a package error on
     its third call; returns the snapshot times it was called at."""
@@ -517,8 +506,7 @@ def _inject_step_rejection(monkeypatch, lanes):
     # On the flagship-style ellipse below the normalized curve keeps its
     # minimum edge near 2 pi / 64 while its minimum curvature rises past 0.6
     # at t ~ 0.12; the unnormalized curve's minimum edge passes 0.165 at
-    # t ~ 0.09.  The fault depends only on the state, so re-stepping a lane
-    # meets it again.
+    # t ~ 0.09.
     real_order = flow.smoothing_order
 
     def faulty_order(dt, min_edge, min_curvature, safety, max_smoothing):
@@ -541,31 +529,24 @@ BOTH_MODE_FAULTS = {
 
 
 @pytest.mark.parametrize("fault", BOTH_MODE_FAULTS)
-def test_both_mode_lockstep_run_matches_sequential_runs(fault, tmp_path, monkeypatch):
+def test_both_mode_failure_precedence(fault, tmp_path, monkeypatch):
+    # both mode runs the normalized formulation first: its failure (of the
+    # flow or of a monitor) leaves no unnormalized data, while an
+    # unnormalized failure lets the normalized run finish
     config = config_from_dict({
         "shape": "ellipse", "a": 2.0, "b": 1.0, "n": 64, "dt": 1e-3, "t_end": 0.3,
         "snapshot_interval": 0.05, "mode": "both", "out": str(tmp_path / "run.csv"),
     })
-    results = []
-    for oracle in (True, False):
-        with monkeypatch.context() as m:
-            BOTH_MODE_FAULTS[fault](m)
-            if oracle:
-                m.setattr(experiment, "evolve", sequential_evolve)
-            result = run_experiment(config)
-        results.append((result.exit_code, (tmp_path / "run.csv").read_bytes(),
-                        (tmp_path / "run_summary.json").read_bytes()))
-    assert results[0] == results[1]
-
+    BOTH_MODE_FAULTS[fault](monkeypatch)
+    result = run_experiment(config)
     summary = result.summary
     assert result.exit_code == (1 if fault == "none" else 3)
-    if fault in ("normalized_flow", "both_flows"):
-        # the normalized failure wins, and no unnormalized data survives it
-        assert summary["failure"]["message"] == "injected normalized fault"
+    if fault in ("monitor", "normalized_flow", "both_flows"):
+        message = "injected monitor fault" if fault == "monitor" else "injected normalized fault"
+        assert summary["failure"]["message"] == message
         assert summary["checks"]["length_law"]["detail"] == "no unnormalized snapshots"
         assert summary["checks"]["cross_check"]["detail"] == "no paired snapshots"
     if fault == "unnormalized_flow":
-        # the normalized run still reaches t_end
         assert summary["failure"]["message"] == "injected unnormalized fault"
         assert summary["failure"]["time"] < result.rows[-1]["t"] == 0.3
 

@@ -21,7 +21,6 @@ from icflow import flow
 from icflow.experiment import CHECKS, RunSeries, config_from_dict, run_experiment
 from icflow.flow import (
     FlowState,
-    Lanes,
     StepControl,
     _smooth_in_place,
     evolve,
@@ -240,7 +239,7 @@ def test_blocked_hausdorff_is_the_dense_evaluation_bit_for_bit(block_pairs, monk
     # rows end in a partial block; 450 pairs give 2-row blocks against the
     # 200-vertex curve and 1-row blocks against the others
     if block_pairs is not None:
-        monkeypatch.setattr(flow, "_BLOCK_PAIRS", block_pairs)
+        monkeypatch.setattr(flow, "BLOCK_PAIRS", block_pairs)
     a = make_ellipse(2.0, 1.0, 200)
     bumped = resample_uniform(a, 517)
     bumped[-1] *= 1.05  # its farthest vertex sits in the last block
@@ -255,57 +254,6 @@ def test_blocked_hausdorff_is_the_dense_evaluation_bit_for_bit(block_pairs, monk
         for x, y in ((p, q), (q, p)):
             assert polyline_hausdorff(x, y) == dense_polyline_hausdorff(x, y)
     assert polyline_hausdorff(a, a.copy()) == 0.0
-
-
-def _start_order(state, control):
-    m = compute_metrics(state.vertices)
-    return smoothing_order(control.dt, float(m.edge_lengths.min()),
-                           float(m.curvature.min()), control.safety, control.max_smoothing)
-
-
-def test_lanes_step_each_curve_as_its_own_run_bit_for_bit():
-    # lanes of different shapes, scales and formulations filter at different
-    # orders; each must still get the floats and the snapshots of a run of
-    # its own, through resamplings and a final partial step
-    control = StepControl(dt=5e-4, resample_every=7)
-    states = [
-        initial_state(make_circle(0.5, 128), "normalized"),
-        initial_state(make_ellipse(2.0, 1.0, 128), "normalized"),
-        initial_state(make_perturbed_circle(3.0, 128, [0.05], [3], seed=1), "unnormalized"),
-    ]
-    assert [_start_order(s, control) for s in states] == [1, 3, 1]
-    out = evolve(Lanes(states), control, 40 * control.dt, observers=[(), (), ()])
-    for state, lane in zip(states, out):
-        expected = _reference_evolve(state.vertices, state.mode, control, 40)
-        assert np.array_equal(lane.vertices, expected)
-
-    t_end = 40.5 * control.dt
-    seen = [[] for _ in states]
-    out = evolve(Lanes(states), control, t_end,
-                 observers=[[lambda t, v, m, log=log: log.append((t, v.copy()))] for log in seen],
-                 snapshot_interval=10 * control.dt)
-    assert isinstance(out, Lanes) and out.time == t_end
-    for state, lane, log in zip(states, out, seen):
-        alone = []
-        single = evolve(state, control, t_end,
-                        observers=[lambda t, v, m: alone.append((t, v.copy()))],
-                        snapshot_interval=10 * control.dt)
-        assert np.array_equal(lane.vertices, single.vertices) and lane.mode == state.mode
-        assert [t for t, _ in log] == [t for t, _ in alone]
-        assert all(np.array_equal(v, w) for (_, v), (_, w) in zip(log, alone))
-
-
-def test_lanes_reject_mismatched_states():
-    control = StepControl(dt=1e-3)
-    a = initial_state(make_circle(1.0, 64), "normalized")
-    with pytest.raises(ParameterError, match="share"):
-        evolve(Lanes([a, initial_state(make_circle(1.0, 65), "normalized")]), control, 0.01,
-               observers=[(), ()])
-    with pytest.raises(ParameterError, match="share"):
-        evolve(Lanes([a, FlowState(a.vertices, 0.5, "normalized")]), control, 0.01,
-               observers=[(), ()])
-    with pytest.raises(ParameterError, match="one observer list per lane"):
-        evolve(Lanes([a, a]), control, 0.01)
 
 
 def _cross_check_worst(tmp_path, **config):
