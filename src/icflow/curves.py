@@ -50,6 +50,11 @@ def edge_lengths(v: np.ndarray) -> np.ndarray:
 
 def validate_vertices(vertices: np.ndarray) -> np.ndarray:
     """Coerce to a float (n, 2) array and check basic polygon sanity."""
+    return _validated_edges(vertices)[0]
+
+
+def _validated_edges(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """validate_vertices, also returning the edge lengths it checked."""
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 2:
         raise ParameterError(f"expected an (n, 2) vertex array, got shape {v.shape}")
@@ -57,9 +62,10 @@ def validate_vertices(vertices: np.ndarray) -> np.ndarray:
         raise ParameterError(f"need at least {MIN_VERTICES} vertices, got {v.shape[0]}")
     if not np.all(np.isfinite(v)):
         raise DegenerateCurveError("vertex coordinates contain NaN or Inf")
-    if np.min(edge_lengths(v)) <= 0.0:
+    edge_len = edge_lengths(v)
+    if np.min(edge_len) <= 0.0:
         raise DegenerateCurveError("curve has a zero-length edge (repeated vertices)")
-    return v
+    return v, edge_len
 
 
 def make_circle(radius: float, n: int, center: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
@@ -244,8 +250,7 @@ def dual_cell_weights(vertices: np.ndarray) -> np.ndarray:
     These sum to the total length and turn per-vertex samples into
     trapezoidal integrals over the curve.
     """
-    v = validate_vertices(vertices)
-    edge_len = edge_lengths(v)
+    edge_len = _validated_edges(vertices)[1]
     return 0.5 * (edge_len + np.roll(edge_len, 1))
 
 
@@ -258,10 +263,9 @@ def resample_uniform(vertices: np.ndarray, n: int) -> np.ndarray:
     O((kappa ds)^2) per resampling — callers tracking length to higher
     accuracy must account for that, it is not a bug in the resampler.
     """
-    v = validate_vertices(vertices)
+    v, edge_len = _validated_edges(vertices)
     if n < MIN_VERTICES:
         raise ParameterError(f"need at least {MIN_VERTICES} vertices, got {n}")
-    edge_len = edge_lengths(v)
     s = np.concatenate([[0.0], np.cumsum(edge_len)])
     closed = np.vstack([v, v[:1]])
     targets = s[-1] * np.arange(n) / n

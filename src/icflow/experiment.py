@@ -599,8 +599,9 @@ def write_svg(path: str, vertices: np.ndarray, time: float) -> None:
     The y axis is flipped into mathematical orientation and a dashed unit
     circle is overlaid for reference.
     """
-    points = " L ".join(
-        f"{_format_float(x)} {_format_float(y)}" for x, y in np.asarray(vertices))
+    coords = np.asarray(vertices).ravel().tolist()
+    # one % over the whole path: the _format_float of each coordinate
+    points = " L ".join(["%.17g %.17g"] * (len(coords) // 2)) % tuple(coords)
     content = (
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-2 -2 4 4">\n'
         f"  <!-- t = {_format_float(float(time))} -->\n"

@@ -5,6 +5,8 @@ digits, evaluating the defining expressions directly (no reuse of the package
 formulas), then rounded to double precision.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ from icflow.curves import (
     make_perturbed_circle,
 )
 from icflow.errors import NoAdmissibleOffsetError, ParameterError
-from icflow.flow import renormalize
+from icflow.flow import StepControl, evolve, initial_state, renormalize
 
 # (x, t) -> value tables, mpmath 40-digit reference
 PROFILE_VALUES = [
@@ -380,6 +382,20 @@ def triu_bisection(v, lo=-50.0, hi=50.0, tol=1e-6):
     return b
 
 
+@functools.lru_cache(maxsize=None)
+def flow_snapshots(shape):
+    # three snapshots of a short normalized run, as the run monitors see them
+    start = {
+        "perturbed": make_perturbed_circle(1.0, 256, [0.03, 0.01], [3, 5], seed=11),
+        "ellipse": make_ellipse(2.0, 1.0, 256),
+    }[shape]
+    shots = []
+    evolve(initial_state(start, "normalized"), StepControl(dt=1e-4), 0.02,
+           observers=[lambda t, v, m: shots.append(renormalize(v))],
+           snapshot_interval=0.01)
+    return tuple(shots)
+
+
 ORACLE_CURVES = {
     "circle256": lambda: normalized_circle(256),
     "ellipse256": lambda: normalized_ellipse(256),
@@ -387,18 +403,151 @@ ORACLE_CURVES = {
     "perturbed300": lambda: renormalize(
         make_perturbed_circle(1.0, 300, [0.05, 0.02], [3, 5], seed=3)),
     "ellipse16": lambda: normalized_ellipse(16),
+    **{f"{shape}_snapshot{i}": lambda shape=shape, i=i: flow_snapshots(shape)[i]
+       for shape in ("perturbed", "ellipse") for i in range(3)},
 }
+
+# (time, offset) pairs: minima of both signs; t = time - offset = -750, where
+# e^t underflows and every gap is the chord; 709.5, where 2 e^t overflows
+# and every gap is -inf; 742, where e^{-t} z underflows to 0 for the short
+# arcs only (NaN there, -inf elsewhere); and 800, where every gap is NaN.
+SCAN_TIMES = [(0.0, 0.2), (3.0, -50.0), (0.5, 0.7), (0.0, 25.0), (0.0, 50.0),
+              (0.0, 750.0), (709.5, 0.0), (742.0, 0.0), (800.0, 0.0)]
+
+
+def assert_scan_matches_triu(v, time, offset):
+    report = two_point_gap_scan(v, time, offset)
+    gap, pair = triu_scan(v, time, offset)
+    # repr tells NaN, inf and every finite float apart
+    assert (repr(report.min_gap), report.argmin_pair) == (repr(gap), pair)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
 def test_blocked_kernel_is_bit_identical_to_the_triu_scan(name, monkeypatch):
     v = ORACLE_CURVES[name]()
-    for time, offset in [(0.0, 0.2), (3.0, -50.0), (0.5, 0.7), (0.0, 25.0), (0.0, 50.0)]:
-        report = two_point_gap_scan(v, time, offset)
-        assert (report.min_gap, report.argmin_pair) == triu_scan(v, time, offset)
+    for time, offset in SCAN_TIMES:
+        assert_scan_matches_triu(v, time, offset)
     # without the curvature floor the offset is the pair bisection's own result
     monkeypatch.setattr(comparison, "_FLOOR_ACTIVATION", np.inf)
     assert admissible_offset(v) == triu_bisection(v)
+
+
+def diagonal_gap_minima(v, time, offset):
+    # the smallest triu gap on each cyclic diagonal k = 1..n//2, NaN if any is
+    i, j, chord, arc = triu_pairs(v)
+    gaps = chord - profile_value(arc, time - offset)
+    n = v.shape[0]
+    lows = np.full(n // 2, np.inf)
+    with np.errstate(invalid="ignore"):
+        np.minimum.at(lows, np.minimum(j - i, n - (j - i)) - 1, gaps)
+    return lows
+
+
+def tiny_edge_curve(at):
+    # a 1e-160 edge from vertex `at`: its squared length is subnormal and
+    # rounds up; away from vertex 0 the arc-length sum absorbs it entirely
+    v = np.insert(make_circle(1.0, 64), 1, [1.0, 1e-160], axis=0)
+    return renormalize(np.roll(v, at, axis=0))
+
+
+BOUND_CURVES = {
+    "ellipse256": lambda: normalized_ellipse(256),
+    "perturbed300": ORACLE_CURVES["perturbed300"],
+    "perturbed_snapshot2": ORACLE_CURVES["perturbed_snapshot2"],
+    # the length check admits 2 pi (1 + 1e-6): arcs pass pi, half arcs pi/2
+    "ellipse_long": lambda: normalized_ellipse(256) * (1.0 + 0.9e-6),
+    "tiny_edge_first": lambda: tiny_edge_curve(0),
+    "tiny_edge_inside": lambda: tiny_edge_curve(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_CURVES))
+def test_gap_bounds_lie_at_or_below_every_gap_of_their_diagonal(name):
+    v = BOUND_CURVES[name]()
+    diag = comparison._diagonals(v)
+    for time, offset in SCAN_TIMES:
+        bounds = comparison._gap_lower_bounds(diag, time - offset)
+        lows = diagonal_gap_minima(v, time, offset)
+        # a diagonal holding a NaN gap must never be skipped
+        nan_low = np.isnan(lows)
+        assert np.all(np.isnan(bounds[nan_low]) | (bounds[nan_low] == -np.inf))
+        finite = ~nan_low & ~np.isnan(bounds)
+        assert np.all(bounds[finite] <= lows[finite])
+        assert_scan_matches_triu(v, time, offset)
+
+
+def test_long_curve_has_arcs_past_pi():
+    _, _, _, arc = triu_pairs(BOUND_CURVES["ellipse_long"]())
+    assert arc.max() > np.pi
+
+
+def test_tiny_edges_exercise_the_subnormal_and_zero_arc_guards():
+    first = comparison._diagonals(BOUND_CURVES["tiny_edge_first"]())
+    x, y, _ = first.base
+    # the edge's squared length is subnormal and rounded up past its square
+    c2 = (x[1] - x[0]) ** 2 + (y[1] - y[0]) ** 2
+    assert 0.0 < c2 < 2.0 ** -1022
+    assert np.sqrt(c2) * (1.0 - 2.0 ** -48) > np.hypot(x[1] - x[0], y[1] - y[0])
+    assert np.all(np.isfinite(comparison._gap_lower_bounds(first, 1.0)))
+    # absorbed into the arc-length sum, the edge leaves an arc of 0: no pruning
+    inside = comparison._diagonals(BOUND_CURVES["tiny_edge_inside"]())
+    assert np.min(np.diff(inside.base[2])) == 0.0
+    assert np.all(comparison._gap_lower_bounds(inside, 1.0) == -np.inf)
+
+
+def test_z_ceiling_covers_every_shorter_arc():
+    arcs = np.array([1e-3, 1.0, np.pi - 1e-3, np.pi, np.pi * (1.0 + 1e-6), 4.0, 7.0])
+    for arc, ceiling in zip(arcs, comparison._z_ceiling(arcs)):
+        half = 0.5 * np.minimum(np.linspace(0.0, arc, 10001), 2.0 * np.pi)
+        if arc >= np.pi:
+            half = np.append(half, 0.5 * np.pi)
+        assert ceiling >= np.max(np.sin(half))
+
+
+def count_exact_diagonals(monkeypatch):
+    evaluated = []
+    exact = comparison._diagonal_gaps
+
+    def counting(diag, ks, t, buffers):
+        evaluated.extend(ks.tolist())
+        return exact(diag, ks, t, buffers)
+
+    monkeypatch.setattr(comparison, "_diagonal_gaps", counting)
+    return evaluated
+
+
+def test_bounded_scan_skips_most_diagonals_of_the_ellipse(monkeypatch):
+    v = normalized_ellipse(512)
+    offset = admissible_offset(v)
+    evaluated = count_exact_diagonals(monkeypatch)
+    for time, off in [(0.0, offset), (1.0, offset), (3.0, -50.0), (0.0, 0.2), (0.5, 0.7)]:
+        evaluated.clear()
+        assert_scan_matches_triu(v, time, off)
+        assert len(evaluated) <= 0.1 * 256
+
+
+def test_unprunable_scan_evaluates_each_diagonal_once_in_order(monkeypatch):
+    # the worst case: once 2 e^t overflows (time - offset > 709.08) every gap
+    # is -inf or NaN, no bound can prune, and the bound pass is skipped, so
+    # the scan evaluates all diagonals in blocks as the exhaustive scan did
+    v = normalized_ellipse(512)
+    evaluated = count_exact_diagonals(monkeypatch)
+    for time in (709.5, 742.0, 800.0):
+        evaluated.clear()
+        assert_scan_matches_triu(v, time, 0.0)
+        assert evaluated == list(range(1, 257))
+
+
+def test_a_nan_minimum_never_stops_the_scan():
+    # vertices crowd just before vertex 0, so at t = 744, where e^{-t} is a
+    # few subnormal steps, e^{-t} z underflows to 0 (a NaN gap) on the
+    # short arcs only; the first NaN in triu order, (0, 12), lies on
+    # diagonal 4, after diagonal 1's NaN pairs have been found
+    degrees = np.array([0, 40, 80, 120, 160, 200, 240, 280, 300, 310, 320, 330,
+                        335, 340, 345, 350.0])
+    v = renormalize(np.c_[np.cos(np.radians(degrees)), np.sin(np.radians(degrees))])
+    assert triu_scan(v, 744.0, 0.0)[1] == (0, 12)
+    assert_scan_matches_triu(v, 744.0, 0.0)
 
 
 def test_circle_ties_resolve_to_the_first_pair_in_triu_order():

@@ -146,6 +146,35 @@ def test_resample_changes_vertex_count():
     assert polyline_hausdorff(v, out) < 5e-3
 
 
+def resample_as_first_written(v, n):
+    # the resampler before it reused the validated edge lengths
+    edge_len = np.hypot(*(np.roll(v, -1, axis=0) - v).T)
+    s = np.concatenate([[0.0], np.cumsum(edge_len)])
+    closed = np.vstack([v, v[:1]])
+    targets = s[-1] * np.arange(n) / n
+    out = np.empty((n, 2))
+    out[:, 0] = np.interp(targets, s, closed[:, 0])
+    out[:, 1] = np.interp(targets, s, closed[:, 1])
+    out[0] = v[0]
+    return out
+
+
+def test_resample_matches_its_first_form_and_validates_first():
+    for v, n in [(make_ellipse(2.0, 1.0, 64), 192),
+                 (make_perturbed_circle(1.0, 256, [0.08], [4], seed=3), 256),
+                 (make_circle(1.0, 100), 17)]:
+        assert np.array_equal(resample_uniform(v, n), resample_as_first_written(v, n))
+    # the vertices are checked before the requested count
+    with pytest.raises(ParameterError, match="got 3$"):
+        resample_uniform(np.zeros((3, 2)), 4)
+    repeated = make_circle(1.0, 32)
+    repeated[5] = repeated[4]
+    with pytest.raises(DegenerateCurveError, match="zero-length edge"):
+        resample_uniform(repeated, 4)
+    with pytest.raises(ParameterError, match="got 4$"):
+        resample_uniform(make_circle(1.0, 32), 4)
+
+
 def test_convexity_check_separates_shapes():
     assert convexity_check(make_circle(1.0, 32))
     assert convexity_check(make_ellipse(3.0, 1.0, 64))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from icflow import cli, experiment, flow
-from icflow.curves import MAX_VERTICES
+from icflow.curves import MAX_VERTICES, make_ellipse
 from icflow.errors import ParameterError, StepRejectedError
 from icflow.experiment import (
     CSV_HEADER,
@@ -334,6 +334,36 @@ def test_write_svg_directly(tmp_path):
     body = path.read_text()
     assert body.startswith("<svg ")
     assert "t = 0.25" in body
+
+
+def svg_as_first_written(vertices, time):
+    # write_svg's document as it was built with one f-string per vertex
+    fmt = "%.17g".__mod__
+    points = " L ".join(f"{fmt(x)} {fmt(y)}" for x, y in np.asarray(vertices))
+    return (
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-2 -2 4 4">\n'
+        f"  <!-- t = {fmt(float(time))} -->\n"
+        '  <g transform="scale(1,-1)">\n'
+        '    <circle cx="0" cy="0" r="1" fill="none" stroke="#999999" '
+        'stroke-width="0.01" stroke-dasharray="0.05 0.05"/>\n'
+        f'    <path d="M {points} Z" fill="none" stroke="#1f6fb2" '
+        'stroke-width="0.02"/>\n'
+        "  </g>\n"
+        "</svg>\n"
+    )
+
+
+def test_write_svg_bytes_match_the_per_vertex_formatting(tmp_path):
+    rng = np.random.default_rng(5)
+    curves = [
+        flow.renormalize(make_ellipse(2.0, 1.0, 64)),
+        rng.normal(size=(1024, 2)) * 10.0 ** rng.integers(-300, 300, size=(1024, 2)),
+        np.array([[0.0, -0.0], [1e-320, 1.0], [-1.5, 3.0], [2.0, 2.0]]),
+    ]
+    for k, (v, time) in enumerate(zip(curves, [0.1, 1e-3 * 7, 5.0])):
+        path = tmp_path / f"{k}.svg"
+        write_svg(str(path), v, time)
+        assert path.read_bytes() == svg_as_first_written(v, time).encode("utf-8")
 
 
 def test_serialize_json_contract():
