@@ -7,11 +7,15 @@ L2 deficit of curvature and its decay rate, finite-difference derivative
 decay, the interpolation-ratio monitor, the incircle/circumcircle curvature
 gap, and plain convergence-to-unit-circle metrics.
 
+snapshot_report evaluates them all in one pass over a snapshot: it takes
+edge lengths, dual-cell weights and curvature from the snapshot's
+CurveMetrics, and each value is the float its public monitor returns.
+
 Noise floors matter throughout: a polygon inscribed in a circle measures a
 strictly positive deficit and Bonnesen gap of order (pi/n)^2 purely from
 polygonization, and finite differences of a constant field sit at roundoff.
-Values at or below those floors are excluded from rate fits and ratios so
-that exact fixtures pass vacuously instead of producing fits of noise.
+Values at or below those floors are excluded from rate fits, and ratios
+there are NaN, so exact fixtures pass vacuously instead of fitting noise.
 """
 
 from __future__ import annotations
@@ -21,8 +25,15 @@ from math import pi
 
 import numpy as np
 
-from .curves import CurveMetrics, centroid, convexity_check, validate_vertices
-from .errors import NoiseFloorError, ParameterError
+from .curves import (
+    CurveMetrics,
+    _centroid,
+    _dual_weights,
+    _validated_edges,
+    convexity_check,
+    validate_vertices,
+)
+from .errors import ParameterError
 
 # Finite-difference magnitudes below this are indistinguishable from
 # roundoff in the curvature estimator.
@@ -75,7 +86,7 @@ def curvature_sup_residual(metrics: CurveMetrics, time: float, offset: float) ->
 
 def curvature_l2_deficit(metrics: CurveMetrics) -> float:
     """Arc-length integral of (kappa - 1)^2 over the curve."""
-    weights = 0.5 * (metrics.edge_lengths + np.roll(metrics.edge_lengths, 1))
+    weights = _dual_weights(metrics.edge_lengths)
     return float(np.sum((metrics.curvature - 1.0) ** 2 * weights))
 
 
@@ -189,16 +200,18 @@ def gn_ratio(metrics: CurveMetrics) -> float:
 
     The bounding constant is unknown, so the ratio is only monitored for
     boundedness along a run.  Near-circular snapshots make the ratio 0/0 at
-    roundoff scale; those raise NoiseFloorError instead of returning noise.
+    roundoff scale; there it is NaN instead of noise.
     """
-    dk, d2k = curvature_derivative_profiles(metrics)
-    deficit = curvature_l2_deficit(metrics)
-    if deficit <= 3.0 * l2_deficit_floor(len(metrics.curvature)):
-        raise NoiseFloorError(
-            "curvature deficit at the polygonization floor; ratio undefined")
+    return _ratio(*curvature_derivative_profiles(metrics), curvature_l2_deficit(metrics),
+                  metrics.curvature.size)
+
+
+def _ratio(dk: float, d2k: float, deficit: float, n: int) -> float:
+    """gn_ratio from the derivative sup norms and the L2 deficit at mesh size n."""
     l2 = float(np.sqrt(deficit))
-    if dk <= DERIVATIVE_FLOOR or d2k <= DERIVATIVE_FLOOR or l2 <= DERIVATIVE_FLOOR:
-        raise NoiseFloorError("curvature variation below noise floor; ratio undefined")
+    if (deficit <= 3.0 * l2_deficit_floor(n)
+            or dk <= DERIVATIVE_FLOOR or d2k <= DERIVATIVE_FLOOR or l2 <= DERIVATIVE_FLOOR):
+        return float("nan")
     return dk / (d2k**0.6 * l2**0.4)
 
 
@@ -210,67 +223,54 @@ def bonnesen_gap(vertices: np.ndarray) -> float:
     perfect circle; for an inscribed n-gon the polygonization floor is
     bonnesen_floor(n)/2 per unit radius.
     """
-    v = validate_vertices(vertices)
+    v, edge_len = _validated_edges(vertices)
     if not convexity_check(v):
         raise ParameterError("Bonnesen gap requires a convex curve")
-    c0 = centroid(v)
-    rel = v - c0
-    r_out = float(np.max(np.hypot(rel[:, 0], rel[:, 1])))
-    edges = np.roll(v, -1, axis=0) - v
-    edge_len = np.hypot(edges[:, 0], edges[:, 1])
-    line_dist = (edges[:, 0] * (c0[1] - v[:, 1]) - edges[:, 1] * (c0[0] - v[:, 0])) / edge_len
-    r_in = float(np.min(line_dist))
-    if r_in <= 0.0:
+    gap = _about_centroid(v, edge_len)[0]
+    if np.isnan(gap):
         raise ParameterError("centroid lies outside an edge line; curve degenerate")
-    return 1.0 / r_in - 1.0 / r_out
+    return gap
 
 
 def convergence_metrics(vertices: np.ndarray) -> tuple[float, float]:
     """(radial deviation from the unit circle about the centroid, |centroid|)."""
-    v = validate_vertices(vertices)
-    c0 = centroid(v)
+    return _about_centroid(*_validated_edges(vertices))[1:]
+
+
+def _about_centroid(v: np.ndarray, edge_len: np.ndarray) -> tuple[float, float, float]:
+    """(bonnesen_gap, *convergence_metrics) of validated vertices with their
+    edge lengths; the gap is NaN if the centroid is outside an edge line."""
+    c0 = _centroid(v, edge_len)
     rel = v - c0
     radii = np.hypot(rel[:, 0], rel[:, 1])
-    return float(np.max(np.abs(radii - 1.0))), float(np.hypot(c0[0], c0[1]))
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """All per-snapshot monitor values in one immutable record."""
-
-    time: float
-    kappa_min: float
-    kappa_max: float
-    sup_bound_residual: float
-    l2_deficit: float
-    dkappa_max: float
-    d2kappa_max: float
-    gn: float
-    bonnesen: float
-    radial_deviation: float
-    center_norm: float
+    edges = np.roll(v, -1, axis=0) - v
+    line_dist = (edges[:, 0] * (c0[1] - v[:, 1]) - edges[:, 1] * (c0[0] - v[:, 0])) / edge_len
+    r_in = float(np.min(line_dist))
+    gap = 1.0 / r_in - 1.0 / float(np.max(radii)) if r_in > 0.0 else float("nan")
+    return gap, float(np.max(np.abs(radii - 1.0))), float(np.hypot(c0[0], c0[1]))
 
 
 def snapshot_report(
     time: float, vertices: np.ndarray, metrics: CurveMetrics, offset: float
-) -> BoundsReport:
-    """Evaluate every per-snapshot monitor; the ratio is NaN below its floor."""
+) -> dict[str, float]:
+    """Every per-snapshot monitor, keyed by its CSV column.
+
+    metrics must be those of vertices, a convex flow state.  thm12_residual
+    is curvature_sup_residual, hausdorff and center_norm are
+    convergence_metrics; gn_ratio and bonnesen_gap may be NaN.
+    """
     dk, d2k = curvature_derivative_profiles(metrics)
-    try:
-        ratio = gn_ratio(metrics)
-    except NoiseFloorError:
-        ratio = float("nan")
-    radial, center = convergence_metrics(vertices)
-    return BoundsReport(
-        time=float(time),
-        kappa_min=float(np.min(metrics.curvature)),
-        kappa_max=float(np.max(metrics.curvature)),
-        sup_bound_residual=curvature_sup_residual(metrics, time, offset),
-        l2_deficit=curvature_l2_deficit(metrics),
-        dkappa_max=dk,
-        d2kappa_max=d2k,
-        gn=ratio,
-        bonnesen=bonnesen_gap(vertices),
-        radial_deviation=radial,
-        center_norm=center,
-    )
+    deficit = curvature_l2_deficit(metrics)
+    gap, radial, center = _about_centroid(validate_vertices(vertices), metrics.edge_lengths)
+    return {
+        "kappa_min": float(np.min(metrics.curvature)),
+        "kappa_max": float(np.max(metrics.curvature)),
+        "thm12_residual": curvature_sup_residual(metrics, time, offset),
+        "l2_deficit": deficit,
+        "dkappa_max": dk,
+        "d2kappa_max": d2k,
+        "gn_ratio": _ratio(dk, d2k, deficit, metrics.curvature.size),
+        "bonnesen_gap": gap,
+        "hausdorff": radial,
+        "center_norm": center,
+    }

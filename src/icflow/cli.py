@@ -187,43 +187,29 @@ def _handle_verify_profile(args: argparse.Namespace) -> int:
         abs(float(profile_residual(1e-6, s))) for s in (-3.0, 0.0, 3.0))
     mismatch, mismatch_at = derivative_cross_check()
 
-    print("residual min            = %.17g at (x, t) = (%.17g, %.17g)"
-          % (certificate.min_residual, *certificate.min_residual_at))
-    print("residual slope min (fd) = %.17g at (x, t) = (%.17g, %.17g)"
-          % (certificate.min_slope_fd, *certificate.min_slope_fd_at))
-    print("residual slope min      = %.17g at (x, t) = (%.17g, %.17g)"
-          % (certificate.min_slope_closed, *certificate.min_slope_closed_at))
-    print("slope fd mismatch       = %.17g" % certificate.max_slope_mismatch)
-    print("A-polynomial min        = %.17g at (z, alpha) = (%.17g, %.17g)"
-          % (numerator_min, *numerator_at))
-    print("limit residual max      = %.17g over t in {-3, 0, 3} at x = 1e-06"
-          % limit_worst)
-    print("derivative mismatch     = %.17g (%s at x = %.17g, t = %.17g)"
-          % (mismatch, *mismatch_at))
-
+    at = " at (x, t) = (%.17g, %.17g)"
+    # printed label, violation label (None: printed only), value, where it
+    # sits, and the interval the value must lie in; NaN lies in none
+    table = (
+        ("residual min", "residual", certificate.min_residual,
+         at % certificate.min_residual_at, -CERTIFICATE_TOL, math.inf),
+        ("residual slope min (fd)", "fd slope", certificate.min_slope_fd,
+         at % certificate.min_slope_fd_at, -CERTIFICATE_TOL, math.inf),
+        ("residual slope min", "closed-form slope", certificate.min_slope_closed,
+         at % certificate.min_slope_closed_at, -CERTIFICATE_TOL, math.inf),
+        ("slope fd mismatch", None, certificate.max_slope_mismatch, "", None, None),
+        ("A-polynomial min", "A-polynomial", numerator_min,
+         " at (z, alpha) = (%.17g, %.17g)" % numerator_at, -CERTIFICATE_TOL, math.inf),
+        ("limit residual max", "limit residual", limit_worst,
+         " over t in {-3, 0, 3} at x = 1e-06", -math.inf, LIMIT_TOL),
+        ("derivative mismatch", "derivative mismatch", mismatch,
+         " (%s at x = %.17g, t = %.17g)" % mismatch_at, -math.inf, DERIVATIVE_TOL),
+    )
     violations = []
-    if not certificate.min_residual >= -CERTIFICATE_TOL:
-        violations.append(
-            "residual %.6g at (x, t) = (%.17g, %.17g)"
-            % (certificate.min_residual, *certificate.min_residual_at))
-    if not certificate.min_slope_fd >= -CERTIFICATE_TOL:
-        violations.append(
-            "fd slope %.6g at (x, t) = (%.17g, %.17g)"
-            % (certificate.min_slope_fd, *certificate.min_slope_fd_at))
-    if not certificate.min_slope_closed >= -CERTIFICATE_TOL:
-        violations.append(
-            "closed-form slope %.6g at (x, t) = (%.17g, %.17g)"
-            % (certificate.min_slope_closed, *certificate.min_slope_closed_at))
-    if numerator_min < -CERTIFICATE_TOL:
-        violations.append(
-            "A-polynomial %.6g at (z, alpha) = (%.17g, %.17g)"
-            % (numerator_min, *numerator_at))
-    if limit_worst > LIMIT_TOL:
-        violations.append("limit residual %.6g at x = 1e-06" % limit_worst)
-    if mismatch > DERIVATIVE_TOL:
-        violations.append(
-            "derivative mismatch %.6g (%s at x = %.17g, t = %.17g)"
-            % (mismatch, *mismatch_at))
+    for label, name, value, where, lowest, highest in table:
+        print("%-23s = %.17g%s" % (label, value, where))
+        if name is not None and not lowest <= value <= highest:
+            violations.append("%s %.6g%s" % (name, value, where))
 
     if violations:
         for item in violations:

@@ -180,9 +180,13 @@ class CurveMetrics:
     """
 
     edge_lengths: np.ndarray
-    total_length: float
     curvature: np.ndarray
     outward_normal: np.ndarray
+
+    @property
+    def total_length(self) -> float:
+        """Sum of the edge lengths."""
+        return float(np.sum(self.edge_lengths))
 
 
 def _geometry(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -198,8 +202,8 @@ def _geometry(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rely on.  Signs follow orientation: positive on counterclockwise convex
     curves.  A ghost-padded copy of the vertices supplies the wrapped
     neighbours.  Raises DegenerateCurveError on non-finite coordinates, zero
-    edges and coincident neighbours; the flow's step kernel calls this
-    directly, without validate_vertices, once per accepted state.
+    edges and coincident neighbours; the flow calls this directly, without
+    validate_vertices, once per accepted state, for its step and observers.
     """
     if not np.isfinite(v).all():
         raise DegenerateCurveError("vertex coordinates contain NaN or Inf")
@@ -232,16 +236,9 @@ def _geometry(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def compute_metrics(vertices: np.ndarray) -> CurveMetrics:
     """Edge lengths, total length, curvature and outward normals of a polygon.
 
-    The step kernel's geometry (_geometry) of the validated vertices, plus
-    the sum of the edge lengths.
+    The step kernel's geometry (_geometry) of the validated vertices.
     """
-    edge_len, kappa, normal = _geometry(validate_vertices(vertices))
-    return CurveMetrics(
-        edge_lengths=edge_len,
-        total_length=float(np.sum(edge_len)),
-        curvature=kappa,
-        outward_normal=normal,
-    )
+    return CurveMetrics(*_geometry(validate_vertices(vertices)))
 
 
 def dual_cell_weights(vertices: np.ndarray) -> np.ndarray:
@@ -250,7 +247,10 @@ def dual_cell_weights(vertices: np.ndarray) -> np.ndarray:
     These sum to the total length and turn per-vertex samples into
     trapezoidal integrals over the curve.
     """
-    edge_len = _validated_edges(vertices)[1]
+    return _dual_weights(_validated_edges(vertices)[1])
+
+
+def _dual_weights(edge_len: np.ndarray) -> np.ndarray:
     return 0.5 * (edge_len + np.roll(edge_len, 1))
 
 
@@ -287,6 +287,10 @@ def convexity_check(vertices: np.ndarray) -> bool:
 
 def centroid(vertices: np.ndarray) -> np.ndarray:
     """Arc-length-weighted vertex average (the curve's center of mass)."""
-    v = validate_vertices(vertices)
-    w = dual_cell_weights(v)
+    return _centroid(*_validated_edges(vertices))
+
+
+def _centroid(v: np.ndarray, edge_len: np.ndarray) -> np.ndarray:
+    """centroid of validated vertices, given their edge lengths."""
+    w = _dual_weights(edge_len)
     return w @ v / np.sum(w)

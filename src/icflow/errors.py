@@ -36,7 +36,3 @@ class StepRejectedError(FlowError):
 
 class NoAdmissibleOffsetError(IcflowError):
     """The offset search bracket contains no feasible value."""
-
-
-class NoiseFloorError(IcflowError):
-    """A ratio or fit was requested on data below its floating-noise floor."""

@@ -259,6 +259,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         value = merged[key]
         if not isinstance(value, int) or isinstance(value, bool):
             raise ParameterError(f"{key} must be an integer, got {value!r}")
+    if merged["seed"] < 0:
+        raise ParameterError(f"seed must be non-negative, got {merged['seed']}")
     amplitudes, modes = merged["amplitudes"], merged["modes"]
     if not isinstance(amplitudes, (list, tuple)) or any(
             _finite_float(x) is None for x in amplitudes):
@@ -409,23 +411,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if config.mode == "unnormalized":
             view = renormalize(vertices)
             view_metrics = compute_metrics(view)
-        scan = two_point_gap_scan(view, time, offset)
-        report = bounds.snapshot_report(time, view, view_metrics, offset)
         rows.append({
             "t": time,
             "length": metrics.total_length,
-            "kappa_min": report.kappa_min,
-            "kappa_max": report.kappa_max,
-            "min_Z": scan.min_gap,
+            "min_Z": two_point_gap_scan(view, time, offset).min_gap,
             "tbar": offset,
-            "thm12_residual": report.sup_bound_residual,
-            "l2_deficit": report.l2_deficit,
-            "dkappa_max": report.dkappa_max,
-            "d2kappa_max": report.d2kappa_max,
-            "gn_ratio": report.gn,
-            "bonnesen_gap": report.bonnesen,
-            "hausdorff": report.radial_deviation,
-            "center_norm": report.center_norm,
+            **bounds.snapshot_report(time, view, view_metrics, offset),
         })
         if config.mode == "both":
             stats_snaps.append(view.copy())

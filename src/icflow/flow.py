@@ -27,8 +27,8 @@ One step kernel serves both formulations.  Each accepted state's geometry
 computation compute_metrics returns) is computed once, after the step and
 any resampling.  The same geometry is the convexity test (kappa > 0 is the
 sign of each vertex's cross product, since the circumcircle denominators
-are positive) and the input of the next step; the full CurveMetrics is
-built only for snapshot observers.
+are positive), the input of the next step and, wrapped in a CurveMetrics,
+what snapshot observers receive.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ import numpy as np
 
 from .curves import (
     BLOCK_PAIRS,
+    CurveMetrics,
     _geometry,
-    compute_metrics,
+    _validated_edges,
     edge_lengths,
     resample_uniform,
     validate_vertices,
@@ -96,11 +97,12 @@ def renormalize(vertices: np.ndarray) -> np.ndarray:
     an off-center curve decay under the normalized flow — that drift is a
     measured feature, not an artifact.
     """
-    return _rescale(validate_vertices(vertices))
+    return _rescale(*_validated_edges(vertices))
 
 
-def _rescale(v: np.ndarray) -> np.ndarray:
-    total = float(np.sum(edge_lengths(v)))
+def _rescale(v: np.ndarray, edge_len: np.ndarray | None = None) -> np.ndarray:
+    """v scaled to length 2*pi; edge_len, when given, is edge_lengths(v)."""
+    total = float(np.sum(edge_lengths(v) if edge_len is None else edge_len))
     return (2.0 * np.pi / total) * v
 
 
@@ -108,9 +110,8 @@ def initial_state(vertices: np.ndarray, mode: str) -> FlowState:
     """Wrap an initial curve; normalized mode rescales it to length 2*pi."""
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
-    v = validate_vertices(vertices).copy()
-    if mode == "normalized":
-        v = renormalize(v)
+    v, edge_len = _validated_edges(vertices)
+    v = _rescale(v, edge_len) if mode == "normalized" else v.copy()
     return FlowState(vertices=v, time=0.0, mode=mode)
 
 
@@ -191,27 +192,28 @@ def evolve(
 
     Observers are called with (time, vertices, metrics) at the start state,
     at each multiple of snapshot_interval (when given), and at t_end; they
-    must not mutate their arguments.  Each state fires at most once: when
-    one step passes several snapshot times, the state after it stands for
-    all of them.  Step times are computed as start + k*dt rather than by
-    accumulation, and a shorter final step lands exactly on t_end.  Every
-    accepted state must be strictly convex before any observer sees it.
-    Flow failures propagate with the failing time attached.
+    must not mutate their arguments.  metrics is the step's geometry of the
+    state, equal to compute_metrics(vertices).  Each state fires at most
+    once: when one step passes several snapshot times, the state after it
+    stands for all of them.  Step times are start + k*dt, not accumulated,
+    and a shorter final step lands exactly on t_end.  Every accepted state
+    must be strictly convex before any observer sees it.  Flow failures
+    propagate with the failing time attached.
     """
     if snapshot_interval is not None and not snapshot_interval > 0.0:
         raise ParameterError("snapshot_interval must be positive")
     if t_end < state.time - _TIME_SLACK:
         raise ParameterError(f"t_end {t_end} precedes current time {state.time}")
 
-    def fire(time: float, vertices: np.ndarray) -> None:
-        m = compute_metrics(vertices)
+    def fire(time: float, vertices: np.ndarray, geometry) -> None:
+        m = CurveMetrics(*geometry)
         for obs in observers:
             obs(time, vertices, m)
 
     mode = state.mode
     v = validate_vertices(state.vertices)
-    fire(state.time, v)
     geometry = _geometry(v)
+    fire(state.time, v, geometry)
     last_fired = time = t0 = state.time
     next_snap = t0 + snapshot_interval if snapshot_interval else np.inf
     half_dt = 0.5 * control.dt
@@ -233,13 +235,13 @@ def evolve(
             raise ConvexityLossError(f"convexity lost at t = {time:.6g}", time=time)
 
         if time >= next_snap - half_dt:
-            fire(time, v)
+            fire(time, v, geometry)
             last_fired = time
             while next_snap - half_dt <= time:
                 next_snap += snapshot_interval
 
     if time > last_fired + _TIME_SLACK:
-        fire(time, v)
+        fire(time, v, geometry)
     return replace(state, vertices=v, time=time)
 
 

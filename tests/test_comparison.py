@@ -25,6 +25,7 @@ from icflow.comparison import (
     two_point_gap_scan,
 )
 from icflow.curves import (
+    _validated_edges,
     compute_metrics,
     make_circle,
     make_ellipse,
@@ -328,11 +329,12 @@ def test_admissible_offset_saturates_at_lower_bracket_on_circle():
 
 
 def test_admissible_offset_on_ellipse_matches_curvature_floor():
-    v = normalized_ellipse()
-    got = admissible_offset(v)
-    kappa_max = np.max(compute_metrics(v).curvature)
-    floor = 0.5 * np.log((kappa_max**2 - 1.0) / 2.0)
-    assert got == pytest.approx(floor, abs=1e-12)
+    for n in (257, 256):  # an odd and an even mesh
+        v = normalized_ellipse(n)
+        got = admissible_offset(v)
+        kappa_max = np.max(compute_metrics(v).curvature)
+        floor = 0.5 * np.log((kappa_max**2 - 1.0) / 2.0)
+        assert got == pytest.approx(floor, abs=1e-12)
     # frozen value for this mesh; the fine-mesh limit is ~0.723772
     assert got == pytest.approx(0.7228398699713836, abs=1e-12)
     # the returned offset actually certifies a nonnegative gap at time 0
@@ -443,6 +445,10 @@ def diagonal_gap_minima(v, time, offset):
     return lows
 
 
+def diagonals(v):
+    return comparison._diagonals(*_validated_edges(v))
+
+
 def tiny_edge_curve(at):
     # a 1e-160 edge from vertex `at`: its squared length is subnormal and
     # rounds up; away from vertex 0 the arc-length sum absorbs it entirely
@@ -464,7 +470,7 @@ BOUND_CURVES = {
 @pytest.mark.parametrize("name", sorted(BOUND_CURVES))
 def test_gap_bounds_lie_at_or_below_every_gap_of_their_diagonal(name):
     v = BOUND_CURVES[name]()
-    diag = comparison._diagonals(v)
+    diag = diagonals(v)
     for time, offset in SCAN_TIMES:
         bounds = comparison._gap_lower_bounds(diag, time - offset)
         lows = diagonal_gap_minima(v, time, offset)
@@ -482,7 +488,7 @@ def test_long_curve_has_arcs_past_pi():
 
 
 def test_tiny_edges_exercise_the_subnormal_and_zero_arc_guards():
-    first = comparison._diagonals(BOUND_CURVES["tiny_edge_first"]())
+    first = diagonals(BOUND_CURVES["tiny_edge_first"]())
     x, y, _ = first.base
     # the edge's squared length is subnormal and rounded up past its square
     c2 = (x[1] - x[0]) ** 2 + (y[1] - y[0]) ** 2
@@ -490,7 +496,7 @@ def test_tiny_edges_exercise_the_subnormal_and_zero_arc_guards():
     assert np.sqrt(c2) * (1.0 - 2.0 ** -48) > np.hypot(x[1] - x[0], y[1] - y[0])
     assert np.all(np.isfinite(comparison._gap_lower_bounds(first, 1.0)))
     # absorbed into the arc-length sum, the edge leaves an arc of 0: no pruning
-    inside = comparison._diagonals(BOUND_CURVES["tiny_edge_inside"]())
+    inside = diagonals(BOUND_CURVES["tiny_edge_inside"]())
     assert np.min(np.diff(inside.base[2])) == 0.0
     assert np.all(comparison._gap_lower_bounds(inside, 1.0) == -np.inf)
 
@@ -576,3 +582,19 @@ def test_overflowing_profile_reports_the_first_nan_pair_like_argmin():
     report = two_point_gap_scan(normalized_ellipse(), time=800.0, offset=0.0)
     assert np.isnan(report.min_gap)
     assert report.argmin_pair == (0, 1)
+
+
+def test_derivative_cross_check_reports_a_nan_gap(monkeypatch):
+    # np.argmax finds a NaN gap, and the comparison with the worst gap so far
+    # once dropped it
+    closed_form = comparison.profile_dxx
+
+    def nan_at_the_sixth_x(x, t):
+        out = np.array(closed_form(x, t))
+        out[5] = np.nan
+        return out
+
+    monkeypatch.setattr(comparison, "profile_dxx", nan_at_the_sixth_x)
+    worst, where = comparison.derivative_cross_check()
+    assert np.isnan(worst)
+    assert where == ("dxx", np.linspace(0.05, 2.0 * np.pi - 0.05, 61)[5], -2.0)

@@ -185,6 +185,12 @@ def test_dual_cell_weights_sum_to_total_length():
     v = make_perturbed_circle(1.0, 128, [0.05], [6], seed=2)
     total = compute_metrics(v).total_length
     assert np.sum(dual_cell_weights(v)) == pytest.approx(total, rel=1e-14)
+    # vertex i weighs half of edges i-1 and i, as first written with np.roll;
+    # the centroid averages with these weights, bit for bit
+    edge_len = np.hypot(*(np.roll(v, -1, axis=0) - v).T)
+    weights = 0.5 * (edge_len + np.roll(edge_len, 1))
+    assert np.array_equal(dual_cell_weights(v), weights)
+    assert np.array_equal(centroid(v), weights @ v / np.sum(weights))
 
 
 def test_normals_are_unit_and_outward(rng):

@@ -98,6 +98,7 @@ def test_config_check_subset_keeps_canonical_order():
         {"tolerances": {"bogus": 1.0}},
         {"out": ""},
         {"amplitudes": "big"},
+        {"seed": -1},  # reached numpy's default_rng and ended in a traceback
     ],
     ids=lambda d: next(iter(d)),
 )
@@ -433,6 +434,19 @@ def test_cli_verify_profile_fails_on_an_overflowed_grid(t, capsys):
     assert "all profile certificates hold" not in out
 
 
+@pytest.mark.parametrize("name,value,violation", [
+    ("numerator_grid_min", (np.nan, (0.5, 1.0)), "A-polynomial nan at (z, alpha) = (0.5, 1)"),
+    ("derivative_cross_check", (np.nan, ("dx", 0.5, 0.0)),
+     "derivative mismatch nan (dx at x = 0.5, t = 0)"),
+])
+def test_cli_verify_profile_fails_on_a_nan_verdict(name, value, violation, monkeypatch, capsys):
+    # NaN once passed these two verdicts' < and >, and the run exited 0
+    monkeypatch.setattr(cli, name, lambda *args: value)
+    assert cli.main(["verify-profile", "--x-step", "0.01", "--t-step", "0.5"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[7:] == ["violation: " + violation]
+
+
 @pytest.mark.parametrize("flag", ["--t-step", "--x-step"])
 @pytest.mark.parametrize("step", ["1e-300", "5e-324"])
 def test_cli_verify_profile_rejects_grids_too_large_to_allocate(flag, step, capsys):
@@ -497,6 +511,19 @@ def test_cli_rejects_vertex_counts_above_the_bound(command, n, tmp_path, capsys)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: n must be at most {MAX_VERTICES}, got {n}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "tbar"])
+def test_cli_rejects_a_negative_seed(command, tmp_path, capsys):
+    # numpy's "expected non-negative integer" once ended these in a traceback
+    argv = [command, "--shape", "perturbed_circle", "--seed", "-1", "--n", "64"]
+    if command == "run":
+        argv += ["--t-end", "0.01", "--out", str(tmp_path / "run.csv")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be non-negative, got -1\n"
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 

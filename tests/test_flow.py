@@ -364,6 +364,21 @@ def test_normalized_step_is_renormalized_raw_step_at_stretched_dt():
     assert np.max(np.abs(stepped - stretched)) < 1e-12
 
 
+@pytest.mark.parametrize("mode", ["normalized", "unnormalized"])
+def test_observers_get_the_geometry_of_the_state_they_see(mode):
+    # the step kernel's own geometry, with the floats compute_metrics gives
+    seen = []
+    s = initial_state(make_perturbed_circle(1.0, 128, [0.05], [3], seed=1), mode)
+    evolve(s, StepControl(dt=5e-4, resample_every=3), 0.01,
+           observers=[lambda t, v, m: seen.append((v, m))], snapshot_interval=2e-3)
+    assert len(seen) == 6
+    for v, m in seen:
+        expected = compute_metrics(v)
+        for field in ("edge_lengths", "curvature", "outward_normal"):
+            assert np.array_equal(getattr(m, field), getattr(expected, field))
+        assert m.total_length == expected.total_length
+
+
 def test_evolve_fires_each_state_at_most_once():
     # a snapshot interval shorter than dt used to re-fire one state for every
     # snapshot time a step passed
@@ -387,8 +402,10 @@ def test_evolve_rejects_degenerate_vertices(defect):
     else:
         v[10] = v[11]
     s = FlowState(vertices=v, time=0.0, mode="normalized")
+    fired = []
     with pytest.raises(DegenerateCurveError):
-        evolve(s, StepControl(dt=1e-3), 0.01)
+        evolve(s, StepControl(dt=1e-3), 0.01, observers=[lambda *args: fired.append(args)])
+    assert not fired
     with pytest.raises(DegenerateCurveError):
         _geometry(v)
 
