@@ -22,8 +22,9 @@ from .comparison import (
     profile_residual,
     residual_certificate_scan,
 )
-from .curves import resample_uniform
+from .curves import convexity_check, resample_uniform
 from .errors import (
+    ConvexityLossError,
     DegenerateCurveError,
     FlowError,
     NoAdmissibleOffsetError,
@@ -222,8 +223,9 @@ def _handle_verify_profile(args: argparse.Namespace) -> int:
 def _handle_tbar(args: argparse.Namespace) -> int:
     config = load_config(None, _collect_overrides(args))
     curve = resample_uniform(build_initial_curve(config), config.n)
-    offset = admissible_offset(renormalize(curve))
-    print("%.17g" % offset)
+    if not convexity_check(curve):
+        raise ConvexityLossError("initial curve is not strictly convex", time=0.0)
+    print("%.17g" % admissible_offset(renormalize(curve)))
     return 0
 
 

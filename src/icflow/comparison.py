@@ -20,15 +20,16 @@ two-point gap
 
 over all vertex pairs of a snapshot.
 
-Both pair computations walk the n(n-1)/2 pairs as cyclic diagonals in
-cache-sized blocks, so memory stays at a few blocks rather than O(n^2)
-arrays, and share one float recipe per pair: each pair's value is the
-float a plain np.triu_indices scan gives.  The admissible offset's
-bisection tests every pair.  The gap scan first bounds each diagonal's
-gaps from below with cheap operations only (squared chords and arcs, no
-hypot, sin or arctan per pair), then evaluates diagonals exactly, lowest
-bound first, until the next bound exceeds the smallest gap found; its
-result is that of the exhaustive scan, ties and NaNs included.
+The gap scan walks the n(n-1)/2 pairs as cyclic diagonals in cache-sized
+blocks, so memory stays at a few blocks rather than O(n^2) arrays, and
+each pair's value is the float a plain np.triu_indices scan gives.  It
+first bounds each diagonal's gaps from below with cheap operations only
+(squared chords and arcs, no hypot, sin or arctan per pair), then
+evaluates diagonals exactly, lowest bound first, until the next bound
+exceeds the smallest gap found; its result is that of the exhaustive
+scan, ties and NaNs included.  The admissible offset's bisection tests
+each offset with the same minimum, the time-independent part of the
+bounds computed once.
 """
 
 from __future__ import annotations
@@ -436,8 +437,8 @@ class _Diagonals:
 
     Pairs are walked as diagonals (i, i + k mod n), k = 1..n//2, each a row
     of n pairs.  On the k = n/2 row of an even n each pair appears twice, as
-    (i, j) and (j, i), with the same float both times, so minima, maxima and
-    all() over the rows are those over the n(n-1)/2 pairs.  base holds the
+    (i, j) and (j, i), with the same float both times, so minima and maxima
+    over the rows are those over the n(n-1)/2 pairs.  base holds the
     coordinate and arc-length arrays (x, y, s); row k of each rolled window
     view is the same array rotated by k, so a run of diagonals is a slice
     and needs no index arrays.  A block is at most rows diagonals, about
@@ -453,17 +454,6 @@ class _Diagonals:
     def buffers(self, count: int) -> list:
         """count new block-sized arrays, for a walk to reuse (_views)."""
         return [np.empty(self.rows * self.n) for _ in range(count)]
-
-    def blocks(self, count: int):
-        """Per block of diagonals: the slice of their indices k - 1, their
-        rolled (x, y, s) rows, and count reused buffers of the rows' shape,
-        valid until the next block."""
-        buffers = self.buffers(count)
-        last = self.n // 2
-        for k0 in range(1, last + 1, self.rows):
-            k1 = min(k0 + self.rows, last + 1)
-            yield (slice(k0 - 1, k1 - 1), [a[k0:k1] for a in self.rolled],
-                   _views(buffers, k1 - k0, self.n))
 
 
 def _diagonals(v: np.ndarray, edge_len: np.ndarray) -> _Diagonals:
@@ -483,29 +473,6 @@ def _arc(sj, si, total, out, back):
     np.minimum(out, back, out=out)
 
 
-def _chord_and_z(rolled, base, total, chord, z, back):
-    """Write the chords and z = sin(arc/2) of a set of pairs into chord and
-    z, and return (chord, z).
-
-    rolled holds the (x, y, s) values at j and base those at i, broadcasting
-    against each other; back is a work array of chord's shape.  This is the
-    one float recipe of every pair value, equal to the triu scan's bit for
-    bit: chord is hypot(v[j] - v[i]), and hypot ignores the sign flip of a
-    wrapped pair; the forward arc |s[j] - s[i]| is the triu difference, and
-    min(forward, total - forward) the shorter arc; z = sin(arc/2) with arc
-    capped at 2 pi, as profile_value computes it.
-    """
-    (xj, yj, sj), (xi, yi, si) = rolled, base
-    np.subtract(xj, xi, out=chord)
-    np.subtract(yj, yi, out=z)
-    np.hypot(chord, z, out=chord)
-    _arc(sj, si, total, z, back)
-    np.minimum(z, 2.0 * np.pi, out=z)
-    z *= 0.5
-    np.sin(z, out=z)
-    return chord, z
-
-
 # Relative slacks of the gap bound: 2**-48 covers a few roundings of hypot,
 # sqrt and sin, 2**-40 those of the profile's exp, arctan and products.
 # Squared chords below 2**-1000 may have rounded up from subnormals.
@@ -514,43 +481,39 @@ _PROFILE_SLACK = 2.0 ** -40
 _TINY_SQUARE = 2.0 ** -1000
 
 
-def _gap_lower_bounds(diag: _Diagonals, t: float) -> np.ndarray:
-    """Per diagonal k = 1..n//2, a float at or below every gap on it.
+def _diagonal_extremes(diag: _Diagonals) -> tuple:
+    """Per diagonal k = 1..n//2, a float at or below every chord on it and
+    one at or above every z = sin(arc/2) on it; neither depends on time.
 
     One pass over the blocks records, per diagonal, the smallest squared
-    chord dx^2 + dy^2 and the largest shorter arc, computed as the pair
-    recipe computes it; it calls no hypot, sin or arctan per pair.  From
-    them: a chord floor sqrt(min c2) shrunk by _CHORD_SLACK (0 where the
-    squares may be subnormal); a z ceiling (_z_ceiling); and the profile at
-    that z grown by _PROFILE_SLACK.  Every step of the pair recipe and of
-    the profile is monotone up to these slacks, so chord floor minus
-    profile ceiling rounds to a float at or below each gap.
-
-    Every bound is -inf, and the pass is skipped, where no bound could
-    prune or a gap could be NaN: when 2 e^t overflows, as every profile is
-    then inf or NaN (0 * inf where e^{-t} z underflows); and when some half
-    arc rounds to 0 or below, as z = 0 there, and e^{-t} z is NaN when
-    e^{-t} overflows.  The smallest arc of all pairs is the smallest step
-    of s or total - s[-1].  Otherwise every profile and every bound is
-    finite, and no gap is NaN.
+    chord dx^2 + dy^2 and the largest shorter arc (as _diagonal_gaps
+    computes it), with no hypot or sin per pair.  The chord floor is
+    sqrt(min c2) shrunk by _CHORD_SLACK (0 where the squares may be
+    subnormal), the z ceiling _z_ceiling of the largest arc.  Where some
+    half arc (the smallest is a step of s or total - s[-1]) rounds to 0,
+    z = 0 there and e^{-t} z is NaN when e^{-t} overflows, so no bound may
+    prune: the pass is skipped, every floor is -inf and every ceiling 1.
     """
     x, y, s = diag.base
     m = diag.n // 2
-    if (not np.isfinite(_profile_of_z(1.0, t))
-            or 0.5 * min(np.min(np.diff(s)), diag.total - s[-1]) <= 0.0):
-        return np.full(m, -np.inf)
+    if 0.5 * min(np.min(np.diff(s)), diag.total - s[-1]) <= 0.0:
+        return np.full(m, -np.inf), np.ones(m)
     c2, hi = np.empty(m), np.empty(m)
-    for rows, (xk, yk, sk), (a, b) in diag.blocks(2):
-        np.subtract(xk, x, out=a)
+    xr, yr, sr = diag.rolled
+    buffers = diag.buffers(2)
+    for k0 in range(1, m + 1, diag.rows):
+        k1 = min(k0 + diag.rows, m + 1)
+        a, b = _views(buffers, k1 - k0, diag.n)
+        np.subtract(xr[k0:k1], x, out=a)
         a *= a
-        np.subtract(yk, y, out=b)
+        np.subtract(yr[k0:k1], y, out=b)
         b *= b
         a += b
-        np.min(a, axis=1, out=c2[rows])
-        _arc(sk, s, diag.total, a, b)
-        np.max(a, axis=1, out=hi[rows])
+        np.min(a, axis=1, out=c2[k0 - 1:k1 - 1])
+        _arc(sr[k0:k1], s, diag.total, a, b)
+        np.max(a, axis=1, out=hi[k0 - 1:k1 - 1])
     chord_lo = np.where(c2 < _TINY_SQUARE, 0.0, np.sqrt(c2) * (1.0 - _CHORD_SLACK))
-    return chord_lo - _profile_of_z(_z_ceiling(hi), t) * (1.0 + _PROFILE_SLACK)
+    return chord_lo, _z_ceiling(hi)
 
 
 def _z_ceiling(arc):
@@ -563,20 +526,44 @@ def _z_ceiling(arc):
     return np.minimum(1.0, np.sin(half) * (1.0 + _CHORD_SLACK))
 
 
+def _gap_lower_bounds(extremes: tuple, t: float) -> np.ndarray:
+    """Per diagonal, a float at or below every gap on it at time t: the
+    chord floor minus the profile at the z ceiling (_diagonal_extremes)
+    grown by _PROFILE_SLACK.
+
+    Every step of the pair recipe and of the profile is monotone up to the
+    slacks.  Every bound is -inf when 2 e^t overflows, as every profile is
+    then inf or NaN (0 * inf where e^{-t} z underflows); otherwise no bound
+    is NaN, and no gap is NaN where its floor is finite.
+    """
+    chord_lo, z_hi = extremes
+    if not np.isfinite(_profile_of_z(1.0, t)):
+        return np.full(chord_lo.size, -np.inf)
+    return chord_lo - _profile_of_z(z_hi, t) * (1.0 + _PROFILE_SLACK)
+
+
 def _diagonal_gaps(diag: _Diagonals, ks: np.ndarray, t: float, buffers) -> np.ndarray:
     """Gaps of the ascending diagonals ks, one row of n pairs (i, i + k)
-    each, in the three block buffers.
+    each, in the three block buffers; each run of consecutive diagonals is
+    computed on window views.
 
-    Each run of consecutive diagonals is computed on window views, so no
-    rows are gathered.  A k = n/2 row holds each of its pairs twice, as
-    (i, j) and (j, i), with the same float both times.
+    Every value is the triu scan's float: chord is hypot(v[j] - v[i]),
+    which ignores the sign flip of a wrapped pair; the forward arc
+    |s[j] - s[i]| is the triu difference; z = sin(arc/2) as profile_value
+    computes it.  The triu scan's cap of arcs at 2 pi never acts: a shorter
+    arc is at most half the length, which is 2 pi to 1e-6.
     """
     chord, z, back = _views(buffers, ks.size, diag.n)
+    (xr, yr, sr), (x, y, s) = diag.rolled, diag.base
     cuts = [0, *(np.flatnonzero(np.diff(ks) != 1) + 1), ks.size]
     for r0, r1 in zip(cuts[:-1], cuts[1:]):
         rows = slice(ks[r0], ks[r0] + r1 - r0)
-        _chord_and_z([a[rows] for a in diag.rolled], diag.base, diag.total,
-                     chord[r0:r1], z[r0:r1], back[r0:r1])
+        np.subtract(xr[rows], x, out=chord[r0:r1])
+        np.subtract(yr[rows], y, out=z[r0:r1])
+        np.hypot(chord[r0:r1], z[r0:r1], out=chord[r0:r1])
+        _arc(sr[rows], s, diag.total, z[r0:r1], back[r0:r1])
+    z *= 0.5
+    np.sin(z, out=z)
     gaps = _profile_of_z(z, t, out=back)
     return np.subtract(chord, gaps, out=gaps)
 
@@ -597,36 +584,21 @@ class TwoPointReport:
     argmin_pair: tuple[int, int]
 
 
-def two_point_gap_scan(vertices: np.ndarray, time: float, offset: float) -> TwoPointReport:
-    """Exact minimum of chord - profile(arc, time - offset) over all pairs.
+def _min_gap(diag: _Diagonals, extremes: tuple, t: float, buffers) -> tuple:
+    """The smallest gap over all pairs at time t, and i * n + j of its pair,
+    using three block buffers.
 
-    A cheap pass bounds the gaps of each cyclic diagonal from below
-    (_gap_lower_bounds); the diagonals are then evaluated exactly in
-    ascending order of their bounds, in chunks of 1, 2, 4, ... diagonals up
-    to a block, until the next bound is strictly above the smallest gap
-    found, so no skipped pair can hold a smaller or an equal gap.  Each gap
-    is the same float as in a scan over np.triu_indices order, and among
-    exact minima the pair (i, j), i < j, that comes first in that order is
-    reported (the first NaN if any gap is NaN; a NaN minimum never stops
-    the scan), so the result is that of an exhaustive scan.  Typically a
-    few diagonals are evaluated.  The worst case is a scan nothing can
-    prune: the bound pass is skipped where that is known up front (as for
-    time - offset > 709.08, where every gap is -inf or NaN), and costs
-    about a fifth of an exhaustive scan where the bounds turn out too weak
-    (meshes far from uniform in arc length).  On small meshes the bound pass
-    and the chunk loop are a fixed cost that pruning cannot repay: at
-    n = 16 a scan costs 1.3-1.7x the exhaustive one.
+    Diagonals are evaluated exactly in ascending order of their bounds, in
+    chunks of 1, 2, 4, ... diagonals up to a block, until the next bound is
+    strictly above the smallest gap found, so no skipped pair can hold a
+    smaller or an equal gap; a NaN minimum never stops the scan.
     """
-    diag = _diagonals(*_validated_edges(vertices))
     n = diag.n
-    _require_normalized_length(diag.total)
-    t = time - offset
-    bound = _gap_lower_bounds(diag, t)
+    bound = _gap_lower_bounds(extremes, t)
     order = np.argsort(bound, kind="stable")
     best = np.inf
     best_key = n * n  # i * n + j of the reported pair; triu order is key order
     pos, size = 0, 1
-    buffers = diag.buffers(3)
     while pos < order.size and not bound[order[pos]] > best:
         ks = np.sort(order[pos:pos + size]) + 1
         pos, size = pos + size, min(2 * size, diag.rows)
@@ -647,11 +619,33 @@ def two_point_gap_scan(vertices: np.ndarray, time: float, offset: float) -> TwoP
             best_key = min(best_key, key)
         else:
             best, best_key = low, key
+    return float(best), best_key
+
+
+def two_point_gap_scan(vertices: np.ndarray, time: float, offset: float) -> TwoPointReport:
+    """Exact minimum of chord - profile(arc, time - offset) over all pairs.
+
+    A cheap pass bounds the gaps of each cyclic diagonal from below, and
+    diagonals are evaluated exactly, lowest bound first, until no skipped
+    pair can hold a smaller or an equal gap (_min_gap).  Each gap is the
+    same float as in a scan over np.triu_indices order, and among exact
+    minima the pair (i, j), i < j, that comes first in that order is
+    reported (the first NaN if any gap is NaN), so the result is that of an
+    exhaustive scan.  Typically a few diagonals are evaluated.  Where
+    nothing can be pruned the bound pass is extra work: for time - offset
+    > 709.08, where every gap is -inf or NaN, and where the bounds are weak
+    (meshes far from uniform in arc length).  On small meshes the bound
+    pass and the chunk loop are a fixed cost: at n = 16 a scan costs
+    1.3-1.7x the exhaustive one.
+    """
+    diag = _diagonals(*_validated_edges(vertices))
+    _require_normalized_length(diag.total)
+    best, key = _min_gap(diag, _diagonal_extremes(diag), time - offset, diag.buffers(3))
     return TwoPointReport(
         time=float(time),
         offset=float(offset),
-        min_gap=float(best),
-        argmin_pair=divmod(best_key, n),
+        min_gap=best,
+        argmin_pair=divmod(key, diag.n),
     )
 
 
@@ -684,10 +678,13 @@ def admissible_offset(
     (circles) have an inactive floor and return lo, every offset being
     pair-feasible for them.
 
-    Chords and sin(arc/2) are computed once, outside the bisection.  Each
-    feasibility test walks the pair blocks and stops at the first violating
-    one; the next test starts at that block.  The answer of every test, and
-    with it the bisection path, is the same as over all pairs at once.
+    Each feasibility test is the gap scan's exact minimum at time 0
+    (_min_gap), with the per-diagonal chord floors and z ceilings computed
+    once.  chord >= profile holds exactly when chord - profile >= 0, and a
+    NaN gap fails both, so every test, and with it the bisection path, is
+    that of a test over all pairs, in a few block arrays of memory.  Small
+    meshes pay the tests' fixed cost (some ms a call at n <= 64), and where
+    some arc rounds to 0 nothing is pruned and every test is a full scan.
     """
     v, edge_len = _validated_edges(vertices)
     if not convexity_check(v):
@@ -699,19 +696,11 @@ def admissible_offset(
 
     diag = _diagonals(v, edge_len)
     _require_normalized_length(diag.total)
-    pairs = [tuple(a.copy() for a in _chord_and_z(rolled, diag.base, diag.total, *work))
-             for _, rolled, work in diag.blocks(3)]
-    start = 0
+    extremes = _diagonal_extremes(diag)
+    buffers = diag.buffers(3)
 
     def feasible(offset: float) -> bool:
-        # one violating block decides; begin with the block that decided last
-        nonlocal start
-        for b in range(start, start + len(pairs)):
-            chord, z = pairs[b % len(pairs)]
-            if not np.all(chord >= _profile_of_z(z, -offset)):
-                start = b % len(pairs)
-                return False
-        return True
+        return _min_gap(diag, extremes, -offset, buffers)[0] >= 0.0
 
     if not feasible(hi):
         raise NoAdmissibleOffsetError(

@@ -6,6 +6,7 @@ formulas), then rounded to double precision.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from icflow.curves import (
     make_circle,
     make_ellipse,
     make_perturbed_circle,
+    resample_uniform,
 )
 from icflow.errors import NoAdmissibleOffsetError, ParameterError
 from icflow.flow import StepControl, evolve, initial_state, renormalize
@@ -305,6 +307,12 @@ def normalized_ellipse(n=256):
     return renormalize(make_ellipse(2.0, 1.0, n))
 
 
+def workload_perturbed_circle(n, seed=7):
+    # the perturbed circle of the benchmark workloads, as `icflow tbar` builds it
+    curve = make_perturbed_circle(1.0, n, [0.03, 0.01], [3, 5], seed=seed)
+    return renormalize(resample_uniform(curve, n))
+
+
 def test_two_point_gap_is_nonnegative_on_the_circle():
     report = two_point_gap_scan(normalized_circle(), time=3.0, offset=-50.0)
     assert report.min_gap > -1e-9
@@ -405,6 +413,8 @@ ORACLE_CURVES = {
     "perturbed300": lambda: renormalize(
         make_perturbed_circle(1.0, 300, [0.05, 0.02], [3, 5], seed=3)),
     "ellipse16": lambda: normalized_ellipse(16),
+    # the bisection's feasible tests evaluate the most diagonals exactly here
+    "perturbed512": lambda: workload_perturbed_circle(512),
     **{f"{shape}_snapshot{i}": lambda shape=shape, i=i: flow_snapshots(shape)[i]
        for shape in ("perturbed", "ellipse") for i in range(3)},
 }
@@ -470,9 +480,9 @@ BOUND_CURVES = {
 @pytest.mark.parametrize("name", sorted(BOUND_CURVES))
 def test_gap_bounds_lie_at_or_below_every_gap_of_their_diagonal(name):
     v = BOUND_CURVES[name]()
-    diag = diagonals(v)
+    extremes = comparison._diagonal_extremes(diagonals(v))
     for time, offset in SCAN_TIMES:
-        bounds = comparison._gap_lower_bounds(diag, time - offset)
+        bounds = comparison._gap_lower_bounds(extremes, time - offset)
         lows = diagonal_gap_minima(v, time, offset)
         # a diagonal holding a NaN gap must never be skipped
         nan_low = np.isnan(lows)
@@ -494,11 +504,13 @@ def test_tiny_edges_exercise_the_subnormal_and_zero_arc_guards():
     c2 = (x[1] - x[0]) ** 2 + (y[1] - y[0]) ** 2
     assert 0.0 < c2 < 2.0 ** -1022
     assert np.sqrt(c2) * (1.0 - 2.0 ** -48) > np.hypot(x[1] - x[0], y[1] - y[0])
-    assert np.all(np.isfinite(comparison._gap_lower_bounds(first, 1.0)))
+    bounds = comparison._gap_lower_bounds(comparison._diagonal_extremes(first), 1.0)
+    assert np.all(np.isfinite(bounds))
     # absorbed into the arc-length sum, the edge leaves an arc of 0: no pruning
     inside = diagonals(BOUND_CURVES["tiny_edge_inside"]())
     assert np.min(np.diff(inside.base[2])) == 0.0
-    assert np.all(comparison._gap_lower_bounds(inside, 1.0) == -np.inf)
+    bounds = comparison._gap_lower_bounds(comparison._diagonal_extremes(inside), 1.0)
+    assert np.all(bounds == -np.inf)
 
 
 def test_z_ceiling_covers_every_shorter_arc():
@@ -564,6 +576,18 @@ def test_circle_ties_resolve_to_the_first_pair_in_triu_order():
     gaps = chord - profile_value(arc, -50.0)
     assert np.count_nonzero(gaps == gaps.min()) == 2
     assert two_point_gap_scan(v, 0.0, 50.0).argmin_pair == triu_scan(v, 0.0, 50.0)[1]
+
+
+def test_admissible_offset_allocates_no_pair_arrays():
+    # a cache of every pair's chord and sin(arc/2) peaked at 33 MiB here
+    v = workload_perturbed_circle(2048)
+    tracemalloc.start()
+    try:
+        admissible_offset(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_admissible_offset_rejects_unnormalized_and_nonconvex_curves():

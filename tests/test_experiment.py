@@ -618,6 +618,16 @@ def test_cli_tbar_subcommand(capsys):
     assert float(printed) == pytest.approx(0.72305658333757061, rel=1e-10)
 
 
+def test_cli_tbar_on_a_nonconvex_curve_is_a_flow_error(tmp_path, capsys):
+    # the same exit code and message as run on the same flags
+    flags = ["--shape", "perturbed_circle", "--amplitudes", "0.5", "--modes", "5"]
+    assert cli.main(["tbar", *flags]) == 3
+    err = capsys.readouterr().err
+    assert err == "flow error: initial curve is not strictly convex\n"
+    assert cli.main(["run", *flags, "--out", str(tmp_path / "run.csv")]) == 3
+    assert "initial curve is not strictly convex" in capsys.readouterr().err
+
+
 def test_cli_rejects_unknown_subcommand(capsys):
     assert cli.main(["polish"]) != 0
     capsys.readouterr()
