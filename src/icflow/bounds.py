@@ -9,7 +9,7 @@ gap, and plain convergence-to-unit-circle metrics.
 
 snapshot_report evaluates them all in one pass over a snapshot: it takes
 edge lengths, dual-cell weights and curvature from the snapshot's
-CurveMetrics, and each value is the float its public monitor returns.
+CurveMetrics, and each value is the float its monitor returns.
 
 Noise floors matter throughout: a polygon inscribed in a circle measures a
 strictly positive deficit and Bonnesen gap of order (pi/n)^2 purely from
@@ -25,14 +25,7 @@ from math import pi
 
 import numpy as np
 
-from .curves import (
-    CurveMetrics,
-    _centroid,
-    _dual_weights,
-    _validated_edges,
-    convexity_check,
-    validate_vertices,
-)
+from .curves import CurveMetrics, _centroid, _dual_weights, validate_vertices
 from .errors import ParameterError
 
 # Finite-difference magnitudes below this are indistinguishable from
@@ -105,12 +98,6 @@ def decay_slope(times, values, t_min: float, t_max: float, floor: float) -> floa
     return float(np.polyfit(t[mask], np.log(v[mask]), 1)[0])
 
 
-def uniform_mesh_spread(metrics: CurveMetrics) -> float:
-    """Relative spread of edge lengths around their mean."""
-    h = float(np.mean(metrics.edge_lengths))
-    return float(np.max(np.abs(metrics.edge_lengths - h))) / h
-
-
 def curvature_derivative_profiles(metrics: CurveMetrics) -> tuple[float, float]:
     """Sup norms of the first two arc-length derivatives of curvature.
 
@@ -118,12 +105,12 @@ def curvature_derivative_profiles(metrics: CurveMetrics) -> tuple[float, float]:
     applies the same stencil twice.  Non-uniform meshes are rejected — the
     stencil would silently degrade to first order there.
     """
-    spread = uniform_mesh_spread(metrics)
+    h = float(np.mean(metrics.edge_lengths))
+    spread = float(np.max(np.abs(metrics.edge_lengths - h))) / h
     if spread > _UNIFORM_SPREAD:
         raise ParameterError(
             f"mesh is not uniform (relative spread {spread:.3g}); "
             "resample before estimating derivatives")
-    h = float(np.mean(metrics.edge_lengths))
     kappa = metrics.curvature
     dk = (np.roll(kappa, -1) - np.roll(kappa, 1)) / (2.0 * h)
     d2k = (np.roll(dk, -1) - np.roll(dk, 1)) / (2.0 * h)
@@ -195,19 +182,10 @@ def derivative_ladder_check(
     )
 
 
-def gn_ratio(metrics: CurveMetrics) -> float:
-    """Interpolation ratio ||Dkappa||_inf / (||D2kappa||_inf^(3/5) ||kappa-1||_2^(2/5)).
-
-    The bounding constant is unknown, so the ratio is only monitored for
-    boundedness along a run.  Near-circular snapshots make the ratio 0/0 at
-    roundoff scale; there it is NaN instead of noise.
-    """
-    return _ratio(*curvature_derivative_profiles(metrics), curvature_l2_deficit(metrics),
-                  metrics.curvature.size)
-
-
 def _ratio(dk: float, d2k: float, deficit: float, n: int) -> float:
-    """gn_ratio from the derivative sup norms and the L2 deficit at mesh size n."""
+    """Interpolation ratio ||Dkappa||_inf / (||D2kappa||_inf^(3/5) ||kappa-1||_2^(2/5))
+    at mesh size n, monitored for boundedness (its constant is unknown); NaN
+    where near-circular snapshots make it 0/0 at roundoff scale."""
     l2 = float(np.sqrt(deficit))
     if (deficit <= 3.0 * l2_deficit_floor(n)
             or dk <= DERIVATIVE_FLOOR or d2k <= DERIVATIVE_FLOOR or l2 <= DERIVATIVE_FLOOR):
@@ -215,31 +193,14 @@ def _ratio(dk: float, d2k: float, deficit: float, n: int) -> float:
     return dk / (d2k**0.6 * l2**0.4)
 
 
-def bonnesen_gap(vertices: np.ndarray) -> float:
-    """Curvature gap 1/r_in - 1/r_out of the centroid-based in/circumcircle.
-
-    r_out is the largest vertex distance from the centroid, r_in the
-    smallest distance from the centroid to an edge line.  Zero only for a
-    perfect circle; for an inscribed n-gon the polygonization floor is
-    bonnesen_floor(n)/2 per unit radius.
-    """
-    v, edge_len = _validated_edges(vertices)
-    if not convexity_check(v):
-        raise ParameterError("Bonnesen gap requires a convex curve")
-    gap = _about_centroid(v, edge_len)[0]
-    if np.isnan(gap):
-        raise ParameterError("centroid lies outside an edge line; curve degenerate")
-    return gap
-
-
-def convergence_metrics(vertices: np.ndarray) -> tuple[float, float]:
-    """(radial deviation from the unit circle about the centroid, |centroid|)."""
-    return _about_centroid(*_validated_edges(vertices))[1:]
-
-
 def _about_centroid(v: np.ndarray, edge_len: np.ndarray) -> tuple[float, float, float]:
-    """(bonnesen_gap, *convergence_metrics) of validated vertices with their
-    edge lengths; the gap is NaN if the centroid is outside an edge line."""
+    """(Bonnesen gap 1/r_in - 1/r_out, max radial deviation from the unit
+    circle, |centroid|) of validated vertices with their edge lengths.
+
+    r_out is the largest vertex distance from the centroid, r_in the smallest
+    distance from it to an edge line; the gap is NaN if r_in <= 0.  An
+    inscribed n-gon's gap is bonnesen_floor(n)/2 per unit radius.
+    """
     c0 = _centroid(v, edge_len)
     rel = v - c0
     radii = np.hypot(rel[:, 0], rel[:, 1])
@@ -256,8 +217,9 @@ def snapshot_report(
     """Every per-snapshot monitor, keyed by its CSV column.
 
     metrics must be those of vertices, a convex flow state.  thm12_residual
-    is curvature_sup_residual, hausdorff and center_norm are
-    convergence_metrics; gn_ratio and bonnesen_gap may be NaN.
+    is curvature_sup_residual, l2_deficit curvature_l2_deficit, dkappa_max
+    and d2kappa_max curvature_derivative_profiles; gn_ratio (_ratio) and
+    bonnesen_gap (_about_centroid) may be NaN.
     """
     dk, d2k = curvature_derivative_profiles(metrics)
     deficit = curvature_l2_deficit(metrics)

@@ -43,6 +43,9 @@ from .flow import renormalize
 CERTIFICATE_TOL = 1e-8  # permitted dip of any certified minimum below zero
 LIMIT_TOL = 1e-5  # |residual| cap at the left edge of its domain
 DERIVATIVE_TOL = 1e-5  # closed-form vs finite-difference agreement for f
+# Cap on the slope's |fd - closed| / max(1, |closed|): central-difference
+# truncation peaks at 0.195 (h e^{-t})^2 (h = 1e-5), 9.4e-3 at t = -10.
+SLOPE_FD_TOL = 1e-2
 MAX_GRID_POINTS = 10**7  # per verify-profile grid axis
 
 
@@ -189,8 +192,8 @@ def _handle_verify_profile(args: argparse.Namespace) -> int:
     mismatch, mismatch_at = derivative_cross_check()
 
     at = " at (x, t) = (%.17g, %.17g)"
-    # printed label, violation label (None: printed only), value, where it
-    # sits, and the interval the value must lie in; NaN lies in none
+    # printed label, violation label, value, where it sits, and the interval
+    # the value must lie in; NaN lies in none
     table = (
         ("residual min", "residual", certificate.min_residual,
          at % certificate.min_residual_at, -CERTIFICATE_TOL, math.inf),
@@ -198,7 +201,8 @@ def _handle_verify_profile(args: argparse.Namespace) -> int:
          at % certificate.min_slope_fd_at, -CERTIFICATE_TOL, math.inf),
         ("residual slope min", "closed-form slope", certificate.min_slope_closed,
          at % certificate.min_slope_closed_at, -CERTIFICATE_TOL, math.inf),
-        ("slope fd mismatch", None, certificate.max_slope_mismatch, "", None, None),
+        ("slope fd mismatch", "slope fd mismatch", certificate.max_slope_mismatch, "",
+         -math.inf, SLOPE_FD_TOL),
         ("A-polynomial min", "A-polynomial", numerator_min,
          " at (z, alpha) = (%.17g, %.17g)" % numerator_at, -CERTIFICATE_TOL, math.inf),
         ("limit residual max", "limit residual", limit_worst,
@@ -209,7 +213,7 @@ def _handle_verify_profile(args: argparse.Namespace) -> int:
     violations = []
     for label, name, value, where, lowest, highest in table:
         print("%-23s = %.17g%s" % (label, value, where))
-        if name is not None and not lowest <= value <= highest:
+        if not lowest <= value <= highest:
             violations.append("%s %.6g%s" % (name, value, where))
 
     if violations:

@@ -297,7 +297,8 @@ class ProfileCertificate:
     full grid; min_slope_fd is the minimum of central finite differences of
     the residual (computed where the x +/- h stencil stays inside (0, pi]);
     max_slope_mismatch is the worst disagreement between the finite
-    difference and the closed-form slope, a cross-validation of both.
+    difference and the closed-form slope, |fd - closed| / max(1, |closed|),
+    a cross-validation of both.
     """
 
     min_residual: float
@@ -376,8 +377,9 @@ def residual_certificate_scan(
             np.divide(fd, 2.0 * h, out=fd)
             best_fd = _fold_argmin(best_fd, fd, row0)
             np.compress(stencil, closed, axis=1, out=minus)
-            np.subtract(fd, minus, out=minus)
-            mism = float(np.max(np.abs(minus, out=minus)))
+            np.subtract(fd, minus, out=fd)
+            np.maximum(np.abs(minus, out=minus), 1.0, out=minus)
+            mism = float(np.max(np.divide(np.abs(fd, out=fd), minus, out=fd)))
             if mism > max_mismatch or np.isnan(mism):
                 max_mismatch = mism
 

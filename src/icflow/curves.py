@@ -241,16 +241,9 @@ def compute_metrics(vertices: np.ndarray) -> CurveMetrics:
     return CurveMetrics(*_geometry(validate_vertices(vertices)))
 
 
-def dual_cell_weights(vertices: np.ndarray) -> np.ndarray:
-    """Arc-length weight of each vertex: half the two adjacent edge lengths.
-
-    These sum to the total length and turn per-vertex samples into
-    trapezoidal integrals over the curve.
-    """
-    return _dual_weights(_validated_edges(vertices)[1])
-
-
 def _dual_weights(edge_len: np.ndarray) -> np.ndarray:
+    """Arc-length weight of each vertex, half its two edges: they sum to the
+    total length and make per-vertex samples trapezoidal integrals."""
     return 0.5 * (edge_len + np.roll(edge_len, 1))
 
 
@@ -285,12 +278,7 @@ def convexity_check(vertices: np.ndarray) -> bool:
     return bool(np.all(cross > 0.0))
 
 
-def centroid(vertices: np.ndarray) -> np.ndarray:
-    """Arc-length-weighted vertex average (the curve's center of mass)."""
-    return _centroid(*_validated_edges(vertices))
-
-
 def _centroid(v: np.ndarray, edge_len: np.ndarray) -> np.ndarray:
-    """centroid of validated vertices, given their edge lengths."""
+    """Arc-length-weighted vertex average (center of mass), given edge lengths."""
     w = _dual_weights(edge_len)
     return w @ v / np.sum(w)

@@ -369,16 +369,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     of the snapshot being observed (None outside an observer).
     Configuration problems raise ParameterError before anything runs.
 
-    In both mode each normalized snapshot is paired with the unnormalized
-    snapshot of the same time rescaled to length 2*pi, and cross_check
-    grades the largest Hausdorff distance of the pairs.  That is not
-    independent evidence of accuracy.  The normalized Euler step at dt is
-    algebraically the renormalized unnormalized step at dt/(1-dt), so the
-    two discrete runs differ only by that O(dt) reparametrization of the
-    clock, compounded over the run, plus the occasional step where the two
-    step sizes select different smoothing orders near a threshold of the
-    stability budget.  The distance therefore shrinks under refinement, but
-    it cannot detect an error the two formulations share.
+    In both mode the unnormalized formulation runs in a forked child, beside
+    the normalized one (_run_both).  A normalized failure (of the flow or a
+    monitor) drops the unnormalized data; an unnormalized failure keeps its
+    snapshots so far.  Each normalized snapshot is paired with the
+    unnormalized one of the same time rescaled to length 2*pi, and
+    cross_check grades the largest Hausdorff distance of the pairs.  That
+    is not independent evidence of accuracy.  The normalized Euler step at
+    dt is algebraically the renormalized unnormalized step at dt/(1-dt), so
+    the two discrete runs differ only by that O(dt) reparametrization of
+    the clock, compounded over the run, plus the occasional step where the
+    two step sizes select different smoothing orders near a threshold of
+    the stability budget.  The distance therefore shrinks under
+    refinement, but it cannot detect an error the two formulations share.
     """
     enabled = config.resolved_checks()
     tolerances = config.resolved_tolerances()
@@ -391,15 +394,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     raw_snaps: list[np.ndarray] = []
     offset: float | None = None
     failure: dict | None = None
-    observing: float | None = None  # time of the snapshot an observer handles
 
     initial = resample_uniform(build_initial_curve(config), config.n)
     if not convexity_check(initial):
-        failure = {
-            "error": "ConvexityLossError",
-            "message": "initial curve is not strictly convex",
-            "time": 0.0,
-        }
+        failure = {"error": "ConvexityLossError",
+                   "message": "initial curve is not strictly convex", "time": 0.0}
     else:
         try:
             offset = admissible_offset(renormalize(initial))
@@ -430,47 +429,40 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if config.mode == "both":
             raw_snaps.append(renormalize(vertices))
 
-    def observed(observer):
-        def call(time, vertices, metrics):
+    def lane(formulation, *observers):
+        """Evolve one formulation; a package error's failure record, or None."""
+        observing = None
+
+        def observe(time, vertices, metrics):
             nonlocal observing
             observing = time
-            observer(time, vertices, metrics)
+            for observer in observers:
+                observer(time, vertices, metrics)
             observing = None
-        return call
+
+        try:
+            evolve(initial_state(initial, formulation), control, config.t_end,
+                   observers=[observe], snapshot_interval=config.snapshot_interval)
+        except IcflowError as exc:
+            return {"error": type(exc).__name__, "message": str(exc),
+                    "time": exc.time if isinstance(exc, FlowError) else observing}
+        return None
+
+    def raw_lane():
+        return lane("unnormalized", raw_observer), raw_lengths, raw_snaps
 
     if failure is None:
         if config.svg_dir is not None:
             os.makedirs(config.svg_dir, exist_ok=True)
-        try:
-            if config.mode in ("normalized", "both"):
-                evolve(
-                    initial_state(initial, "normalized"),
-                    control,
-                    config.t_end,
-                    observers=[observed(stats_observer)],
-                    snapshot_interval=config.snapshot_interval,
-                )
-            if config.mode in ("unnormalized", "both"):
-                observers = [observed(raw_observer)]
-                if config.mode == "unnormalized":
-                    observers.append(observed(stats_observer))
-                evolve(
-                    initial_state(initial, "unnormalized"),
-                    control,
-                    config.t_end,
-                    observers=observers,
-                    snapshot_interval=config.snapshot_interval,
-                )
-        except IcflowError as exc:
-            failure = {
-                "error": type(exc).__name__,
-                "message": str(exc),
-                "time": exc.time if isinstance(exc, FlowError) else observing,
-            }
+        if config.mode == "normalized":
+            failure = lane("normalized", stats_observer)
+        elif config.mode == "unnormalized":
+            failure = lane("unnormalized", raw_observer, stats_observer)
+        else:
+            failure, raw_lengths, raw_snaps = _run_both(
+                lambda: lane("normalized", stats_observer), raw_lane)
 
-    cross_distances = [
-        polyline_hausdorff(u, w) for u, w in zip(raw_snaps, stats_snaps)
-    ]
+    cross_distances = [polyline_hausdorff(u, w) for u, w in zip(raw_snaps, stats_snaps)]
     checks = _evaluate_checks(
         enabled, tolerances, RunSeries(rows, raw_lengths, cross_distances, config.n))
 
@@ -492,13 +484,62 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     }
     write_csv(config.out, rows)
     write_summary(config.summary_path(), summary)
-    return ExperimentResult(
-        exit_code=exit_code,
-        summary=summary,
-        rows=rows,
-        csv_path=config.out,
-        summary_path=config.summary_path(),
-    )
+    return ExperimentResult(exit_code, summary, rows, config.out, config.summary_path())
+
+
+def _run_both(normalized_lane, raw_lane) -> tuple:
+    """Both mode on two cores: raw_lane() in a forked child, normalized_lane() here.
+
+    normalized_lane returns a failure record or None; raw_lane and this
+    return (failure, raw lengths, raw snapshots).  The child pickles its
+    result, or its traceback if it raised, into a pipe.  A normalized
+    failure wins: the child is killed and its data dropped.  A child that
+    crashes or exits without a result raises RuntimeError.  Every path reaps
+    the child.  Without os.fork, raw_lane runs after normalized_lane
+    completes.  Both ways give the same floats.
+    """
+    if not hasattr(os, "fork"):
+        failure = normalized_lane()
+        return raw_lane() if failure is None else (failure, [], [])
+    import pickle  # loaded with numpy already, so it costs no start-up time
+
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            try:
+                result = raw_lane()
+            except Exception:  # anything else leaves by os._exit(1) below
+                import traceback
+                result = traceback.format_exc()
+            with os.fdopen(write_end, "wb") as pipe:
+                pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            os._exit(0)
+        finally:
+            os._exit(1)
+
+    os.close(write_end)
+    status = None
+    try:
+        with os.fdopen(read_end, "rb") as pipe:
+            failure = normalized_lane()
+            if failure is not None:
+                return failure, [], []
+            payload = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    finally:
+        if status is None:
+            import signal
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if status != 0:  # 0 only after the whole result was written
+        raise RuntimeError(f"the unnormalized formulation's process exited with "
+                           f"status {status} before sending its result")
+    result = pickle.loads(payload)
+    if isinstance(result, str):
+        raise RuntimeError("the unnormalized formulation raised in its process:\n" + result)
+    return result
 
 
 def _config_echo(config: ExperimentConfig) -> dict:

@@ -16,12 +16,12 @@ import pytest
 from icflow import cli
 from icflow.bounds import (
     bonnesen_floor,
-    convergence_metrics,
     curvature_sup_residual,
     decay_slope,
     derivative_ladder_check,
     derivative_noise_floors,
     l2_deficit_floor,
+    snapshot_report,
 )
 from icflow.comparison import admissible_offset, profile_residual, two_point_gap_scan
 from icflow.curves import compute_metrics, make_circle, make_ellipse, resample_uniform
@@ -115,7 +115,8 @@ def test_criterion_3_circle_fixed_point():
 
     off_center = initial_state(make_circle(1.0, 512, center=(0.1, 0.0)), "normalized")
     settled = evolve(off_center, control, 3.0)
-    center = convergence_metrics(settled.vertices)[1]
+    v = settled.vertices
+    center = snapshot_report(3.0, v, compute_metrics(v), 0.0)["center_norm"]
     expected = 0.1 * np.exp(-3.0)
     elapsed = time.perf_counter() - start
     passed = (

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from icflow.bounds import (
+    _ratio,
     bonnesen_floor,
-    bonnesen_gap,
-    convergence_metrics,
     curvature_derivative_profiles,
     curvature_l2_deficit,
     curvature_sup_residual,
     decay_slope,
     derivative_ladder_check,
     derivative_noise_floors,
-    gn_ratio,
     l2_deficit_floor,
     snapshot_report,
 )
@@ -32,6 +30,11 @@ from icflow.flow import renormalize
 
 def normalized_ellipse(n=256):
     return renormalize(make_ellipse(2.0, 1.0, n))
+
+
+def report(v):
+    # every per-snapshot monitor, as runs evaluate them
+    return snapshot_report(0.0, v, compute_metrics(v), 0.0)
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -161,39 +164,34 @@ def test_ladder_respects_separate_floors():
 
 
 def test_gn_ratio_finite_on_the_ellipse_and_undefined_on_circles():
-    assert gn_ratio(compute_metrics(normalized_ellipse())) == pytest.approx(0.3858, rel=1e-3)
-    assert np.isnan(gn_ratio(compute_metrics(renormalize(make_circle(1.0, 256)))))
+    assert report(normalized_ellipse())["gn_ratio"] == pytest.approx(0.3858, rel=1e-3)
+    assert np.isnan(report(renormalize(make_circle(1.0, 256)))["gn_ratio"])
 
 
 @pytest.mark.parametrize("n", [64, 256])
 def test_bonnesen_gap_floor_on_circles(n):
-    gap = bonnesen_gap(make_circle(1.0, n))
+    gap = report(make_circle(1.0, n))["bonnesen_gap"]
     assert gap == pytest.approx(bonnesen_floor(n) / 2.0, rel=1e-2)
 
 
 def test_bonnesen_gap_scales_inversely_with_radius():
-    assert bonnesen_gap(make_circle(2.0, 256)) == pytest.approx(
-        bonnesen_gap(make_circle(1.0, 256)) / 2.0, rel=1e-3)
+    assert report(make_circle(2.0, 256))["bonnesen_gap"] == pytest.approx(
+        report(make_circle(1.0, 256))["bonnesen_gap"] / 2.0, rel=1e-3)
 
 
 def test_bonnesen_gap_on_the_ellipse():
-    gap = bonnesen_gap(normalized_ellipse())
+    gap = report(normalized_ellipse())["bonnesen_gap"]
     assert gap == pytest.approx(0.77097, rel=1e-3)
     assert 0.5 < gap < 1.0
 
 
-def test_bonnesen_gap_requires_convexity():
-    with pytest.raises(ParameterError):
-        bonnesen_gap(make_perturbed_circle(1.0, 128, [0.5], [7], seed=0))
-
-
 def test_convergence_metrics_measure_deviation_and_center():
-    dev, center = convergence_metrics(make_circle(1.0, 128))
-    assert dev < 1e-14
-    assert center < 1e-14
-    dev, center = convergence_metrics(make_circle(1.0, 128, center=(0.1, 0.0)))
-    assert dev < 1e-14
-    assert center == pytest.approx(0.1, abs=1e-14)
+    row = report(make_circle(1.0, 128))
+    assert row["hausdorff"] < 1e-14
+    assert row["center_norm"] < 1e-14
+    row = report(make_circle(1.0, 128, center=(0.1, 0.0)))
+    assert row["hausdorff"] < 1e-14
+    assert row["center_norm"] == pytest.approx(0.1, abs=1e-14)
 
 
 SNAPSHOT_CURVES = {
@@ -204,20 +202,34 @@ SNAPSHOT_CURVES = {
 }
 
 
+def about_centroid_as_first_written(v):
+    # the Bonnesen gap and the convergence metrics with np.roll, one by one
+    edges = np.roll(v, -1, axis=0) - v
+    edge_len = np.hypot(edges[:, 0], edges[:, 1])
+    weights = 0.5 * (edge_len + np.roll(edge_len, 1))
+    c0 = weights @ v / np.sum(weights)
+    rel = v - c0
+    radii = np.hypot(rel[:, 0], rel[:, 1])
+    line_dist = (edges[:, 0] * (c0[1] - v[:, 1]) - edges[:, 1] * (c0[0] - v[:, 0])) / edge_len
+    gap = 1.0 / float(np.min(line_dist)) - 1.0 / float(np.max(radii))
+    return gap, float(np.max(np.abs(radii - 1.0))), float(np.hypot(c0[0], c0[1]))
+
+
 def public_monitors(time, v, offset):
-    # each snapshot_report column from the public monitor of that name
+    # each snapshot_report column from its own monitor
     m = compute_metrics(v)
     dk, d2k = curvature_derivative_profiles(m)
-    radial, center = convergence_metrics(v)
+    deficit = curvature_l2_deficit(m)
+    gap, radial, center = about_centroid_as_first_written(v)
     return {
         "kappa_min": float(np.min(m.curvature)),
         "kappa_max": float(np.max(m.curvature)),
         "thm12_residual": curvature_sup_residual(m, time, offset),
-        "l2_deficit": curvature_l2_deficit(m),
+        "l2_deficit": deficit,
         "dkappa_max": dk,
         "d2kappa_max": d2k,
-        "gn_ratio": gn_ratio(m),
-        "bonnesen_gap": bonnesen_gap(v),
+        "gn_ratio": _ratio(dk, d2k, deficit, v.shape[0]),
+        "bonnesen_gap": gap,
         "hausdorff": radial,
         "center_norm": center,
     }

@@ -230,7 +230,9 @@ def loop_certificate_scan(x, t, fd_step=1e-5):
         if xs.size:
             fd = (profile_residual(xs + h, tv) - profile_residual(xs - h, tv)) / (2.0 * h)
             fold(fd_min, fd, xs, tv)
-            mismatch = max(mismatch, float(np.max(np.abs(fd - profile_residual_dx(xs, tv)))))
+            closed = profile_residual_dx(xs, tv)
+            mismatch = max(mismatch, float(np.max(
+                np.abs(fd - closed) / np.maximum(np.abs(closed), 1.0))))
     return comparison.ProfileCertificate(*res_min, *fd_min, *closed_min, mismatch)
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from icflow.curves import (
-    centroid,
+    _centroid,
+    _dual_weights,
     compute_metrics,
     convexity_check,
-    dual_cell_weights,
     make_circle,
     make_ellipse,
     make_perturbed_circle,
@@ -37,7 +37,12 @@ def test_circle_metrics_match_closed_forms(n, radius):
     assert np.max(np.abs(m.curvature - 1.0 / radius)) < 1e-11 / radius
     assert np.max(np.abs(normal_turning(m) - 2 * np.pi / n)) < 1e-12
     assert np.max(np.abs(m.outward_normal - v / radius)) < 1e-12
-    assert np.max(np.abs(dual_cell_weights(v) - m.total_length / n)) < 1e-13
+    assert np.max(np.abs(_dual_weights(m.edge_lengths) - m.total_length / n)) < 1e-13
+
+
+def centroid(v):
+    # the center of mass as snapshot_report computes it
+    return _centroid(v, compute_metrics(v).edge_lengths)
 
 
 def test_circle_honors_center():
@@ -183,13 +188,13 @@ def test_convexity_check_separates_shapes():
 
 def test_dual_cell_weights_sum_to_total_length():
     v = make_perturbed_circle(1.0, 128, [0.05], [6], seed=2)
-    total = compute_metrics(v).total_length
-    assert np.sum(dual_cell_weights(v)) == pytest.approx(total, rel=1e-14)
+    m = compute_metrics(v)
+    assert np.sum(_dual_weights(m.edge_lengths)) == pytest.approx(m.total_length, rel=1e-14)
     # vertex i weighs half of edges i-1 and i, as first written with np.roll;
     # the centroid averages with these weights, bit for bit
     edge_len = np.hypot(*(np.roll(v, -1, axis=0) - v).T)
     weights = 0.5 * (edge_len + np.roll(edge_len, 1))
-    assert np.array_equal(dual_cell_weights(v), weights)
+    assert np.array_equal(_dual_weights(m.edge_lengths), weights)
     assert np.array_equal(centroid(v), weights @ v / np.sum(weights))
 
 

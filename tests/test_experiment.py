@@ -1,11 +1,15 @@
 """Experiment orchestration, serialization contracts, and the CLI."""
 
+import dataclasses
 import json
+import os
+import signal
 
 import numpy as np
 import pytest
 
 from icflow import cli, experiment, flow
+from icflow.comparison import residual_certificate_scan
 from icflow.curves import MAX_VERTICES, make_ellipse
 from icflow.errors import ParameterError, StepRejectedError
 from icflow.experiment import (
@@ -447,6 +451,27 @@ def test_cli_verify_profile_fails_on_a_nan_verdict(name, value, violation, monke
     assert out.splitlines()[7:] == ["violation: " + violation]
 
 
+@pytest.mark.parametrize("mismatch", [np.nan, 10.0 * cli.SLOPE_FD_TOL])
+def test_cli_verify_profile_judges_the_slope_fd_mismatch(mismatch, monkeypatch, capsys):
+    # this row was once printed without a verdict, so NaN or 5.0 passed
+    real_scan = cli.residual_certificate_scan
+    monkeypatch.setattr(cli, "residual_certificate_scan", lambda x, t: dataclasses.replace(
+        real_scan(x, t), max_slope_mismatch=mismatch))
+    assert cli.main(["verify-profile", "--x-step", "0.01", "--t-step", "0.5"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[7:] == ["violation: slope fd mismatch %.6g" % mismatch]
+
+
+def test_slope_fd_tolerance_caps_the_truncation_error_down_to_t_minus_10():
+    # the worst |fd - closed| / max(1, |closed|) over x at one t is
+    # 0.195 (h e^{-t})^2, central-difference truncation at fd step h = 1e-5
+    x = np.geomspace(1.5e-5, 3.0, 4000)
+    for t in (-6.0, -10.0, -10.4):
+        worst = residual_certificate_scan(x, np.array([t])).max_slope_mismatch
+        assert worst == pytest.approx(0.195 * (1e-5 * np.exp(-t)) ** 2, rel=2e-2)
+        assert (worst <= cli.SLOPE_FD_TOL) == (t >= -10.0)
+
+
 @pytest.mark.parametrize("flag", ["--t-step", "--x-step"])
 @pytest.mark.parametrize("step", ["1e-300", "5e-324"])
 def test_cli_verify_profile_rejects_grids_too_large_to_allocate(flag, step, capsys):
@@ -585,17 +610,39 @@ BOTH_MODE_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", BOTH_MODE_FAULTS)
-def test_both_mode_failure_precedence(fault, tmp_path, monkeypatch):
-    # both mode runs the normalized formulation first: its failure (of the
-    # flow or of a monitor) leaves no unnormalized data, while an
-    # unnormalized failure lets the normalized run finish
-    config = config_from_dict({
+def both_mode_config(tmp_path):
+    return config_from_dict({
         "shape": "ellipse", "a": 2.0, "b": 1.0, "n": 64, "dt": 1e-3, "t_end": 0.3,
         "snapshot_interval": 0.05, "mode": "both", "out": str(tmp_path / "run.csv"),
     })
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def no_hang():
+    """Fail, rather than hang, a test whose run waits on its child for a minute."""
+    def hung(signum, frame):
+        raise TimeoutError("run_experiment hung on its child")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("fault", BOTH_MODE_FAULTS)
+def test_both_mode_failure_precedence(fault, tmp_path, monkeypatch, no_hang):
+    # a normalized failure (of the flow or of a monitor) leaves no
+    # unnormalized data, while an unnormalized failure lets the normalized
+    # run finish
     BOTH_MODE_FAULTS[fault](monkeypatch)
-    result = run_experiment(config)
+    result = run_experiment(both_mode_config(tmp_path))
+    assert_no_child_left()
     summary = result.summary
     assert result.exit_code == (1 if fault == "none" else 3)
     if fault in ("monitor", "normalized_flow", "both_flows"):
@@ -606,6 +653,74 @@ def test_both_mode_failure_precedence(fault, tmp_path, monkeypatch):
     if fault == "unnormalized_flow":
         assert summary["failure"]["message"] == "injected unnormalized fault"
         assert summary["failure"]["time"] < result.rows[-1]["t"] == 0.3
+        # length_law grades the unnormalized snapshots up to the failure
+        assert summary["checks"]["length_law"]["worst"] is not None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("fault", BOTH_MODE_FAULTS)
+def test_forked_and_inline_both_mode_write_the_same_bytes(fault, tmp_path, no_hang):
+    outputs = []
+    for inline in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            BOTH_MODE_FAULTS[fault](mp)
+            if inline:
+                mp.delattr(os, "fork")
+            result = run_experiment(both_mode_config(tmp_path))
+        assert_no_child_left()
+        outputs.append((result.exit_code, (tmp_path / "run.csv").read_bytes(),
+                        (tmp_path / "run_summary.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def _crash_unnormalized_lane(monkeypatch, crash):
+    # the unnormalized curve's minimum edge passes 0.165 at t ~ 0.09 (see
+    # _inject_step_rejection); the normalized one never does
+    real_order = flow.smoothing_order
+
+    def crashing_order(dt, min_edge, *rest):
+        if min_edge > 0.165:
+            crash()
+        return real_order(dt, min_edge, *rest)
+
+    monkeypatch.setattr(flow, "smoothing_order", crashing_order)
+
+
+def _divide_by_zero():
+    raise ZeroDivisionError("injected crash")
+
+
+@pytest.mark.parametrize("inline", [False, True])
+def test_a_crash_of_the_unnormalized_lane_raises(inline, tmp_path, monkeypatch, no_hang):
+    _crash_unnormalized_lane(monkeypatch, _divide_by_zero)
+    if inline or not hasattr(os, "fork"):
+        monkeypatch.delattr(os, "fork", raising=False)
+        expected = ZeroDivisionError
+    else:
+        expected = RuntimeError  # carrying the child's traceback
+    with pytest.raises(expected, match="injected crash"):
+        run_experiment(both_mode_config(tmp_path))
+    assert_no_child_left()
+
+
+def test_a_crash_of_the_normalized_lane_reaps_the_child(tmp_path, monkeypatch, no_hang):
+    def crashing_scan(*args):
+        raise ZeroDivisionError("injected crash")
+
+    monkeypatch.setattr(experiment, "two_point_gap_scan", crashing_scan)
+    with pytest.raises(ZeroDivisionError, match="injected crash"):
+        run_experiment(both_mode_config(tmp_path))
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_that_exits_without_a_result_raises_instead_of_hanging(
+        tmp_path, monkeypatch, no_hang):
+    # os._exit is only ever reached in the forked child
+    _crash_unnormalized_lane(monkeypatch, lambda: os._exit(1))
+    with pytest.raises(RuntimeError, match="exited with status 1 before sending"):
+        run_experiment(both_mode_config(tmp_path))
+    assert_no_child_left()
 
 
 def test_cli_tbar_subcommand(capsys):
