@@ -185,9 +185,9 @@ def _residual_of_z(z, z2, alpha, t, work=None):
 
 
 def _residual_dx_of_z(z2, c, alpha, work=None):
-    """profile_residual_dx from z2 = sin^2(x/2), c = cos(x/2), alpha = e^{-2t}.
-
-    With p and q as in _residual_of_z and a2 = alpha^2, the sum
+    """Closed-form x-slope of profile_residual from z2 = sin^2(x/2),
+    c = cos(x/2) and alpha = e^{-2t}; every term carries c, so it vanishes at
+    x = pi.  With p and q as in _residual_of_z and a2 = alpha^2, the sum
 
         -c / q - 2 alpha z2 c / q^2 + c (1 + 2 alpha + 3 a2 z2) / p
         + 2 alpha z2 c (1 + 2 alpha + a2 z2) / p^2
@@ -250,28 +250,12 @@ def profile_residual(x, t):
     return _maybe_scalar(np.asarray(out), x, t)
 
 
-def profile_residual_dx(x, t):
-    """Closed-form x-derivative of profile_residual on (0, pi].
-
-    Four rational terms over the factors q = 1 + alpha z^2 and
-    p = 1 + 2 alpha - alpha z^2; every term carries cos(x/2), so the value
-    vanishes identically at x = pi.
-    """
-    xa = _as_domain(x, 0.0, np.pi, "x")
-    if np.any(xa <= 0.0):
-        raise ParameterError("profile_residual_dx requires x > 0")
-    ta = np.asarray(t, dtype=float)
-    z = np.sin(0.5 * xa)
-    out = _residual_dx_of_z(z * z, np.cos(0.5 * xa), _alpha(ta))
-    return _maybe_scalar(np.asarray(out), x, t)
-
-
 def residual_dx_numerator(z, alpha):
-    """Degree-8 even polynomial certifying the sign of profile_residual_dx.
+    """Degree-8 even polynomial certifying the sign of the residual's x-slope.
 
-    With q and p as in profile_residual_dx,
+    With q and p as in _residual_of_z,
 
-        profile_residual_dx = cos(x/2) * numerator / (q^2 p^2),
+        d(profile_residual)/dx = cos(x/2) * numerator / (q^2 p^2),
 
     so non-negativity of this polynomial on z in [0, 1], alpha > 0 settles
     the slope sign wherever cos(x/2) >= 0.  Evaluated in Horner form in z^2.
@@ -335,7 +319,7 @@ def residual_certificate_scan(
     grid is then evaluated in blocks of t-rows (about BLOCK_PAIRS values
     each, at least one row) in five reused block arrays, so memory stays at
     a few blocks and no block allocates its temporaries.  Every value
-    is the float that profile_residual and profile_residual_dx give at
+    is the float that profile_residual and _residual_dx_of_z give at
     that (x, t).  Each minimum and its location follow np.argmin over the
     grid in (t, x) order: the first exact minimum, or the first NaN if any
     value is NaN (an overflowed evaluation is never certified), and

@@ -397,8 +397,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     initial = resample_uniform(build_initial_curve(config), config.n)
     if not convexity_check(initial):
-        failure = {"error": "ConvexityLossError",
-                   "message": "initial curve is not strictly convex", "time": 0.0}
+        failure = {
+            "error": "ConvexityLossError",
+            "message": "initial curve is not strictly convex",
+            "time": 0.0,
+        }
     else:
         try:
             offset = admissible_offset(renormalize(initial))
@@ -462,7 +465,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             failure, raw_lengths, raw_snaps = _run_both(
                 lambda: lane("normalized", stats_observer), raw_lane)
 
-    cross_distances = [polyline_hausdorff(u, w) for u, w in zip(raw_snaps, stats_snaps)]
+    cross_distances = [
+        polyline_hausdorff(u, w) for u, w in zip(raw_snaps, stats_snaps)
+    ]
     checks = _evaluate_checks(
         enabled, tolerances, RunSeries(rows, raw_lengths, cross_distances, config.n))
 
@@ -484,7 +489,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     }
     write_csv(config.out, rows)
     write_summary(config.summary_path(), summary)
-    return ExperimentResult(exit_code, summary, rows, config.out, config.summary_path())
+    return ExperimentResult(
+        exit_code=exit_code,
+        summary=summary,
+        rows=rows,
+        csv_path=config.out,
+        summary_path=config.summary_path(),
+    )
 
 
 def _run_both(normalized_lane, raw_lane) -> tuple:
@@ -496,9 +507,12 @@ def _run_both(normalized_lane, raw_lane) -> tuple:
     failure wins: the child is killed and its data dropped.  A child that
     crashes or exits without a result raises RuntimeError.  Every path reaps
     the child.  Without os.fork, raw_lane runs after normalized_lane
-    completes.  Both ways give the same floats.
+    completes.  Both ways give the same floats.  An instrumented run takes
+    that path too: an evolve wrapped by an in-process tracer (functools.wraps
+    sets __wrapped__) would record the child's calls in the child, where
+    they are lost.
     """
-    if not hasattr(os, "fork"):
+    if not hasattr(os, "fork") or hasattr(evolve, "__wrapped__"):
         failure = normalized_lane()
         return raw_lane() if failure is None else (failure, [], [])
     import pickle  # loaded with numpy already, so it costs no start-up time

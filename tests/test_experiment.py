@@ -1,6 +1,7 @@
 """Experiment orchestration, serialization contracts, and the CLI."""
 
 import dataclasses
+import functools
 import json
 import os
 import signal
@@ -671,6 +672,27 @@ def test_forked_and_inline_both_mode_write_the_same_bytes(fault, tmp_path, no_ha
         outputs.append((result.exit_code, (tmp_path / "run.csv").read_bytes(),
                         (tmp_path / "run_summary.json").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_a_traced_evolve_sees_both_formulations_in_this_process(
+        tmp_path, monkeypatch, no_hang):
+    # a span tracer wraps evolve with functools.wraps; a forked lane's spans
+    # would stay in the child, so both lanes run here and give the same bytes
+    run_experiment(both_mode_config(tmp_path))
+    forked = (tmp_path / "run.csv").read_bytes(), (tmp_path / "run_summary.json").read_bytes()
+    traced = []
+
+    @functools.wraps(flow.evolve)
+    def traced_evolve(state, *args, **kwargs):
+        traced.append((state.mode, os.getpid()))
+        return flow.evolve(state, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "evolve", traced_evolve)
+    run_experiment(both_mode_config(tmp_path))
+    assert_no_child_left()
+    assert traced == [("normalized", os.getpid()), ("unnormalized", os.getpid())]
+    assert ((tmp_path / "run.csv").read_bytes(),
+            (tmp_path / "run_summary.json").read_bytes()) == forked
 
 
 def _crash_unnormalized_lane(monkeypatch, crash):
