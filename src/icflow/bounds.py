@@ -25,7 +25,7 @@ from math import pi
 
 import numpy as np
 
-from .curves import CurveMetrics, _centroid, _dual_weights, validate_vertices
+from .curves import CurveMetrics, _centroid, _dual_weights, edge_vectors, validate_vertices
 from .errors import ParameterError
 
 # Finite-difference magnitudes below this are indistinguishable from
@@ -204,7 +204,7 @@ def _about_centroid(v: np.ndarray, edge_len: np.ndarray) -> tuple[float, float, 
     c0 = _centroid(v, edge_len)
     rel = v - c0
     radii = np.hypot(rel[:, 0], rel[:, 1])
-    edges = np.roll(v, -1, axis=0) - v
+    edges = edge_vectors(v)
     line_dist = (edges[:, 0] * (c0[1] - v[:, 1]) - edges[:, 1] * (c0[0] - v[:, 0])) / edge_len
     r_in = float(np.min(line_dist))
     gap = 1.0 / r_in - 1.0 / float(np.max(radii)) if r_in > 0.0 else float("nan")

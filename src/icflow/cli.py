@@ -16,37 +16,52 @@ from dataclasses import fields
 import numpy as np
 
 from .comparison import (
-    admissible_offset,
     derivative_cross_check,
     numerator_grid_min,
     profile_residual,
     residual_certificate_scan,
 )
-from .curves import convexity_check, resample_uniform
-from .errors import (
-    ConvexityLossError,
-    DegenerateCurveError,
-    FlowError,
-    NoAdmissibleOffsetError,
-    ParameterError,
-)
+from .errors import DegenerateCurveError, FlowError, NoAdmissibleOffsetError, ParameterError
 from .experiment import (
     RUN_MODES,
     SHAPES,
     ExperimentConfig,
-    build_initial_curve,
+    initial_curve,
     load_config,
     run_experiment,
 )
-from .flow import renormalize
 
 CERTIFICATE_TOL = 1e-8  # permitted dip of any certified minimum below zero
 LIMIT_TOL = 1e-5  # |residual| cap at the left edge of its domain
 DERIVATIVE_TOL = 1e-5  # closed-form vs finite-difference agreement for f
 # Cap on the slope's |fd - closed| / max(1, |closed|): central-difference
-# truncation peaks at 0.195 (h e^{-t})^2 (h = 1e-5), 9.4e-3 at t = -10.
+# truncation peaks at 0.195 (h e^{-t})^2 at h = comparison.FD_STEP = 1e-5,
+# 9.4e-3 at t = -10.
 SLOPE_FD_TOL = 1e-2
 MAX_GRID_POINTS = 10**7  # per verify-profile grid axis
+
+
+# config fields whose flags take comma-separated lists: (element type, description)
+_LIST_FLAGS = {"amplitudes": (float, "numbers"), "modes": (int, "integers"),
+               "checks": (str, "check names")}
+_CHOICES = {"shape": SHAPES, "mode": RUN_MODES}
+# tbar takes the fields that define the initial curve; run takes every field
+# but tolerances, which only a config file sets
+_TBAR_FIELDS = ("shape", "radius", "a", "b", "amplitudes", "modes", "seed", "n")
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, names) -> None:
+    """One --flag per config field in names, typed by the field's default
+    (a string where the default is None)."""
+    for f in fields(ExperimentConfig):
+        if f.name not in names:
+            continue
+        flag = "--" + f.name.replace("_", "-")
+        if f.name in _LIST_FLAGS:
+            parser.add_argument(flag, help="comma-separated " + _LIST_FLAGS[f.name][1])
+        else:
+            parser.add_argument(flag, choices=_CHOICES.get(f.name),
+                                type=None if f.default is None else type(f.default))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,24 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run a flow experiment and grade its checks")
     run_p.add_argument(
         "config", nargs="?", default=None, help="JSON config file (optional)")
-    run_p.add_argument("--shape", choices=SHAPES)
-    run_p.add_argument("--radius", type=float)
-    run_p.add_argument("--a", type=float)
-    run_p.add_argument("--b", type=float)
-    run_p.add_argument("--n", type=int)
-    run_p.add_argument("--dt", type=float)
-    run_p.add_argument("--t-end", type=float)
-    run_p.add_argument("--mode", choices=RUN_MODES)
-    run_p.add_argument("--snapshot-interval", type=float)
-    run_p.add_argument("--out")
-    run_p.add_argument("--summary-out")
-    run_p.add_argument("--svg-dir")
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--amplitudes", help="comma-separated floats")
-    run_p.add_argument("--modes", help="comma-separated integers")
-    run_p.add_argument("--checks", help="comma-separated check names")
-    run_p.add_argument("--resample-every", type=int)
-    run_p.add_argument("--safety", type=float)
+    _add_config_flags(run_p, [f.name for f in fields(ExperimentConfig) if f.name != "tolerances"])
     run_p.set_defaults(handler=_handle_run)
 
     verify_p = sub.add_parser(
@@ -94,21 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     tbar_p = sub.add_parser(
         "tbar", help="print the admissible comparison offset for a shape")
-    tbar_p.add_argument("--shape", choices=SHAPES, default="circle")
-    tbar_p.add_argument("--radius", type=float)
-    tbar_p.add_argument("--a", type=float)
-    tbar_p.add_argument("--b", type=float)
-    tbar_p.add_argument("--n", type=int)
-    tbar_p.add_argument("--seed", type=int)
-    tbar_p.add_argument("--amplitudes", help="comma-separated floats")
-    tbar_p.add_argument("--modes", help="comma-separated integers")
+    _add_config_flags(tbar_p, _TBAR_FIELDS)
     tbar_p.set_defaults(handler=_handle_tbar)
     return parser
-
-
-# config fields whose flags take comma-separated lists: (element type, description)
-_LIST_FLAGS = {"amplitudes": (float, "numbers"), "modes": (int, "integers"),
-               "checks": (str, "names")}
 
 
 def _parse_list(text: str, kind, what: str) -> tuple:
@@ -225,11 +211,7 @@ def _handle_verify_profile(args: argparse.Namespace) -> int:
 
 
 def _handle_tbar(args: argparse.Namespace) -> int:
-    config = load_config(None, _collect_overrides(args))
-    curve = resample_uniform(build_initial_curve(config), config.n)
-    if not convexity_check(curve):
-        raise ConvexityLossError("initial curve is not strictly convex", time=0.0)
-    print("%.17g" % admissible_offset(renormalize(curve)))
+    print("%.17g" % initial_curve(load_config(None, _collect_overrides(args)))[1])
     return 0
 
 

@@ -51,6 +51,8 @@ _LARGE_ARG = 1e8
 
 _DOMAIN_SLACK = 1e-12
 
+FD_STEP = 1e-5  # the certificate scan's central-difference step (cli.SLOPE_FD_TOL)
+
 
 def _as_domain(x, lo: float, hi: float, label: str) -> np.ndarray:
     a = np.asarray(x, dtype=float)
@@ -185,41 +187,34 @@ def _residual_of_z(z, z2, alpha, t, work=None):
 
 
 def _residual_dx_of_z(z2, c, alpha, work=None):
-    """Closed-form x-slope of profile_residual from z2 = sin^2(x/2),
-    c = cos(x/2) and alpha = e^{-2t}; every term carries c, so it vanishes at
-    x = pi.  With p and q as in _residual_of_z and a2 = alpha^2, the sum
-
-        -c / q - 2 alpha z2 c / q^2 + c (1 + 2 alpha + 3 a2 z2) / p
-        + 2 alpha z2 c (1 + 2 alpha + a2 z2) / p^2
-
-    is evaluated left to right in the five arrays of work (by default new
-    ones), the result in the first.
-    """
-    acc, tmp, q, p, bc = _work_arrays(5, z2, c, alpha) if work is None else work
+    """x-slope of profile_residual, c A / (q p)^2, from z2 = sin^2(x/2),
+    c = cos(x/2) and alpha = e^{-2t}, with A residual_dx_numerator's
+    polynomial and q, p as in _residual_of_z, in the three arrays of work (by
+    default new ones), the result in the first.  A holds alpha^5: it overflows
+    below about t = -70.9 (the fd mismatch verdict fails below -10.03)."""
+    r, a, b = _work_arrays(3, z2, c, alpha) if work is None else work
     with np.errstate(over="ignore", invalid="ignore"):
-        a2 = alpha * alpha
-        one_2a = 1.0 + 2.0 * alpha
-        np.multiply(alpha, z2, out=bc)
-        np.add(1.0, bc, out=q)
-        np.subtract(one_2a, bc, out=p)
-        np.multiply(2.0 * alpha, z2, out=bc)
-        np.multiply(bc, c, out=bc)  # 2 alpha z2 c
-        np.divide(-c, q, out=acc)
-        np.multiply(q, q, out=q)
-        np.divide(bc, q, out=tmp)
-        np.subtract(acc, tmp, out=acc)
-        np.multiply(3.0 * a2, z2, out=tmp)
-        np.add(one_2a, tmp, out=tmp)
-        np.multiply(c, tmp, out=tmp)
-        np.divide(tmp, p, out=tmp)
-        np.add(acc, tmp, out=acc)
-        np.multiply(a2, z2, out=tmp)
-        np.add(one_2a, tmp, out=tmp)
-        np.multiply(bc, tmp, out=tmp)
-        np.multiply(p, p, out=p)
-        np.divide(tmp, p, out=tmp)
-        np.add(acc, tmp, out=acc)
-    return acc
+        _numerator_of_z2(z2, alpha, r)
+        np.multiply(alpha, z2, out=a)
+        np.subtract(1.0 + 2.0 * alpha, a, out=b)  # p
+        np.add(1.0, a, out=a)  # q
+        np.multiply(a, b, out=a)
+        np.multiply(a, a, out=a)
+        np.multiply(c, r, out=r)
+        np.divide(r, a, out=r)
+    return r
+
+
+def _numerator_of_z2(z2, alpha, out):
+    """residual_dx_numerator's polynomial, Horner in z2 = z^2, into out."""
+    np.multiply(z2, -(alpha**5), out=out)
+    out += alpha**3 * (-2.0 + alpha * (3.0 + 6.0 * alpha))
+    out *= z2
+    out += alpha * alpha * (8.0 + alpha * (25.0 + 16.0 * alpha))
+    out *= z2
+    out += alpha * (2.0 + alpha * (5.0 + 2.0 * alpha))
+    out *= z2
+    return out
 
 
 def _alpha(t):
@@ -265,12 +260,8 @@ def residual_dx_numerator(z, alpha):
     if np.any(aa <= 0.0):
         raise ParameterError("alpha must be positive")
     z2 = za * za
-    c1 = aa * (2.0 + aa * (5.0 + 2.0 * aa))
-    c2 = aa * aa * (8.0 + aa * (25.0 + 16.0 * aa))
-    c3 = aa**3 * (-2.0 + aa * (3.0 + 6.0 * aa))
-    c4 = -(aa**5)
-    out = z2 * (c1 + z2 * (c2 + z2 * (c3 + z2 * c4)))
-    return _maybe_scalar(np.asarray(out), z, alpha)
+    out = _numerator_of_z2(z2, aa, *_work_arrays(1, z2, aa))
+    return _maybe_scalar(out, z, alpha)
 
 
 @dataclass(frozen=True)
@@ -279,10 +270,10 @@ class ProfileCertificate:
 
     min_residual / min_slope_closed are minima of the closed forms over the
     full grid; min_slope_fd is the minimum of central finite differences of
-    the residual (computed where the x +/- h stencil stays inside (0, pi]);
+    the residual (where the x +/- FD_STEP stencil stays inside (0, pi]);
     max_slope_mismatch is the worst disagreement between the finite
     difference and the closed-form slope, |fd - closed| / max(1, |closed|),
-    a cross-validation of both.
+    which checks the slope's A-polynomial against the residual itself.
     """
 
     min_residual: float
@@ -307,15 +298,11 @@ def _fold_argmin(best, block: np.ndarray, row0: int):
     return best
 
 
-def residual_certificate_scan(
-    x_values: np.ndarray,
-    t_values: np.ndarray,
-    fd_step: float = 1e-5,
-) -> ProfileCertificate:
+def residual_certificate_scan(x_values: np.ndarray, t_values: np.ndarray) -> ProfileCertificate:
     """Scan the residual and its x-slope over an (x, t) grid.
 
     The t-independent factors sin(x/2), cos(x/2) and sin^2(x/2) are
-    computed once, for x and for the stencil points x +/- fd_step; the
+    computed once, for x and for the stencil points x +/- FD_STEP; the
     grid is then evaluated in blocks of t-rows (about BLOCK_PAIRS values
     each, at least one row) in five reused block arrays, so memory stays at
     a few blocks and no block allocates its temporaries.  Every value
@@ -332,7 +319,7 @@ def residual_certificate_scan(
         raise ParameterError("empty certification grid")
     if np.any(x <= 0.0) or np.any(x > np.pi + _DOMAIN_SLACK):
         raise ParameterError("residual grid requires x in (0, pi]")
-    h = float(fd_step)
+    h = FD_STEP
     stencil = (x - h > 0.0) & (x + h <= np.pi + _DOMAIN_SLACK)
     xs = x[stencil]
 
@@ -350,8 +337,8 @@ def residual_certificate_scan(
     for row0 in range(0, t.size, rows):
         tb = t[row0:row0 + rows, None]
         alpha = _alpha(tb)
-        work = _views(buffers, tb.shape[0], x.size)
-        best_res = _fold_argmin(best_res, _residual_of_z(z, z2, alpha, tb, work[:3]), row0)
+        work = _views(buffers[:3], tb.shape[0], x.size)
+        best_res = _fold_argmin(best_res, _residual_of_z(z, z2, alpha, tb, work), row0)
         closed = _residual_dx_of_z(z2, c, alpha, work)
         best_closed = _fold_argmin(best_closed, closed, row0)
         if xs.size:

@@ -36,8 +36,8 @@ _GAUSS5_WEIGHTS = np.array(
 )
 
 
-def edge_lengths(v: np.ndarray) -> np.ndarray:
-    """|v[i+1] - v[i]| with index n wrapping to 0, for a float (n, 2) array.
+def edge_vectors(v: np.ndarray) -> np.ndarray:
+    """v[i+1] - v[i] with index n wrapping to 0, for a float (n, 2) array.
 
     The same subtractions as np.roll(v, -1, axis=0) - v, done on slices, so
     the values match the roll form bit for bit.
@@ -45,7 +45,12 @@ def edge_lengths(v: np.ndarray) -> np.ndarray:
     edges = np.empty_like(v)
     np.subtract(v[1:], v[:-1], out=edges[:-1])
     np.subtract(v[0], v[-1], out=edges[-1])
-    return np.hypot(edges[:, 0], edges[:, 1])
+    return edges
+
+
+def edge_lengths(v: np.ndarray) -> np.ndarray:
+    """|v[i+1] - v[i]| with index n wrapping to 0 (edge_vectors' hypot)."""
+    return np.hypot(*edge_vectors(v).T)
 
 
 def validate_vertices(vertices: np.ndarray) -> np.ndarray:
@@ -270,12 +275,10 @@ def resample_uniform(vertices: np.ndarray, n: int) -> np.ndarray:
 
 
 def convexity_check(vertices: np.ndarray) -> bool:
-    """True iff every pair of consecutive edges turns strictly left."""
-    v = validate_vertices(vertices)
-    edges = np.roll(v, -1, axis=0) - v
-    e_next = np.roll(edges, -1, axis=0)
-    cross = edges[:, 0] * e_next[:, 1] - edges[:, 1] * e_next[:, 0]
-    return bool(np.all(cross > 0.0))
+    """True iff _geometry's curvature is positive at every vertex: every pair
+    of consecutive edges turns strictly left.  Raises DegenerateCurveError as
+    _geometry does, where vertices i-1 and i+1 coincide, say."""
+    return bool(np.all(_geometry(validate_vertices(vertices))[1] > 0.0))
 
 
 def _centroid(v: np.ndarray, edge_len: np.ndarray) -> np.ndarray:

@@ -29,7 +29,13 @@ from .curves import (
     make_perturbed_circle,
     resample_uniform,
 )
-from .errors import FlowError, IcflowError, NoAdmissibleOffsetError, ParameterError
+from .errors import (
+    ConvexityLossError,
+    FlowError,
+    IcflowError,
+    NoAdmissibleOffsetError,
+    ParameterError,
+)
 from .flow import (
     StepControl,
     evolve,
@@ -52,6 +58,13 @@ L2_FIT_WINDOW = (1.0, 5.0)
 LADDER_LATE_SLOPE_BOUND = -0.3
 BONNESEN_FIT_WINDOW = (1.0, 4.0)
 GN_BASELINE_TIME = 0.5
+
+# _geometry multiplies up to three lengths, so radius, a and b lie in
+# SCALE_RANGE, and an unnormalized run's initial size (max(a, b) for an
+# ellipse, else radius (1 + sum |amplitudes|)) times e^{t_end} stays at or
+# below MAX_GROWN_SIZE, whose cube is still a float.
+SCALE_RANGE = (1e-50, 1e50)
+MAX_GROWN_SIZE = 1e100
 
 
 @dataclass(frozen=True)
@@ -251,6 +264,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ParameterError(
                 f"{key} must be a positive finite number, got {merged[key]!r}")
         merged[key] = value
+    lo, hi = SCALE_RANGE
+    for key in ("radius", "a", "b"):
+        if not lo <= merged[key] <= hi:
+            raise ParameterError(f"{key} must lie in [{lo:g}, {hi:g}], got {merged[key]!r}")
     if merged["snapshot_interval"] < merged["dt"]:
         raise ParameterError(
             f"snapshot_interval {merged['snapshot_interval']:g} is shorter than "
@@ -272,6 +289,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ParameterError(f"modes must be a list of integers, got {modes!r}")
     merged["amplitudes"] = tuple(float(x) for x in amplitudes)
     merged["modes"] = tuple(modes)
+    if merged["mode"] != "normalized":  # the unnormalized flow grows by e^t
+        size = max(merged["a"], merged["b"]) if merged["shape"] == "ellipse" else (
+            merged["radius"] * (1.0 + sum(abs(x) for x in merged["amplitudes"])))
+        if math.log(size) + merged["t_end"] > math.log(MAX_GROWN_SIZE):
+            raise ParameterError(f"the initial size {size:g} grows past "
+                                 f"{MAX_GROWN_SIZE:g} by t_end = {merged['t_end']:g}")
 
     if merged["checks"] is not None:
         requested = merged["checks"]
@@ -350,6 +373,16 @@ def build_initial_curve(config: ExperimentConfig) -> np.ndarray:
         config.radius, config.n, config.amplitudes, config.modes, config.seed)
 
 
+def initial_curve(config: ExperimentConfig) -> tuple[np.ndarray, float]:
+    """The config's curve resampled to n uniform vertices and the admissible
+    offset of its length-2*pi copy; ConvexityLossError at t = 0 if the curve
+    is not strictly convex, NoAdmissibleOffsetError if no offset is."""
+    curve = resample_uniform(build_initial_curve(config), config.n)
+    if not convexity_check(curve):
+        raise ConvexityLossError("initial curve is not strictly convex", time=0.0)
+    return curve, admissible_offset(renormalize(curve))
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     exit_code: int
@@ -395,18 +428,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     offset: float | None = None
     failure: dict | None = None
 
-    initial = resample_uniform(build_initial_curve(config), config.n)
-    if not convexity_check(initial):
-        failure = {
-            "error": "ConvexityLossError",
-            "message": "initial curve is not strictly convex",
-            "time": 0.0,
-        }
-    else:
-        try:
-            offset = admissible_offset(renormalize(initial))
-        except NoAdmissibleOffsetError as exc:
-            failure = {"error": type(exc).__name__, "message": str(exc), "time": 0.0}
+    try:
+        initial, offset = initial_curve(config)
+    except (ConvexityLossError, NoAdmissibleOffsetError) as exc:
+        failure = {"error": type(exc).__name__, "message": str(exc), "time": 0.0}
 
     def stats_observer(time, vertices, metrics):
         view, view_metrics = vertices, metrics

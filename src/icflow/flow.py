@@ -22,13 +22,13 @@ which reduces to the classical constraint at m = 0.  The filter is exact on
 constant fields, so circles (constant speed) are advanced without any
 smoothing error and keep their closed-form radius law to roundoff.
 
-One step kernel serves both formulations.  Each accepted state's geometry
-(edge lengths, curvature, outward normals; curves._geometry, the same
-computation compute_metrics returns) is computed once, after the step and
-any resampling.  The same geometry is the convexity test (kappa > 0 is the
-sign of each vertex's cross product, since the circumcircle denominators
-are positive), the input of the next step and, wrapped in a CurveMetrics,
-what snapshot observers receive.
+One step kernel serves both formulations.  Each state's geometry, the
+start state's included (edge lengths, curvature, outward normals;
+curves._geometry, which compute_metrics returns), is computed once, after
+the step and any resampling.  It is the one convexity test (kappa > 0, as
+in convexity_check: the sign of each vertex's cross product, since the
+circumcircle denominators are positive), the input of the next step and,
+wrapped in a CurveMetrics, what snapshot observers receive.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .curves import (
     _geometry,
     _validated_edges,
     edge_lengths,
+    edge_vectors,
     resample_uniform,
     validate_vertices,
 )
@@ -164,15 +165,13 @@ def _step(
 ) -> np.ndarray:
     """The Euler step of either formulation from a state at the given time.
 
-    geometry is _geometry(v).  Flow failures carry the pre-step time.
+    geometry is _geometry(v) of a state evolve has found convex, so every
+    curvature is positive.  A rejected step carries the pre-step time.
     """
     edge_len, kappa, normal = geometry
-    kappa_min = float(kappa.min())
-    if kappa_min <= 0.0:
-        raise ConvexityLossError(f"non-positive curvature at t = {time:.6g}", time=time)
     try:
         order = smoothing_order(
-            dt, float(edge_len.min()), kappa_min, control.safety, control.max_smoothing)
+            dt, float(edge_len.min()), float(kappa.min()), control.safety, control.max_smoothing)
     except StepRejectedError as exc:
         raise StepRejectedError(str(exc), time=time) from None
     speed = _smooth_in_place(1.0 / kappa, order)
@@ -196,53 +195,48 @@ def evolve(
     state, equal to compute_metrics(vertices).  Each state fires at most
     once: when one step passes several snapshot times, the state after it
     stands for all of them.  Step times are start + k*dt, not accumulated,
-    and a shorter final step lands exactly on t_end.  Every accepted state
-    must be strictly convex before any observer sees it.  Flow failures
-    propagate with the failing time attached.
+    and a shorter final step lands exactly on t_end.  Every state, the start
+    state included, must have positive curvature at every vertex before any
+    observer sees it; one that does not raises ConvexityLossError at its
+    time.  Flow failures propagate with the failing time attached.
     """
     if snapshot_interval is not None and not snapshot_interval > 0.0:
         raise ParameterError("snapshot_interval must be positive")
     if t_end < state.time - _TIME_SLACK:
         raise ParameterError(f"t_end {t_end} precedes current time {state.time}")
 
-    def fire(time: float, vertices: np.ndarray, geometry) -> None:
-        m = CurveMetrics(*geometry)
-        for obs in observers:
-            obs(time, vertices, m)
-
     mode = state.mode
     v = validate_vertices(state.vertices)
-    geometry = _geometry(v)
-    fire(state.time, v, geometry)
-    last_fired = time = t0 = state.time
+    time = t0 = last_fired = state.time
     next_snap = t0 + snapshot_interval if snapshot_interval else np.inf
     half_dt = 0.5 * control.dt
-
+    stop = t_end - _TIME_SLACK * max(1.0, abs(t_end))
     steps = 0
-    while time < t_end - _TIME_SLACK * max(1.0, abs(t_end)):
+    while True:
+        geometry = _geometry(v)
+        if not np.all(geometry[1] > 0.0):  # curvature
+            raise ConvexityLossError(f"convexity lost at t = {time:.6g}", time=time)
+        done = not time < stop
+        if (steps == 0 or time >= next_snap - half_dt
+                or (done and time > last_fired + _TIME_SLACK)):
+            metrics = CurveMetrics(*geometry)
+            for obs in observers:
+                obs(time, v, metrics)
+            last_fired = time
+            while next_snap - half_dt <= time:
+                next_snap += snapshot_interval
+        if done:
+            return replace(state, vertices=v, time=time)
+
         remaining = t_end - time
         partial = remaining < control.dt * (1.0 - 1e-9)
         v = _step(v, geometry, mode, remaining if partial else control.dt, control, time)
         steps += 1
         time = t_end if partial else t0 + steps * control.dt
-
         if steps % control.resample_every == 0:
             v = resample_uniform(v, v.shape[0])
             if mode == "normalized":
                 v = _rescale(v)
-        geometry = _geometry(v)
-        if not np.all(geometry[1] > 0.0):  # curvature
-            raise ConvexityLossError(f"convexity lost at t = {time:.6g}", time=time)
-
-        if time >= next_snap - half_dt:
-            fire(time, v, geometry)
-            last_fired = time
-            while next_snap - half_dt <= time:
-                next_snap += snapshot_interval
-
-    if time > last_fired + _TIME_SLACK:
-        fire(time, v, geometry)
-    return replace(state, vertices=v, time=time)
 
 
 def polyline_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
@@ -267,7 +261,7 @@ def _directed_sq(p: np.ndarray, q: np.ndarray) -> float:
     (diff . d) / |d|^2, as the sum of the x and y products, clipped to
     [0, 1], and the squared length of diff minus that multiple of d.
     """
-    d = np.roll(q, -1, axis=0) - q
+    d = edge_vectors(q)
     len2 = np.maximum(np.einsum("ij,ij->i", d, d), 1e-300)
     qx, qy = np.ascontiguousarray(q.T)
     dx, dy = np.ascontiguousarray(d.T)

@@ -8,6 +8,7 @@ from icflow.curves import (
     _dual_weights,
     compute_metrics,
     convexity_check,
+    edge_vectors,
     make_circle,
     make_ellipse,
     make_perturbed_circle,
@@ -184,6 +185,36 @@ def test_convexity_check_separates_shapes():
     assert convexity_check(make_circle(1.0, 32))
     assert convexity_check(make_ellipse(3.0, 1.0, 64))
     assert not convexity_check(nonconvex_star())
+
+
+def roll_convexity(v):
+    """Convexity as first tested, by the np.roll cross product of each edge
+    with the next one (the oracle of the curvature-sign test)."""
+    edges = np.roll(v, -1, axis=0) - v
+    e_next = np.roll(edges, -1, axis=0)
+    cross = edges[:, 0] * e_next[:, 1] - edges[:, 1] * e_next[:, 0]
+    return bool(np.all(cross > 0.0))
+
+
+@pytest.mark.parametrize("v", [
+    make_circle(1.0, 64),
+    make_ellipse(2.0, 1.0, 128),
+    make_perturbed_circle(1.0, 128, [0.05, 0.02], [3, 5], seed=11),
+    nonconvex_star(),
+], ids=["circle", "ellipse", "perturbed", "star"])
+def test_convexity_check_is_the_roll_cross_product(v):
+    assert convexity_check(v) == roll_convexity(v)
+    assert np.array_equal(edge_vectors(v), np.roll(v, -1, axis=0) - v)
+
+
+def test_convexity_check_raises_where_neighbours_coincide():
+    # the cross product reads 0 there, so the roll form returned False; the
+    # curvature is undefined
+    v = make_circle(1.0, 64)
+    v[12] = v[10]
+    assert not roll_convexity(v)
+    with pytest.raises(DegenerateCurveError, match="coincide"):
+        convexity_check(v)
 
 
 def test_dual_cell_weights_sum_to_total_length():

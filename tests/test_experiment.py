@@ -165,8 +165,10 @@ def test_cli_flags_map_onto_config_fields():
         "modes": (3, 5), "seed": 4, "n": 64, "dt": 1e-3, "t_end": 0.5, "mode": "both",
         "snapshot_interval": 0.1, "checks": ("min_Z", "cross_check"), "out": "x.csv",
         "summary_out": "s.json", "svg_dir": "d", "resample_every": 7, "safety": 0.3}
+    # tbar leaves shape to the config default
     args = cli.build_parser().parse_args(["tbar", "--n", "64", "--modes", "4"])
-    assert cli._collect_overrides(args) == {"shape": "circle", "modes": (4,), "n": 64}
+    assert load_config(None, cli._collect_overrides(args)) == config_from_dict(
+        {"shape": "circle", "modes": [4], "n": 64})
 
 
 def test_cli_run_with_infinite_t_end_exits_2_before_any_work(tmp_path, capsys):
@@ -552,6 +554,69 @@ def test_cli_rejects_a_negative_seed(command, tmp_path, capsys):
     assert captured.err == "error: seed must be non-negative, got -1\n"
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_config_bounds_the_curve_scale():
+    # _geometry's products once left the float range outside these scales
+    for key in ("radius", "a", "b"):
+        for value in (1e-50, 1e50):
+            assert getattr(config_from_dict({key: value}), key) == value
+        for value in (0.99e-50, 1.01e50, 1e300):
+            with pytest.raises(ParameterError, match=f"{key} must lie in"):
+                config_from_dict({key: value})
+
+
+@pytest.mark.parametrize("mode", ["unnormalized", "both"])
+@pytest.mark.parametrize("shape,data,size", [
+    ("circle", {"radius": 2.0, "amplitudes": [0.5, -0.25]}, 3.5),
+    ("perturbed_circle", {"radius": 1e50, "amplitudes": [0.1]}, 1.1e50),
+    ("ellipse", {"a": 3.0, "b": 1e20}, 1e20),
+])
+def test_config_bounds_the_grown_size(mode, shape, data, size):
+    # size e^{t_end} may reach 1e100 but not pass it; normalized runs do not grow
+    limit = np.log(1e100 / size)
+    data = dict(data, shape=shape, mode=mode)
+    config_from_dict(dict(data, t_end=limit * (1.0 - 1e-9)))
+    config_from_dict(dict(data, t_end=2.0 * limit, mode="normalized"))
+    with pytest.raises(ParameterError, match="grows past 1e\\+100"):
+        config_from_dict(dict(data, t_end=limit * (1.0 + 1e-9)))
+
+
+@pytest.mark.parametrize("argv,message", [
+    # exit 3 "initial curve is not strictly convex" with a RuntimeWarning
+    (["run", "--radius", "1e300"], "radius must lie in [1e-50, 1e+50], got 1e+300"),
+    (["tbar", "--radius", "1e300"], "radius must lie in [1e-50, 1e+50], got 1e+300"),
+    # a RuntimeWarning from make_ellipse, then exit 2 "vertex coordinates
+    # contain NaN or Inf"
+    (["run", "--shape", "ellipse", "--a", "1e300"], "a must lie in [1e-50, 1e+50], got 1e+300"),
+    (["tbar", "--shape", "ellipse", "--b", "1e-51"], "b must lie in [1e-50, 1e+50], got 1e-51"),
+    # exit 3 "convexity lost at t = 238.5" once e^{3t} overflowed
+    (["run", "--n", "16", "--mode", "unnormalized", "--t-end", "720", "--dt", "0.01"],
+     "the initial size 1.05 grows past 1e+100 by t_end = 720"),
+], ids=["run_radius", "tbar_radius", "run_a", "tbar_b", "run_growth"])
+def test_cli_rejects_curve_scales_out_of_range(argv, message, tmp_path, capsys):
+    if argv[0] == "run":
+        argv = [*argv, "--out", str(tmp_path / "run.csv")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_runs_at_the_scale_limits(tmp_path):
+    # both ends of the range run clean (pytest turns a RuntimeWarning into an
+    # error), and an unnormalized run at 1e50 grows for t = 100
+    for radius in ("1e-50", "1e50"):
+        assert cli.main(["run", "--radius", radius, "--n", "32", "--mode", "both",
+                         "--dt", "1e-3", "--t-end", "0.05", "--out", str(tmp_path / "a.csv")]) == 0
+        assert cli.main(["tbar", "--shape", "ellipse", "--a", radius, "--b", radius,
+                         "--n", "32"]) == 0
+    assert cli.main(["run", "--radius", "1e50", "--n", "32", "--mode", "unnormalized",
+                     "--dt", "1e-2", "--t-end", "100", "--snapshot-interval", "5",
+                     "--checks", "min_Z", "--out", str(tmp_path / "b.csv")]) == 0
+    rows = (tmp_path / "b.csv").read_text().splitlines()
+    assert float(rows[-1].split(",")[0]) == 100.0
 
 
 @pytest.mark.parametrize("command", ["run", "tbar"])

@@ -179,11 +179,15 @@ def test_evolve_rejects_bad_schedules():
 
 
 def test_nonconvex_curve_is_rejected_at_start():
+    # the start state once reached the observers before its curvature was
+    # tested, against evolve's own contract
     star = make_perturbed_circle(1.0, 128, [0.5], [7], seed=0)
     s = FlowState(vertices=star, time=0.0, mode="unnormalized")
+    fired = []
     with pytest.raises(ConvexityLossError) as info:
-        evolve(s, StepControl(dt=1e-3), 0.01)
+        evolve(s, StepControl(dt=1e-3), 0.01, observers=[lambda *args: fired.append(args)])
     assert info.value.time == 0.0
+    assert not fired
 
 
 def test_ellipse_rounds_toward_a_circle():
