@@ -3,9 +3,10 @@
 Every function here turns a snapshot (or a history of snapshots) into a
 residual that is zero or negative when the corresponding analytic statement
 holds: the squared-curvature sup bound with its exponential envelope, the
-L2 deficit of curvature and its decay rate, finite-difference derivative
-decay, the interpolation-ratio monitor, the incircle/circumcircle curvature
-gap, and plain convergence-to-unit-circle metrics.
+L2 deficit of curvature and its decay rate, finite-difference curvature
+derivatives and their noise floors (experiment's derivative ladder grades
+their decay), the interpolation-ratio monitor, the incircle/circumcircle
+curvature gap, and plain convergence-to-unit-circle metrics.
 
 snapshot_report evaluates them all in one pass over a snapshot: it takes
 edge lengths, dual-cell weights and curvature from the snapshot's
@@ -20,7 +21,6 @@ there are NaN, so exact fixtures pass vacuously instead of fitting noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import pi
 
 import numpy as np
@@ -34,10 +34,6 @@ DERIVATIVE_FLOOR = 1e-12
 # Relative edge-length spread beyond which a mesh no longer counts as
 # uniform for derivative estimation.
 _UNIFORM_SPREAD = 2e-2
-# Time windows of the derivative ladder: the envelope constants are
-# calibrated over the first, the late decay rate is fitted over the second.
-LADDER_CALIBRATION_WINDOW = (0.5, 2.0)
-LADDER_LATE_WINDOW = (2.0, 5.0)
 
 
 def l2_deficit_floor(n: int) -> float:
@@ -115,71 +111,6 @@ def curvature_derivative_profiles(metrics: CurveMetrics) -> tuple[float, float]:
     dk = (np.roll(kappa, -1) - np.roll(kappa, 1)) / (2.0 * h)
     d2k = (np.roll(dk, -1) - np.roll(dk, 1)) / (2.0 * h)
     return float(np.max(np.abs(dk))), float(np.max(np.abs(d2k)))
-
-
-@dataclass(frozen=True)
-class LadderReport:
-    """Derivative-decay ladder: calibrated envelopes and the late-time rate.
-
-    calibration_* are the maxima of max|Dkappa| * max(1, sqrt t) and
-    max|D2kappa| * max(1, t) over the calibration window; excess_* are the
-    worst ratios of the same weighted quantities AFTER the window to their
-    calibrations.  The analytic envelopes carry unspecified constants, so
-    the window defines each constant and only later times are asserted
-    against it; excess <= 1 means the weighted signal kept decaying.
-    late_slope is the fitted log-rate of max|Dkappa| over the late window.
-    NaN fields mean the data never rose above the noise floor (or the run
-    ended inside the calibration window).
-    """
-
-    calibration_dkappa: float
-    calibration_d2kappa: float
-    excess_dkappa: float
-    excess_d2kappa: float
-    late_slope: float
-
-
-def derivative_ladder_check(
-    times,
-    dkappa_max,
-    d2kappa_max,
-    floor: float = DERIVATIVE_FLOOR,
-    floor2: float | None = None,
-) -> LadderReport:
-    """Envelope-and-rate check for the first two curvature derivatives.
-
-    floor applies to max|Dkappa| and floor2 (default: floor) to
-    max|D2kappa|; entries at or below their floor are excluded everywhere.
-    """
-    t = np.asarray(times, dtype=float)
-    dk = np.asarray(dkappa_max, dtype=float)
-    d2k = np.asarray(d2kappa_max, dtype=float)
-    if floor2 is None:
-        floor2 = floor
-    lo, hi = LADDER_CALIBRATION_WINDOW
-    w1 = dk * np.maximum(1.0, np.sqrt(np.maximum(t, 0.0)))
-    w2 = d2k * np.maximum(1.0, t)
-
-    def calibrate(weighted, raw, level):
-        mask = (t >= lo - 1e-12) & (t <= hi + 1e-12) & (raw > level)
-        if not np.any(mask):
-            return float("nan"), float("nan")
-        cal = float(np.max(weighted[mask]))
-        late = (t > hi + 1e-12) & (raw > level)
-        if not np.any(late):
-            return cal, float("nan")
-        return cal, float(np.max(weighted[late])) / cal
-
-    cal1, excess1 = calibrate(w1, dk, floor)
-    cal2, excess2 = calibrate(w2, d2k, floor2)
-    slope = decay_slope(t, dk, *LADDER_LATE_WINDOW, floor)
-    return LadderReport(
-        calibration_dkappa=cal1,
-        calibration_d2kappa=cal2,
-        excess_dkappa=excess1,
-        excess_d2kappa=excess2,
-        late_slope=slope,
-    )
 
 
 def _ratio(dk: float, d2k: float, deficit: float, n: int) -> float:

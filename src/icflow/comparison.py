@@ -52,6 +52,7 @@ _LARGE_ARG = 1e8
 _DOMAIN_SLACK = 1e-12
 
 FD_STEP = 1e-5  # the certificate scan's central-difference step (cli.SLOPE_FD_TOL)
+CROSS_CHECK_STEP = 1e-4  # derivative_cross_check's central-difference step
 
 
 def _as_domain(x, lo: float, hi: float, label: str) -> np.ndarray:
@@ -186,13 +187,13 @@ def _residual_of_z(z, z2, alpha, t, work=None):
     return r
 
 
-def _residual_dx_of_z(z2, c, alpha, work=None):
+def _residual_dx_of_z(z2, c, alpha, work):
     """x-slope of profile_residual, c A / (q p)^2, from z2 = sin^2(x/2),
     c = cos(x/2) and alpha = e^{-2t}, with A residual_dx_numerator's
-    polynomial and q, p as in _residual_of_z, in the three arrays of work (by
-    default new ones), the result in the first.  A holds alpha^5: it overflows
-    below about t = -70.9 (the fd mismatch verdict fails below -10.03)."""
-    r, a, b = _work_arrays(3, z2, c, alpha) if work is None else work
+    polynomial and q, p as in _residual_of_z, in the three arrays of work,
+    the result in the first.  A holds alpha^5: it overflows below about
+    t = -70.9 (the fd mismatch verdict fails below -10.03)."""
+    r, a, b = work
     with np.errstate(over="ignore", invalid="ignore"):
         _numerator_of_z2(z2, alpha, r)
         np.multiply(alpha, z2, out=a)
@@ -364,13 +365,15 @@ def residual_certificate_scan(x_values: np.ndarray, t_values: np.ndarray) -> Pro
     )
 
 
-def derivative_cross_check(step: float = 1e-4):
+def derivative_cross_check():
     """Worst disagreement between closed-form and central-difference
-    derivatives of the profile, over a grid away from the domain edges.
+    derivatives of the profile (step CROSS_CHECK_STEP), over a grid away
+    from the domain edges.
 
     Returns the worst gap and where it sits, as (name, x, t) with name one
     of "dx", "dxx", "dt"; NaN, where first found, if any gap is NaN.
     """
+    step = CROSS_CHECK_STEP
     x = np.linspace(0.05, 2.0 * np.pi - 0.05, 61)
     worst = 0.0
     where = ("dx", 0.0, 0.0)
@@ -625,21 +628,20 @@ def two_point_gap_scan(vertices: np.ndarray, time: float, offset: float) -> TwoP
 # Curvature-floor activation: squared-curvature excess below this is treated
 # as roundoff (an exact polygonal circle measures kappa = 1 to ~1e-15).
 _FLOOR_ACTIVATION = 1e-9
+# admissible_offset's search interval and its bisection tolerance
+OFFSET_BRACKET = (-50.0, 50.0)
+OFFSET_TOL = 1e-6
 
 
-def admissible_offset(
-    vertices: np.ndarray,
-    lo: float = -50.0,
-    hi: float = 50.0,
-    tol: float = 1e-6,
-) -> float:
+def admissible_offset(vertices: np.ndarray) -> float:
     """Smallest offset making the initial curve admissible for the barrier.
 
     Two constraints are combined:
 
     * every vertex pair must satisfy chord >= profile(arc, -offset);
       feasibility is monotone in the offset (the profile falls as -offset
-      drops), so the threshold is found by bisection on [lo, hi];
+      drops), so the threshold is found by bisection on OFFSET_BRACKET
+      = [lo, hi], to OFFSET_TOL;
     * the coincident-point limit of the same family, which vertex pairs
       cannot sample below one mesh width: as arc -> 0 the pair constraint
       degenerates to max_kappa^2 <= 1 + 2 e^{2 offset}, i.e. a floor of
@@ -662,10 +664,7 @@ def admissible_offset(
     v, edge_len = _validated_edges(vertices)
     if not convexity_check(v):
         raise ParameterError("admissible offset is defined for convex curves only")
-    if not (lo < hi):
-        raise ParameterError(f"empty search interval [{lo}, {hi}]")
-    if not tol > 0.0:
-        raise ParameterError("tolerance must be positive")
+    lo, hi = OFFSET_BRACKET
 
     diag = _diagonals(v, edge_len)
     _require_normalized_length(diag.total)
@@ -682,7 +681,7 @@ def admissible_offset(
         threshold = lo
     else:
         a, b = lo, hi
-        while b - a > tol:
+        while b - a > OFFSET_TOL:
             mid = 0.5 * (a + b)
             if feasible(mid):
                 b = mid

@@ -53,6 +53,12 @@ def edge_lengths(v: np.ndarray) -> np.ndarray:
     return np.hypot(*edge_vectors(v).T)
 
 
+def check_vertex_count(n: int) -> None:
+    """Raise ParameterError if n is below MIN_VERTICES."""
+    if n < MIN_VERTICES:
+        raise ParameterError(f"need at least {MIN_VERTICES} vertices, got {n}")
+
+
 def validate_vertices(vertices: np.ndarray) -> np.ndarray:
     """Coerce to a float (n, 2) array and check basic polygon sanity."""
     return _validated_edges(vertices)[0]
@@ -63,8 +69,7 @@ def _validated_edges(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 2:
         raise ParameterError(f"expected an (n, 2) vertex array, got shape {v.shape}")
-    if v.shape[0] < MIN_VERTICES:
-        raise ParameterError(f"need at least {MIN_VERTICES} vertices, got {v.shape[0]}")
+    check_vertex_count(v.shape[0])
     if not np.all(np.isfinite(v)):
         raise DegenerateCurveError("vertex coordinates contain NaN or Inf")
     edge_len = edge_lengths(v)
@@ -73,19 +78,18 @@ def _validated_edges(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, edge_len
 
 
-def make_circle(radius: float, n: int, center: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
-    """Regular n-gon inscribed in the circle of given radius.
+def make_circle(radius: float, n: int) -> np.ndarray:
+    """Regular n-gon inscribed in the origin-centered circle of given radius.
 
     Vertices are ordered counterclockwise starting at angle 0.
     """
     if not radius > 0.0:
         raise ParameterError(f"radius must be positive, got {radius}")
-    if n < MIN_VERTICES:
-        raise ParameterError(f"need at least {MIN_VERTICES} vertices, got {n}")
+    check_vertex_count(n)
     theta = 2.0 * np.pi * np.arange(n) / n
     v = np.empty((n, 2))
-    v[:, 0] = center[0] + radius * np.cos(theta)
-    v[:, 1] = center[1] + radius * np.sin(theta)
+    v[:, 0] = radius * np.cos(theta)
+    v[:, 1] = radius * np.sin(theta)
     return v
 
 
@@ -105,8 +109,7 @@ def make_ellipse(a: float, b: float, n: int) -> np.ndarray:
     """
     if not (a > 0.0 and b > 0.0):
         raise ParameterError(f"semi-axes must be positive, got a={a}, b={b}")
-    if n < MIN_VERTICES:
-        raise ParameterError(f"need at least {MIN_VERTICES} vertices, got {n}")
+    check_vertex_count(n)
 
     m = max(4096, 8 * n)  # even number of Simpson intervals over [0, 2pi]
     u_grid = np.linspace(0.0, 2.0 * np.pi, m + 1)
@@ -145,28 +148,24 @@ def make_perturbed_circle(
     n: int,
     amplitudes: tuple[float, ...] | list[float] | np.ndarray,
     modes: tuple[int, ...] | list[int] | np.ndarray,
-    seed: int | None = None,
+    seed: int,
 ) -> np.ndarray:
     """Circle with radial cosine perturbations: r(theta) = R (1 + sum a_j cos(k_j theta + phi_j)).
 
     Phases phi_j are drawn from the seeded generator so repeated calls with
-    the same seed reproduce the same curve; seed None gives zero phases.
+    the same seed reproduce the same curve.
     Large amplitudes are allowed and may produce non-convex curves, which is
     intentional (they exercise the convexity gate downstream).
     """
     if not radius > 0.0:
         raise ParameterError(f"radius must be positive, got {radius}")
-    if n < MIN_VERTICES:
-        raise ParameterError(f"need at least {MIN_VERTICES} vertices, got {n}")
+    check_vertex_count(n)
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     ks = np.atleast_1d(np.asarray(modes, dtype=float))
     if amps.shape != ks.shape:
         raise ParameterError(
             f"amplitudes and modes must pair up, got {amps.shape} vs {ks.shape}")
-    if seed is None:
-        phases = np.zeros_like(amps)
-    else:
-        phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=amps.shape)
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=amps.shape)
     theta = 2.0 * np.pi * np.arange(n) / n
     r = radius * (1.0 + np.sum(
         amps[:, None] * np.cos(ks[:, None] * theta[None, :] + phases[:, None]), axis=0))
@@ -262,8 +261,7 @@ def resample_uniform(vertices: np.ndarray, n: int) -> np.ndarray:
     accuracy must account for that, it is not a bug in the resampler.
     """
     v, edge_len = _validated_edges(vertices)
-    if n < MIN_VERTICES:
-        raise ParameterError(f"need at least {MIN_VERTICES} vertices, got {n}")
+    check_vertex_count(n)
     s = np.concatenate([[0.0], np.cumsum(edge_len)])
     closed = np.vstack([v, v[:1]])
     targets = s[-1] * np.arange(n) / n

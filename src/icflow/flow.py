@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,15 +62,15 @@ class StepControl:
     """Time-step parameters shared by both flow formulations.
 
     dt: Euler step; resample_every: accepted steps between arc-length
-    resamplings; safety: fraction of the stability budget a step may use;
-    max_smoothing: cap on the speed-filter order (a step needing more is
-    rejected as unstable).
+    resamplings; safety: fraction of the stability budget a step may use.
+    max_smoothing, a constant, caps the speed-filter order (a step needing
+    more is rejected as unstable).
     """
 
     dt: float
     resample_every: int = 10
     safety: float = 0.2
-    max_smoothing: int = 20
+    max_smoothing: ClassVar[int] = 20
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -78,8 +79,6 @@ class StepControl:
             raise ParameterError("resample_every must be at least 1")
         if not 0.0 < self.safety <= 1.0:
             raise ParameterError("safety factor must lie in (0, 1]")
-        if self.max_smoothing < 0:
-            raise ParameterError("max_smoothing must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ that grade it, including byte-level determinism of its output files.
 """
 
 import json
+import math
 import time
 
 import numpy as np
@@ -18,14 +19,19 @@ from icflow.bounds import (
     bonnesen_floor,
     curvature_sup_residual,
     decay_slope,
-    derivative_ladder_check,
     derivative_noise_floors,
     l2_deficit_floor,
     snapshot_report,
 )
 from icflow.comparison import admissible_offset, profile_residual, two_point_gap_scan
 from icflow.curves import compute_metrics, make_circle, make_ellipse, resample_uniform
-from icflow.experiment import DEFAULT_TOLERANCES, config_from_dict, run_experiment
+from icflow.experiment import (
+    CHECKS,
+    DEFAULT_TOLERANCES,
+    RunSeries,
+    config_from_dict,
+    run_experiment,
+)
 from icflow.flow import (
     StepControl,
     evolve,
@@ -113,7 +119,7 @@ def test_criterion_3_circle_fixed_point():
     final = evolve(centered, control, 5.0)
     drift = polyline_hausdorff(final.vertices, reference)
 
-    off_center = initial_state(make_circle(1.0, 512, center=(0.1, 0.0)), "normalized")
+    off_center = initial_state(make_circle(1.0, 512) + (0.1, 0.0), "normalized")
     settled = evolve(off_center, control, 3.0)
     v = settled.vertices
     center = snapshot_report(3.0, v, compute_metrics(v), 0.0)["center_norm"]
@@ -162,23 +168,76 @@ def test_criterion_4_flagship_bounds(flagship):
         f"failing: {[k for k, ok in parts.items() if not ok] or 'none'}")
 
 
+def reference_ladder(t, dk, d2k, n):
+    """The derivative ladder as first written, apart from its grader:
+    (excess of max|Dkappa|, excess of max|D2kappa|, late slope), NaN where
+    undefined, with the noise floors of mesh size n."""
+    t, dk, d2k = (np.asarray(a, dtype=float) for a in (t, dk, d2k))
+    floor, floor2 = derivative_noise_floors(n)
+    lo, hi = 0.5, 2.0
+    w1 = dk * np.maximum(1.0, np.sqrt(np.maximum(t, 0.0)))
+    w2 = d2k * np.maximum(1.0, t)
+
+    def excess(weighted, raw, level):
+        mask = (t >= lo - 1e-12) & (t <= hi + 1e-12) & (raw > level)
+        late = (t > hi + 1e-12) & (raw > level)
+        if not np.any(mask) or not np.any(late):
+            return float("nan")
+        return float(np.max(weighted[late])) / float(np.max(weighted[mask]))
+
+    return excess(w1, dk, floor), excess(w2, d2k, floor2), decay_slope(t, dk, 2.0, 5.0, floor)
+
+
+def reference_ladder_grade(t, dk, d2k, n, tol):
+    # (passed, worst, detail) as the derivative_ladder grader first wrote them
+    *excesses, slope = reference_ladder(t, dk, d2k, n)
+    ratios = [r for r in excesses if not math.isnan(r)]
+    slope_ok = math.isnan(slope) or slope <= -0.3
+    return (all(r <= tol for r in ratios) and slope_ok, max(ratios) if ratios else None,
+            f"late slope {slope:.6g} (bound -0.3)")
+
+
 def test_criterion_5_derivative_ladder(flagship):
     table = flagship["table"]
-    dk_floor, d2k_floor = derivative_noise_floors(512)
-    report = derivative_ladder_check(
-        table["t"], table["dkappa_max"], table["d2kappa_max"],
-        floor=dk_floor, floor2=d2k_floor)
-    excesses = [r for r in (report.excess_dkappa, report.excess_d2kappa)
-                if np.isfinite(r)]
+    *excesses, late_slope = reference_ladder(
+        table["t"], table["dkappa_max"], table["d2kappa_max"], 512)
+    excesses = [r for r in excesses if np.isfinite(r)]
     passed = (
         bool(excesses)
         and all(r <= 1.5 for r in excesses)
-        and report.late_slope <= -0.3
+        and late_slope <= -0.3
     )
     _grade(
         "derivative_ladder", passed,
         f"weighted excesses {[f'{r:.4g}' for r in excesses]} (cap 1.5), "
-        f"late slope {report.late_slope:.3g} (cap -0.3)")
+        f"late slope {late_slope:.3g} (cap -0.3)")
+
+
+def test_ladder_grader_matches_its_reference(flagship):
+    t = np.linspace(0.0, 5.0, 51)
+    t_short = np.linspace(0.0, 2.0, 21)
+    decaying = np.exp(-2.0 * t)
+    with_gaps = 40.0 * decaying
+    with_gaps[[7, 15, 33]] = [np.nan, np.inf, np.inf]  # NaN, and an inf/inf excess
+    sinking = np.where(t <= 2.0, decaying, 1e-15)  # below the floor after calibration
+    series = [
+        (t, 5.0 * decaying, 40.0 * decaying, 256),
+        (t, np.exp(0.5 * t), np.exp(0.5 * t), 256),
+        (t, decaying, np.exp(0.5 * t), 256),
+        (t, np.full_like(t, 1e-15), np.full_like(t, 1e-15), 256),
+        (t_short, np.exp(-t_short), np.exp(-t_short), 256),
+        (t, np.exp(-t), np.full_like(t, 1e-9), 256),
+        (t, decaying, with_gaps, 512),
+        (t, sinking, sinking, 512),
+        (t, np.exp(-t), np.exp(-t), 16),
+    ]
+    table = flagship["table"]
+    series.append((table["t"], table["dkappa_max"], table["d2kappa_max"], 512))
+    for t_, dk, d2k, n in series:
+        rows = [{"t": a, "dkappa_max": b, "d2kappa_max": c} for a, b, c in zip(t_, dk, d2k)]
+        for tol in (0.5, 1.5):
+            graded = CHECKS["derivative_ladder"][2](RunSeries(rows, [], [], n), tol)
+            assert graded == reference_ladder_grade(t_, dk, d2k, n, tol)
 
 
 def test_criterion_6_refinement_study(tmp_path):

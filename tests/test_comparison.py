@@ -201,8 +201,8 @@ def residual_slope(x, t):
     # evaluates it
     xa = np.asarray(x, dtype=float)
     z = np.sin(0.5 * xa)
-    return comparison._residual_dx_of_z(
-        z * z, np.cos(0.5 * xa), comparison._alpha(np.asarray(t, dtype=float)))
+    operands = (z * z, np.cos(0.5 * xa), comparison._alpha(np.asarray(t, dtype=float)))
+    return comparison._residual_dx_of_z(*operands, comparison._work_arrays(3, *operands))
 
 
 def assert_slope_agrees(slope, first_written):
@@ -367,14 +367,12 @@ def test_admissible_offset_on_ellipse_matches_curvature_floor():
     assert two_point_gap_scan(v, time=0.0, offset=got).min_gap > -1e-9
 
 
-def test_admissible_offset_reports_infeasible_brackets():
+def test_admissible_offset_reports_infeasible_brackets(monkeypatch):
     v = normalized_ellipse()
-    with pytest.raises(NoAdmissibleOffsetError):
-        admissible_offset(v, hi=-5.0)
-    with pytest.raises(NoAdmissibleOffsetError):
-        admissible_offset(v, hi=0.5)
-    with pytest.raises(NoAdmissibleOffsetError):
-        admissible_offset(v, hi=0.72)
+    for hi in (-5.0, 0.5, 0.72):
+        monkeypatch.setattr(comparison, "OFFSET_BRACKET", (-50.0, hi))
+        with pytest.raises(NoAdmissibleOffsetError):
+            admissible_offset(v)
 
 
 def triu_pairs(v):

