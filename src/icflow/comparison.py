@@ -39,15 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .curves import BLOCK_PAIRS, _geometry, _validated_edges, convexity_check
+from .curves import BLOCK_PAIRS, _geometry, _validated_edges
 from .errors import NoAdmissibleOffsetError, ParameterError
 
 # Below this argument the direct arctan(w) - w/(1+w^2) suffers cancellation;
 # switch to the leading terms of its power series.
 _SMALL_ARG = 1e-2
-# Above this argument arctan is evaluated through its asymptotic expansion
-# (avoids ever forming tan-like ratios near the pole).
-_LARGE_ARG = 1e8
 
 _DOMAIN_SLACK = 1e-12
 
@@ -69,35 +66,16 @@ def _maybe_scalar(value: np.ndarray, *inputs) -> float | np.ndarray:
 
 
 def _profile_of_z(z, t, out=None):
-    """2 e^t arctan(e^{-t} z): the profile from z = sin(x/2).
-
-    Once w = e^{-t} z exceeds _LARGE_ARG the arctan is replaced by
-    pi/2 - 1/w.  When no w does, the np.where branches select arctan(w)
-    everywhere and are skipped, which changes no value, and w is computed
-    in out when given (the returned array is out then).
-    """
+    """2 e^t arctan(e^{-t} z), the profile from z = sin(x/2), in out when given."""
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.asarray(np.multiply(np.exp(-t), z, out=out))
-        if np.max(w, initial=-np.inf) <= _LARGE_ARG:
-            arct = np.arctan(w, out=w)
-        else:
-            big = w > _LARGE_ARG
-            arct = np.where(
-                big,
-                0.5 * np.pi - 1.0 / np.where(big, w, 1.0),
-                np.arctan(np.where(big, 0.0, w)),
-            )
-        arct *= 2.0 * np.exp(t)
-        return arct
+        np.arctan(w, out=w)
+        w *= 2.0 * np.exp(t)
+        return w
 
 
 def profile_value(x, t):
-    """The comparison profile 2 e^t arctan(e^{-t} sin(x/2)) for x in [0, 2pi].
-
-    Stable for strongly negative t: once e^{-t} sin(x/2) exceeds 1e8 the
-    arctan is replaced by pi/2 - 1/w, which is exact to well below double
-    precision there.
-    """
+    """The comparison profile 2 e^t arctan(e^{-t} sin(x/2)) for x in [0, 2pi]."""
     xa = _as_domain(x, 0.0, 2.0 * np.pi, "x")
     ta = np.asarray(t, dtype=float)
     return _maybe_scalar(np.asarray(_profile_of_z(np.sin(0.5 * xa), ta)), x, t)
@@ -156,7 +134,7 @@ def _views(buffers, rows: int, width: int) -> list:
     return [b[:rows * width].reshape(rows, width) for b in buffers]
 
 
-def _residual_of_z(z, z2, alpha, t, work=None):
+def _residual_of_z(z, z2, alpha, t, work):
     """profile_residual from z = sin(x/2), z2 = z * z and alpha = e^{-2t}.
 
     z and t broadcast against each other; the scan passes x rows and a t
@@ -165,11 +143,10 @@ def _residual_of_z(z, z2, alpha, t, work=None):
         2 z (1 + 2 alpha + alpha^2 z2) / p - 2 profile + 2 z / q,
         p = 1 + 2 alpha - alpha z2,  q = 1 + alpha z2,
 
-    is evaluated in the three arrays of work (by default new ones of the
-    broadcast shape), the result in the first, one operation at a time in
-    the order the expression above groups them.
+    is evaluated in the three arrays of work, the result in the first, one
+    operation at a time in the order the expression above groups them.
     """
-    r, a, b = _work_arrays(3, z, alpha, t) if work is None else work
+    r, a, b = work
     with np.errstate(over="ignore", invalid="ignore"):
         one_2a = 1.0 + 2.0 * alpha
         two_z = 2.0 * z
@@ -242,7 +219,8 @@ def profile_residual(x, t):
         raise ParameterError("x = 0 is a removable singularity; evaluate at x > 0")
     ta = np.asarray(t, dtype=float)
     z = np.sin(0.5 * xa)
-    out = _residual_of_z(z, z * z, _alpha(ta), ta)
+    alpha = _alpha(ta)
+    out = _residual_of_z(z, z * z, alpha, ta, _work_arrays(3, z, alpha, ta))
     return _maybe_scalar(np.asarray(out), x, t)
 
 
@@ -371,30 +349,23 @@ def derivative_cross_check():
     from the domain edges.
 
     Returns the worst gap and where it sits, as (name, x, t) with name one
-    of "dx", "dxx", "dt"; NaN, where first found, if any gap is NaN.
+    of "dx", "dxx", "dt".  The gaps are searched in (t, name, x) order by
+    one np.argmax: the first largest gap, or the first NaN if any is NaN.
     """
     step = CROSS_CHECK_STEP
     x = np.linspace(0.05, 2.0 * np.pi - 0.05, 61)
-    worst = 0.0
-    where = ("dx", 0.0, 0.0)
-    for t in np.linspace(-2.0, 2.0, 17):
-        plus = profile_value(x + step, t)
-        minus = profile_value(x - step, t)
-        mid = profile_value(x, t)
-        candidates = (
-            ("dx", (plus - minus) / (2.0 * step), profile_dx(x, t)),
-            ("dxx", (plus - 2.0 * mid + minus) / step ** 2, profile_dxx(x, t)),
-            ("dt", (profile_value(x, t + step) - profile_value(x, t - step))
-                   / (2.0 * step), profile_dt(x, t)),
-        )
-        for name, approx, exact in candidates:
-            gaps = np.abs(approx - exact)
-            k = int(np.argmax(gaps))
-            # argmax finds a NaN first; once worst is NaN it stays
-            if not (gaps[k] <= worst or np.isnan(worst)):
-                worst = float(gaps[k])
-                where = (name, float(x[k]), float(t))
-    return worst, where
+    t = np.linspace(-2.0, 2.0, 17)[:, None]
+    plus = profile_value(x + step, t)
+    minus = profile_value(x - step, t)
+    mid = profile_value(x, t)
+    gaps = np.abs(np.stack([
+        (plus - minus) / (2.0 * step) - profile_dx(x, t),
+        (plus - 2.0 * mid + minus) / step ** 2 - profile_dxx(x, t),
+        (profile_value(x, t + step) - profile_value(x, t - step)) / (2.0 * step)
+        - profile_dt(x, t),
+    ], axis=1))
+    ti, name, xi = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
+    return float(gaps[ti, name, xi]), (("dx", "dxx", "dt")[name], float(x[xi]), float(t[ti, 0]))
 
 
 def numerator_grid_min(z_values, alphas) -> tuple[float, tuple[float, float]]:
@@ -554,8 +525,6 @@ def _require_normalized_length(total: float) -> None:
 class TwoPointReport:
     """Result of a two-point gap scan at one snapshot."""
 
-    time: float
-    offset: float
     min_gap: float
     argmin_pair: tuple[int, int]
 
@@ -617,12 +586,7 @@ def two_point_gap_scan(vertices: np.ndarray, time: float, offset: float) -> TwoP
     diag = _diagonals(*_validated_edges(vertices))
     _require_normalized_length(diag.total)
     best, key = _min_gap(diag, _diagonal_extremes(diag), time - offset, diag.buffers(3))
-    return TwoPointReport(
-        time=float(time),
-        offset=float(offset),
-        min_gap=best,
-        argmin_pair=divmod(key, diag.n),
-    )
+    return TwoPointReport(min_gap=best, argmin_pair=divmod(key, diag.n))
 
 
 # Curvature-floor activation: squared-curvature excess below this is treated
@@ -662,8 +626,11 @@ def admissible_offset(vertices: np.ndarray) -> float:
     some arc rounds to 0 nothing is pruned and every test is a full scan.
     """
     v, edge_len = _validated_edges(vertices)
-    if not convexity_check(v):
+    kappa = _geometry(v)[1]
+    if not np.all(kappa > 0.0):
         raise ParameterError("admissible offset is defined for convex curves only")
+    kappa_max = float(np.max(kappa))
+    del kappa  # only the float stays alive across the bisection
     lo, hi = OFFSET_BRACKET
 
     diag = _diagonals(v, edge_len)
@@ -689,7 +656,6 @@ def admissible_offset(vertices: np.ndarray) -> float:
                 a = mid
         threshold = b
 
-    kappa_max = float(np.max(_geometry(v)[1]))
     excess = kappa_max * kappa_max - 1.0
     if excess > _FLOOR_ACTIVATION:
         floor = 0.5 * np.log(0.5 * excess)

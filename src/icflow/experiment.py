@@ -354,8 +354,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if not isinstance(merged[key], str) or not merged[key]:
             raise ParameterError(f"{key} must be a non-empty path")
     for key in ("summary_out", "svg_dir"):
-        if merged[key] is not None and not isinstance(merged[key], str):
-            raise ParameterError(f"{key} must be a path or null")
+        if merged[key] is not None and not (isinstance(merged[key], str) and merged[key]):
+            raise ParameterError(f"{key} must be a non-empty path or null")
 
     config = ExperimentConfig(**merged)
     # Let StepControl vet the stepping parameters up front (exit code 2
@@ -423,7 +423,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Any other package error raised while the flow runs, say by a snapshot
     monitor, also ends the run with exit 3 and both files; its time is that
     of the snapshot being observed (None outside an observer).
-    Configuration problems raise ParameterError before anything runs.
+    Configuration problems and unwritable output paths raise ParameterError
+    before anything runs.
 
     In both mode the unnormalized formulation runs in a forked child, beside
     the normalized one (_run_both).  A normalized failure (of the flow or a
@@ -450,6 +451,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     raw_snaps: list[np.ndarray] = []
     offset: float | None = None
     failure: dict | None = None
+
+    files = (config.out, config.summary_path())
+    try:
+        for directory in (*map(os.path.dirname, files), config.svg_dir):
+            if directory:
+                os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot create output directory: {exc}") from None
+    for path in files:
+        if os.path.isdir(path):
+            raise ParameterError(f"output path {path!r} is a directory")
 
     try:
         initial, offset = initial_curve(config)
@@ -503,8 +515,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         return lane("unnormalized", raw_observer), raw_lengths, raw_snaps
 
     if failure is None:
-        if config.svg_dir is not None:
-            os.makedirs(config.svg_dir, exist_ok=True)
         if config.mode == "normalized":
             failure = lane("normalized", stats_observer)
         elif config.mode == "unnormalized":

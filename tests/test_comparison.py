@@ -123,6 +123,31 @@ def test_profile_derivatives_agree_with_finite_differences():
     assert worst_second < 1e-6
 
 
+def test_residual_is_the_barrier_operator_of_the_derivatives():
+    # the residual the certificate scans, against the operator applied to
+    # the derivatives that derivative_cross_check certifies; relative to
+    # max(1, |operator|) as the slope mismatch is, since the residual falls
+    # to 0 at x = 0 and the operator's terms there cancel to ~1e-14
+    x = np.linspace(0.05, np.pi, 80)
+    t = np.linspace(-5.0, 5.0, 41)[:, None]
+    operator = ((profile_dx(x, t) ** 2 - 1.0) / profile_dxx(x, t)
+                - profile_value(x, t) - profile_dt(x, t))
+    error = np.abs(profile_residual(x, t) - operator) / np.maximum(1.0, np.abs(operator))
+    assert np.max(error) < 1e-12
+
+
+def test_profile_is_accurate_at_strongly_negative_t():
+    # e^{-t} sin(x/2) reaches 1e17 here, where arctan is within an ulp of pi/2
+    mpmath = pytest.importorskip("mpmath")
+    x = np.linspace(0.05, 2.0 * np.pi - 0.05, 41)
+    t = np.linspace(-40.0, -18.5, 44)
+    with mpmath.workprec(200):
+        reference = np.array([[float(2 * mpmath.exp(tv) * mpmath.atan(
+            mpmath.exp(-tv) * mpmath.sin(mpmath.mpf(xv) / 2))) for xv in x] for tv in t])
+    ulps = np.abs(profile_value(x, t[:, None]) - reference) / np.spacing(reference)
+    assert np.max(ulps) <= 2.0
+
+
 def test_residual_slope_factors_through_the_polynomial(rng):
     # d(residual)/dx equals cos(x/2) * A(z, alpha) / (Q^2 P^2); check the
     # packaged numerator against a finite difference of the residual itself.
@@ -259,7 +284,7 @@ SCAN_GRIDS = {
                   np.linspace(-3.0, 3.0, 23), 1e-5),
     # FD_STEP wider than the x range: the stencil is empty
     "empty_stencil": (np.linspace(0.1, 3.0, 50), np.linspace(-1.0, 1.0, 9), 10.0),
-    # e^{-t} sin(x/2) passes 1e8: the large-argument arctan branch
+    # e^{-t} sin(x/2) passes 1e8, where arctan is within an ulp of pi/2
     "large_arg": (np.arange(0.5, 1.0 + 1e-12, 0.01), np.arange(-30.0, 30.0 + 1e-9, 0.7), 1e-5),
     # exact ties: far out in t the residual rounds to the same few values
     "ties": (np.linspace(0.2, np.pi, 60), np.linspace(35.0, 45.0, 11), 1e-5),
@@ -334,8 +359,6 @@ def workload_perturbed_circle(n, seed=7):
 def test_two_point_gap_is_nonnegative_on_the_circle():
     report = two_point_gap_scan(normalized_circle(), time=3.0, offset=-50.0)
     assert report.min_gap > -1e-9
-    assert report.time == 3.0
-    assert report.offset == -50.0
     i, j = report.argmin_pair
     assert i != j
 
@@ -624,14 +647,61 @@ def test_overflowing_profile_reports_the_first_nan_pair_like_argmin():
     assert report.argmin_pair == (0, 1)
 
 
+def loop_derivative_cross_check():
+    # the per-t loop that derivative_cross_check replaced, as the reference
+    step = comparison.CROSS_CHECK_STEP
+    x = np.linspace(0.05, 2.0 * np.pi - 0.05, 61)
+    worst, where = 0.0, ("dx", 0.0, 0.0)
+    for t in np.linspace(-2.0, 2.0, 17):
+        plus, minus = profile_value(x + step, t), profile_value(x - step, t)
+        candidates = (
+            ("dx", (plus - minus) / (2.0 * step), comparison.profile_dx(x, t)),
+            ("dxx", (plus - 2.0 * profile_value(x, t) + minus) / step ** 2,
+             comparison.profile_dxx(x, t)),
+            ("dt", (profile_value(x, t + step) - profile_value(x, t - step)) / (2.0 * step),
+             comparison.profile_dt(x, t)),
+        )
+        for name, approx, exact in candidates:
+            gaps = np.abs(approx - exact)
+            k = int(np.argmax(gaps))
+            if not (gaps[k] <= worst or np.isnan(worst)):
+                worst, where = float(gaps[k]), (name, float(x[k]), float(t))
+    return worst, where
+
+
+def _closed_form_patched(name, value, column, t_min):
+    # the closed form `name` with `value` at x[column] for every t >= t_min
+    closed_form = getattr(comparison, name)
+
+    def patched(x, t):
+        out = np.array(closed_form(x, t))
+        hit = np.broadcast_to(np.asarray(t) >= t_min, out.shape)[..., column]
+        out[..., column] = np.where(hit, value, out[..., column])
+        return out
+    return name, patched
+
+
+@pytest.mark.parametrize("patches", [
+    [],
+    [_closed_form_patched("profile_dxx", np.nan, 5, 0.5)],
+    # inf gaps tie; the first in (t, name, x) order wins, here dt's at t = 0
+    [_closed_form_patched("profile_dt", -np.inf, 7, 0.0),
+     _closed_form_patched("profile_dx", np.inf, 3, 1.0)],
+], ids=["plain", "nan", "inf_ties"])
+def test_derivative_cross_check_matches_the_per_t_loop(patches, monkeypatch):
+    for name, patched in patches:
+        monkeypatch.setattr(comparison, name, patched)
+    assert repr(comparison.derivative_cross_check()) == repr(loop_derivative_cross_check())
+
+
 def test_derivative_cross_check_reports_a_nan_gap(monkeypatch):
     # np.argmax finds a NaN gap, and the comparison with the worst gap so far
-    # once dropped it
+    # once dropped it; the closed form receives every t as a column
     closed_form = comparison.profile_dxx
 
     def nan_at_the_sixth_x(x, t):
         out = np.array(closed_form(x, t))
-        out[5] = np.nan
+        out[..., 5] = np.nan
         return out
 
     monkeypatch.setattr(comparison, "profile_dxx", nan_at_the_sixth_x)

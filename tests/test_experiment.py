@@ -183,6 +183,27 @@ def test_cli_run_with_infinite_t_end_exits_2_before_any_work(tmp_path, capsys):
     assert not (tmp_path / "run.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--out", "D"], ["--out", "F/r.csv"], ["--summary-out", ""],
+    ["--svg-dir", "F"], ["--svg-dir", ""],
+], ids=["out_is_a_directory", "out_below_a_file", "empty_summary_out",
+        "svg_dir_is_a_file", "empty_svg_dir"])
+def test_unwritable_output_paths_exit_2_before_any_step(flags, tmp_path, monkeypatch, capsys):
+    # each once ran the flow, or wrote the CSV alone, then ended in a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "D").mkdir()
+    (tmp_path / "F").write_text("")
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("the flow ran")
+
+    monkeypatch.setattr(experiment, "evolve", no_step)
+    assert cli.main(["run", "--n", "16", "--t-end", "0.01", "--dt", "0.01", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["D", "F"]
+
+
 def test_snapshot_interval_shorter_than_dt_is_rejected(tmp_path, capsys):
     with pytest.raises(ParameterError, match="snapshot_interval"):
         config_from_dict({"dt": 1e-3, "snapshot_interval": 2.5e-4})
