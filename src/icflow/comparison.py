@@ -394,6 +394,7 @@ class _Diagonals:
 
     n: int
     total: float
+    max_edge: float
     base: tuple
     rolled: tuple
     rows: int
@@ -409,15 +410,8 @@ def _diagonals(v: np.ndarray, edge_len: np.ndarray) -> _Diagonals:
     s = np.concatenate([[0.0], np.cumsum(edge_len[:-1])])
     base = (v[:, 0], v[:, 1], s)
     rolled = tuple(sliding_window_view(np.concatenate([a, a]), n) for a in base)
-    return _Diagonals(n, float(np.sum(edge_len)), base, rolled, max(1, BLOCK_PAIRS // n))
-
-
-def _arc(sj, si, total, out, back):
-    """The shorter arc min(|s[j] - s[i]|, total - |s[j] - s[i]|), into out."""
-    np.subtract(sj, si, out=out)
-    np.abs(out, out=out)  # the forward arc
-    np.subtract(total, out, out=back)
-    np.minimum(out, back, out=out)
+    total, max_edge = float(np.sum(edge_len)), float(np.max(edge_len))
+    return _Diagonals(n, total, max_edge, base, rolled, max(1, BLOCK_PAIRS // n))
 
 
 # Relative slacks of the gap bound: 2**-48 covers a few roundings of hypot,
@@ -426,6 +420,9 @@ def _arc(sj, si, total, out, back):
 _CHORD_SLACK = 2.0 ** -48
 _PROFILE_SLACK = 2.0 ** -40
 _TINY_SQUARE = 2.0 ** -1000
+# An arc on diagonal k sums k edges: with u = 2^-53, T = total and s and T
+# each within 2 n u T, it is at most (1 + u)(k max_edge + 8 n u T).
+_ARC_SLACK = 2.0 ** -50
 
 
 def _diagonal_extremes(diag: _Diagonals) -> tuple:
@@ -433,20 +430,19 @@ def _diagonal_extremes(diag: _Diagonals) -> tuple:
     one at or above every z = sin(arc/2) on it; neither depends on time.
 
     One pass over the blocks records, per diagonal, the smallest squared
-    chord dx^2 + dy^2 and the largest shorter arc (as _diagonal_gaps
-    computes it), with no hypot or sin per pair.  The chord floor is
-    sqrt(min c2) shrunk by _CHORD_SLACK (0 where the squares may be
-    subnormal), the z ceiling _z_ceiling of the largest arc.  Where some
-    half arc (the smallest is a step of s or total - s[-1]) rounds to 0,
-    z = 0 there and e^{-t} z is NaN when e^{-t} overflows, so no bound may
-    prune: the pass is skipped, every floor is -inf and every ceiling 1.
+    chord dx^2 + dy^2, with no hypot and no arc per pair.  The chord floor
+    is sqrt(min c2) shrunk by _CHORD_SLACK (0 where the squares may be
+    subnormal), the z ceiling _z_ceiling of _arc_ceiling.  Where some half
+    arc (the smallest is a step of s or total - s[-1]) rounds to 0, z = 0
+    there and e^{-t} z is NaN when e^{-t} overflows, so no bound may prune:
+    the pass is skipped, every floor is -inf and every ceiling 1.
     """
     x, y, s = diag.base
     m = diag.n // 2
     if 0.5 * min(np.min(np.diff(s)), diag.total - s[-1]) <= 0.0:
         return np.full(m, -np.inf), np.ones(m)
-    c2, hi = np.empty(m), np.empty(m)
-    xr, yr, sr = diag.rolled
+    c2 = np.empty(m)
+    xr, yr, _ = diag.rolled
     buffers = diag.buffers(2)
     for k0 in range(1, m + 1, diag.rows):
         k1 = min(k0 + diag.rows, m + 1)
@@ -457,10 +453,14 @@ def _diagonal_extremes(diag: _Diagonals) -> tuple:
         b *= b
         a += b
         np.min(a, axis=1, out=c2[k0 - 1:k1 - 1])
-        _arc(sr[k0:k1], s, diag.total, a, b)
-        np.max(a, axis=1, out=hi[k0 - 1:k1 - 1])
     chord_lo = np.where(c2 < _TINY_SQUARE, 0.0, np.sqrt(c2) * (1.0 - _CHORD_SLACK))
-    return chord_lo, _z_ceiling(hi)
+    return chord_lo, _z_ceiling(_arc_ceiling(diag))
+
+
+def _arc_ceiling(diag: _Diagonals) -> np.ndarray:
+    """Per diagonal k = 1..n//2, k max_edge grown by _ARC_SLACK: at or above its arcs."""
+    k = np.arange(1, diag.n // 2 + 1)
+    return k * diag.max_edge * (1.0 + _ARC_SLACK) + 2.0 * diag.n * diag.total * _ARC_SLACK
 
 
 def _z_ceiling(arc):
@@ -508,7 +508,10 @@ def _diagonal_gaps(diag: _Diagonals, ks: np.ndarray, t: float, buffers) -> np.nd
         np.subtract(xr[rows], x, out=chord[r0:r1])
         np.subtract(yr[rows], y, out=z[r0:r1])
         np.hypot(chord[r0:r1], z[r0:r1], out=chord[r0:r1])
-        _arc(sr[rows], s, diag.total, z[r0:r1], back[r0:r1])
+        np.subtract(sr[rows], s, out=z[r0:r1])
+    np.abs(z, out=z)  # the forward arc
+    np.subtract(diag.total, z, out=back)
+    np.minimum(z, back, out=z)  # the shorter arc
     z *= 0.5
     np.sin(z, out=z)
     gaps = _profile_of_z(z, t, out=back)

@@ -43,6 +43,7 @@ from .flow import (
     polyline_hausdorff,
     renormalize,
 )
+from .forked import forked
 
 CSV_HEADER = (
     "t,length,kappa_min,kappa_max,min_Z,tbar,thm12_residual,l2_deficit,"
@@ -426,10 +427,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Configuration problems and unwritable output paths raise ParameterError
     before anything runs.
 
-    In both mode the unnormalized formulation runs in a forked child, beside
-    the normalized one (_run_both).  A normalized failure (of the flow or a
-    monitor) drops the unnormalized data; an unnormalized failure keeps its
-    snapshots so far.  Each normalized snapshot is paired with the
+    With os.fork a run uses two cores (forked): a single formulation's flow
+    streams each snapshot from a child to the monitors here, and in both
+    mode a child runs the unnormalized formulation beside the normalized
+    one.  A monitor failure kills the child.  A normalized failure (of the
+    flow or a monitor) drops the unnormalized data; an unnormalized failure
+    keeps its snapshots so far.  A traced evolve keeps it all here, with
+    the same floats.  Each normalized snapshot is paired with the
     unnormalized one of the same time rescaled to length 2*pi, and
     cross_check grades the largest Hausdorff distance of the pairs.  That
     is not independent evidence of accuracy.  The normalized Euler step at
@@ -492,8 +496,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if config.mode == "both":
             raw_snaps.append(renormalize(vertices))
 
-    def lane(formulation, *observers):
-        """Evolve one formulation; a package error's failure record, or None."""
+    def lane(formulation, *observers, stream=None):
+        """Evolve one formulation, or with stream observe the snapshots that a
+        forked child's lane sends; a package error's failure record, or None."""
         observing = None
 
         def observe(time, vertices, metrics):
@@ -504,24 +509,37 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             observing = None
 
         try:
-            evolve(initial_state(initial, formulation), control, config.t_end,
-                   observers=[observe], snapshot_interval=config.snapshot_interval)
+            if stream is None:
+                evolve(initial_state(initial, formulation), control, config.t_end,
+                       observers=[observe], snapshot_interval=config.snapshot_interval)
+                return None
+            for message in stream:  # each snapshot, then the failure record
+                if isinstance(message, tuple):
+                    observe(*message)
+            return message
         except IcflowError as exc:
             return {"error": type(exc).__name__, "message": str(exc),
                     "time": exc.time if isinstance(exc, FlowError) else observing}
-        return None
 
-    def raw_lane():
-        return lane("unnormalized", raw_observer), raw_lengths, raw_snaps
-
-    if failure is None:
-        if config.mode == "normalized":
-            failure = lane("normalized", stats_observer)
-        elif config.mode == "unnormalized":
-            failure = lane("unnormalized", raw_observer, stats_observer)
+    # a traced evolve (it has __wrapped__) would record a child's calls in the child, unseen
+    inline = not hasattr(os, "fork") or hasattr(evolve, "__wrapped__")
+    if failure is None and config.mode == "both":
+        if inline:
+            failure = lane("normalized", stats_observer) or lane("unnormalized", raw_observer)
         else:
-            failure, raw_lengths, raw_snaps = _run_both(
-                lambda: lane("normalized", stats_observer), raw_lane)
+            with forked("unnormalized formulation", lambda send: send(
+                    (lane("unnormalized", raw_observer), raw_lengths, raw_snaps))) as messages:
+                failure = lane("normalized", stats_observer)
+                if failure is None:  # else the child is killed and its data dropped
+                    [(failure, raw_lengths, raw_snaps)] = messages
+    elif failure is None:
+        observers = ((raw_observer,) if config.mode == "unnormalized" else ()) + (stats_observer,)
+        if inline:
+            failure = lane(config.mode, *observers)
+        else:
+            with forked(f"{config.mode} formulation", lambda send: send(
+                    lane(config.mode, lambda *snapshot: send(snapshot)))) as stream:
+                failure = lane(config.mode, *observers, stream=stream)
 
     cross_distances = [
         polyline_hausdorff(u, w) for u, w in zip(raw_snaps, stats_snaps)
@@ -554,64 +572,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         csv_path=config.out,
         summary_path=config.summary_path(),
     )
-
-
-def _run_both(normalized_lane, raw_lane) -> tuple:
-    """Both mode on two cores: raw_lane() in a forked child, normalized_lane() here.
-
-    normalized_lane returns a failure record or None; raw_lane and this
-    return (failure, raw lengths, raw snapshots).  The child pickles its
-    result, or its traceback if it raised, into a pipe.  A normalized
-    failure wins: the child is killed and its data dropped.  A child that
-    crashes or exits without a result raises RuntimeError.  Every path reaps
-    the child.  Without os.fork, raw_lane runs after normalized_lane
-    completes.  Both ways give the same floats.  An instrumented run takes
-    that path too: an evolve wrapped by an in-process tracer (functools.wraps
-    sets __wrapped__) would record the child's calls in the child, where
-    they are lost.
-    """
-    if not hasattr(os, "fork") or hasattr(evolve, "__wrapped__"):
-        failure = normalized_lane()
-        return raw_lane() if failure is None else (failure, [], [])
-    import pickle  # loaded with numpy already, so it costs no start-up time
-
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read_end)
-            try:
-                result = raw_lane()
-            except Exception:  # anything else leaves by os._exit(1) below
-                import traceback
-                result = traceback.format_exc()
-            with os.fdopen(write_end, "wb") as pipe:
-                pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-            os._exit(0)
-        finally:
-            os._exit(1)
-
-    os.close(write_end)
-    status = None
-    try:
-        with os.fdopen(read_end, "rb") as pipe:
-            failure = normalized_lane()
-            if failure is not None:
-                return failure, [], []
-            payload = pipe.read()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    finally:
-        if status is None:
-            import signal
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if status != 0:  # 0 only after the whole result was written
-        raise RuntimeError(f"the unnormalized formulation's process exited with "
-                           f"status {status} before sending its result")
-    result = pickle.loads(payload)
-    if isinstance(result, str):
-        raise RuntimeError("the unnormalized formulation raised in its process:\n" + result)
-    return result
 
 
 def _config_echo(config: ExperimentConfig) -> dict:

@@ -253,18 +253,18 @@ def polyline_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
 def _directed_sq(p: np.ndarray, q: np.ndarray) -> float:
     """Largest squared distance from a vertex of p to the closed polyline q.
 
-    The vertices of p are walked in row blocks of about BLOCK_PAIRS
-    vertex-segment pairs, with x and y in separate reused buffers, so memory
-    stays at a few blocks rather than (n, m, 2) arrays.  Each pair's floats
-    are those of the (n, m, 2) evaluation: the projection parameter
-    (diff . d) / |d|^2, as the sum of the x and y products, clipped to
-    [0, 1], and the squared length of diff minus that multiple of d.
+    The vertices of p are walked in row blocks whose four reused buffers
+    (x, y and two work arrays) hold about BLOCK_PAIRS floats in all, not
+    (n, m, 2) arrays.  Each pair's floats are those of the (n, m, 2)
+    evaluation: the projection parameter (diff . d) / |d|^2, as the sum of
+    the x and y products, clipped to [0, 1], and the squared length of diff
+    minus that multiple of d.
     """
     d = edge_vectors(q)
     len2 = np.maximum(np.einsum("ij,ij->i", d, d), 1e-300)
     qx, qy = np.ascontiguousarray(q.T)
     dx, dy = np.ascontiguousarray(d.T)
-    rows = max(1, BLOCK_PAIRS // q.shape[0])
+    rows = max(1, BLOCK_PAIRS // (4 * q.shape[0]))
     buffers = np.empty((4, rows, q.shape[0]))
     worst = 0.0
     for row0 in range(0, p.shape[0], rows):

@@ -561,6 +561,37 @@ def test_z_ceiling_covers_every_shorter_arc():
         assert ceiling >= np.max(np.sin(half))
 
 
+def one_long_edge_circle(n=64, ratio=10.0):
+    # n - 1 equal steps of angle and one `ratio` times as long
+    steps = np.r_[np.ones(n - 1), ratio] * (2.0 * np.pi / (n - 1 + ratio))
+    angles = np.concatenate([[0.0], np.cumsum(steps[:-1])])
+    return renormalize(np.c_[np.cos(angles), np.sin(angles)])
+
+
+ARC_CEILING_CURVES = {
+    **BOUND_CURVES,
+    # equal parameter steps, not resampled: edges vary by about 50%
+    "perturbed_raw": lambda: renormalize(
+        make_perturbed_circle(1.0, 301, [0.1, 0.05], [2, 5], seed=4)),
+    "one_long_edge": one_long_edge_circle,
+    "uniform_circle": lambda: normalized_circle(1024),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARC_CEILING_CURVES))
+def test_arc_ceiling_lies_at_or_above_every_arc_of_its_diagonal(name):
+    v = ARC_CEILING_CURVES[name]()
+    diag = diagonals(v)
+    ceiling = comparison._arc_ceiling(diag)
+    # the triu scan's arcs are the floats of _diagonal_gaps (its cap at 2 pi
+    # never acts on a shorter arc)
+    i, j, _, arc = triu_pairs(v)
+    k = np.minimum(j - i, diag.n - (j - i))
+    assert np.all(ceiling[k - 1] >= arc)
+    # it is k max_edge up to the rounding slack
+    assert ceiling[0] <= diag.max_edge * (1.0 + 1e-8)
+
+
 def count_exact_diagonals(monkeypatch):
     evaluated = []
     exact = comparison._diagonal_gaps
@@ -581,6 +612,17 @@ def test_bounded_scan_skips_most_diagonals_of_the_ellipse(monkeypatch):
         evaluated.clear()
         assert_scan_matches_triu(v, time, off)
         assert len(evaluated) <= 0.1 * 256
+
+
+def test_bounded_scan_skips_most_diagonals_of_the_workload_circle(monkeypatch):
+    # the benchmark's perturbed circle, resampled as a run's snapshots are
+    v = workload_perturbed_circle(1024)
+    offset = admissible_offset(v)
+    evaluated = count_exact_diagonals(monkeypatch)
+    for time in (0.0, 0.05, 1.0):
+        evaluated.clear()
+        assert_scan_matches_triu(v, time, offset)
+        assert len(evaluated) <= 0.1 * 512
 
 
 def test_unprunable_scan_evaluates_each_diagonal_once_in_order(monkeypatch):

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import os
+import shutil
 import signal
 
 import numpy as np
@@ -859,6 +860,112 @@ def test_a_child_that_exits_without_a_result_raises_instead_of_hanging(
     with pytest.raises(RuntimeError, match="exited with status 1 before sending"):
         run_experiment(both_mode_config(tmp_path))
     assert_no_child_left()
+
+
+SINGLE_MODES = ("unnormalized", "normalized")
+
+
+def single_mode_config(tmp_path, mode):
+    return dataclasses.replace(
+        both_mode_config(tmp_path), mode=mode, svg_dir=str(tmp_path / "svg"))
+
+
+def written_bytes(tmp_path):
+    return ((tmp_path / "run.csv").read_bytes(), (tmp_path / "run_summary.json").read_bytes(),
+            [svg.read_bytes() for svg in sorted((tmp_path / "svg").glob("*.svg"))])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("fault", BOTH_MODE_FAULTS)
+@pytest.mark.parametrize("mode", SINGLE_MODES)
+def test_forked_and_inline_single_mode_runs_write_the_same_bytes(
+        mode, fault, tmp_path, no_hang):
+    # the flow runs in a forked child that streams its snapshots to the
+    # monitors here; a monitor fault (3rd snapshot) kills it, and a flow
+    # fault reaches the summary after the last good snapshot
+    outputs = []
+    for inline in (False, True):
+        forks = []
+        with pytest.MonkeyPatch.context() as mp:
+            BOTH_MODE_FAULTS[fault](mp)
+            if inline:
+                mp.delattr(os, "fork")
+            else:
+                real_fork = os.fork
+                mp.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+            result = run_experiment(single_mode_config(tmp_path, mode))
+        assert_no_child_left()
+        assert len(forks) == (not inline)
+        outputs.append((result.exit_code, *written_bytes(tmp_path)))
+        shutil.rmtree(tmp_path / "svg")
+    assert outputs[0] == outputs[1]
+    failure = json.loads(outputs[0][2])["failure"]
+    if fault == "monitor":
+        assert failure["message"] == "injected monitor fault"
+        assert len(outputs[0][3]) == 2  # the snapshots observed before the fault
+    elif fault in (f"{mode}_flow", "both_flows"):
+        assert failure["message"] == f"injected {mode} fault"
+        assert 0.0 < failure["time"] < 0.3
+    else:
+        assert failure is None and len(outputs[0][3]) == 7
+
+
+def _crash_flow(monkeypatch, crash):
+    # crash the flow at its 100th step of the 300
+    real_order = flow.smoothing_order
+    calls = []
+
+    def crashing_order(*args):
+        calls.append(1)
+        if len(calls) == 100:
+            crash()
+        return real_order(*args)
+
+    monkeypatch.setattr(flow, "smoothing_order", crashing_order)
+
+
+@pytest.mark.parametrize("inline", [False, True])
+@pytest.mark.parametrize("mode", SINGLE_MODES)
+def test_a_crash_of_a_single_mode_flow_raises(mode, inline, tmp_path, monkeypatch, no_hang):
+    _crash_flow(monkeypatch, _divide_by_zero)
+    if inline or not hasattr(os, "fork"):
+        monkeypatch.delattr(os, "fork", raising=False)
+        expected = ZeroDivisionError
+    else:
+        expected = RuntimeError  # carrying the child's traceback
+    with pytest.raises(expected, match="injected crash"):
+        run_experiment(single_mode_config(tmp_path, mode))
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("mode", SINGLE_MODES)
+def test_a_single_mode_child_that_exits_without_a_result_raises(
+        mode, tmp_path, monkeypatch, no_hang):
+    # os._exit is only ever reached in the forked child
+    _crash_flow(monkeypatch, lambda: os._exit(1))
+    with pytest.raises(RuntimeError, match="exited with status 1 before sending"):
+        run_experiment(single_mode_config(tmp_path, mode))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("mode", SINGLE_MODES)
+def test_a_traced_single_mode_evolve_runs_in_this_process(
+        mode, tmp_path, monkeypatch, no_hang):
+    run_experiment(single_mode_config(tmp_path, mode))
+    forked = written_bytes(tmp_path)
+    traced = []
+
+    @functools.wraps(flow.evolve)
+    def traced_evolve(state, *args, **kwargs):
+        traced.append((state.mode, os.getpid()))
+        return flow.evolve(state, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "evolve", traced_evolve)
+    run_experiment(single_mode_config(tmp_path, mode))
+    assert_no_child_left()
+    assert traced == [(mode, os.getpid())]
+    assert written_bytes(tmp_path) == forked
 
 
 def test_cli_tbar_subcommand(capsys):

@@ -239,11 +239,12 @@ def dense_polyline_hausdorff(a, b):
     return max(directed(a, b), directed(b, a))
 
 
-@pytest.mark.parametrize("block_pairs", [None, 1, 450])
+@pytest.mark.parametrize("block_pairs", [None, 1, 450, 1800])
 def test_blocked_hausdorff_is_the_dense_evaluation_bit_for_bit(block_pairs, monkeypatch):
-    # by default a 200-vertex curve is scanned 163 rows at a time, so 517
-    # rows end in a partial block; 450 pairs give 2-row blocks against the
-    # 200-vertex curve and 1-row blocks against the others
+    # the four block buffers hold about block_pairs floats together: by
+    # default a 200-vertex curve is scanned 40 rows at a time, so 517 rows
+    # end in a partial block; 1800 gives 2-row blocks against the 200-vertex
+    # curve and 1-row blocks against the others, as 450 does against all
     if block_pairs is not None:
         monkeypatch.setattr(flow, "BLOCK_PAIRS", block_pairs)
     a = make_ellipse(2.0, 1.0, 200)
