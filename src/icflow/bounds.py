@@ -94,6 +94,17 @@ def decay_slope(times, values, t_min: float, t_max: float, floor: float) -> floa
     return float(np.polyfit(t[mask], np.log(v[mask]), 1)[0])
 
 
+def uniform_spacing(edge_lengths: np.ndarray, remedy: str) -> float:
+    """Mean edge length of a mesh uniform enough for derivative estimation;
+    ParameterError naming the remedy where an edge differs from the mean by
+    more than _UNIFORM_SPREAD of it."""
+    h = float(np.mean(edge_lengths))
+    spread = float(np.max(np.abs(edge_lengths - h))) / h
+    if spread > _UNIFORM_SPREAD:
+        raise ParameterError(f"mesh is not uniform (relative spread {spread:.3g}); {remedy}")
+    return h
+
+
 def curvature_derivative_profiles(metrics: CurveMetrics) -> tuple[float, float]:
     """Sup norms of the first two arc-length derivatives of curvature.
 
@@ -101,12 +112,7 @@ def curvature_derivative_profiles(metrics: CurveMetrics) -> tuple[float, float]:
     applies the same stencil twice.  Non-uniform meshes are rejected — the
     stencil would silently degrade to first order there.
     """
-    h = float(np.mean(metrics.edge_lengths))
-    spread = float(np.max(np.abs(metrics.edge_lengths - h))) / h
-    if spread > _UNIFORM_SPREAD:
-        raise ParameterError(
-            f"mesh is not uniform (relative spread {spread:.3g}); "
-            "resample before estimating derivatives")
+    h = uniform_spacing(metrics.edge_lengths, "resample before estimating derivatives")
     kappa = metrics.curvature
     dk = (np.roll(kappa, -1) - np.roll(kappa, 1)) / (2.0 * h)
     d2k = (np.roll(dk, -1) - np.roll(dk, 1)) / (2.0 * h)

@@ -134,7 +134,7 @@ def _handle_run(args: argparse.Namespace) -> int:
         info = summary["failure"]
         when = "?" if info["time"] is None else "%.6g" % info["time"]
         print(f"flow aborted at t = {when}: {info['message']}", file=sys.stderr)
-    print(f"wrote {result.csv_path} and {result.summary_path}")
+    print(f"wrote {config.out} and {config.summary_path()}")
     return result.exit_code
 
 

@@ -583,8 +583,8 @@ def two_point_gap_scan(vertices: np.ndarray, time: float, offset: float) -> TwoP
     nothing can be pruned the bound pass is extra work: for time - offset
     > 709.08, where every gap is -inf or NaN, and where the bounds are weak
     (meshes far from uniform in arc length).  On small meshes the bound
-    pass and the chunk loop are a fixed cost: at n = 16 a scan costs
-    1.3-1.7x the exhaustive one.
+    pass and the chunk loop are a fixed cost, which can make a scan slower
+    than the exhaustive one.
     """
     diag = _diagonals(*_validated_edges(vertices))
     _require_normalized_length(diag.total)
@@ -629,7 +629,7 @@ def admissible_offset(vertices: np.ndarray) -> float:
     some arc rounds to 0 nothing is pruned and every test is a full scan.
     """
     v, edge_len = _validated_edges(vertices)
-    kappa = _geometry(v)[1]
+    kappa = _geometry(v).curvature
     if not np.all(kappa > 0.0):
         raise ParameterError("admissible offset is defined for convex curves only")
     kappa_max = float(np.max(kappa))

@@ -8,7 +8,7 @@ per-vertex quantities computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,18 +79,9 @@ def _validated_edges(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def make_circle(radius: float, n: int) -> np.ndarray:
-    """Regular n-gon inscribed in the origin-centered circle of given radius.
-
-    Vertices are ordered counterclockwise starting at angle 0.
-    """
-    if not radius > 0.0:
-        raise ParameterError(f"radius must be positive, got {radius}")
-    check_vertex_count(n)
-    theta = 2.0 * np.pi * np.arange(n) / n
-    v = np.empty((n, 2))
-    v[:, 0] = radius * np.cos(theta)
-    v[:, 1] = radius * np.sin(theta)
-    return v
+    """Regular n-gon inscribed in the origin-centered circle of given radius:
+    the perturbed circle with no terms, counterclockwise from angle 0."""
+    return make_perturbed_circle(radius, n, (), (), seed=0)
 
 
 def _ellipse_speed(u: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -165,7 +156,9 @@ def make_perturbed_circle(
     if amps.shape != ks.shape:
         raise ParameterError(
             f"amplitudes and modes must pair up, got {amps.shape} vs {ks.shape}")
-    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=amps.shape)
+    # no terms need no phases, nor numpy.random, which costs about 6 MB to load
+    phases = (np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=amps.shape)
+              if amps.size else amps)
     theta = 2.0 * np.pi * np.arange(n) / n
     r = radius * (1.0 + np.sum(
         amps[:, None] * np.cos(ks[:, None] * theta[None, :] + phases[:, None]), axis=0))
@@ -174,8 +167,7 @@ def make_perturbed_circle(
     return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
 
 
-@dataclass(frozen=True)
-class CurveMetrics:
+class CurveMetrics(NamedTuple):
     """Per-vertex geometry derived from a closed polygon.
 
     edge_lengths[i] is |v_{i+1} - v_i| (index mod n), curvature is the
@@ -193,8 +185,8 @@ class CurveMetrics:
         return float(np.sum(self.edge_lengths))
 
 
-def _geometry(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge lengths, curvature and outward normals of a float (n, 2) polygon.
+def _geometry(v: np.ndarray) -> CurveMetrics:
+    """The CurveMetrics (edge lengths, curvature, normals) of a float (n, 2) polygon.
 
     The curvature at vertex i is taken from the circumcircle through
     v_{i-1}, v_i, v_{i+1}:
@@ -234,7 +226,7 @@ def _geometry(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     np.divide(chord[:, 1], chord_len, out=normal[:, 0])
     np.divide(chord[:, 0], chord_len, out=normal[:, 1])
     np.negative(normal[:, 1], out=normal[:, 1])
-    return edge_len, kappa, normal
+    return CurveMetrics(edge_len, kappa, normal)
 
 
 def compute_metrics(vertices: np.ndarray) -> CurveMetrics:
@@ -242,7 +234,7 @@ def compute_metrics(vertices: np.ndarray) -> CurveMetrics:
 
     The step kernel's geometry (_geometry) of the validated vertices.
     """
-    return CurveMetrics(*_geometry(validate_vertices(vertices)))
+    return _geometry(validate_vertices(vertices))
 
 
 def _dual_weights(edge_len: np.ndarray) -> np.ndarray:
@@ -276,7 +268,7 @@ def convexity_check(vertices: np.ndarray) -> bool:
     """True iff _geometry's curvature is positive at every vertex: every pair
     of consecutive edges turns strictly left.  Raises DegenerateCurveError as
     _geometry does, where vertices i-1 and i+1 coincide, say."""
-    return bool(np.all(_geometry(validate_vertices(vertices))[1] > 0.0))
+    return bool(np.all(_geometry(validate_vertices(vertices)).curvature > 0.0))
 
 
 def _centroid(v: np.ndarray, edge_len: np.ndarray) -> np.ndarray:

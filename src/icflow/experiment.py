@@ -10,6 +10,7 @@ when the run aborts mid-flow — and optional per-snapshot SVGs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from .curves import (
     check_vertex_count,
     compute_metrics,
     convexity_check,
+    edge_lengths,
     make_circle,
     make_ellipse,
     make_perturbed_circle,
@@ -351,9 +353,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     pairs = [(name, float(value)) for name, value in pairs]
     merged["tolerances"] = tuple(sorted(pairs) if isinstance(tols, dict) else pairs)
 
-    for key in ("out",):
-        if not isinstance(merged[key], str) or not merged[key]:
-            raise ParameterError(f"{key} must be a non-empty path")
+    if not isinstance(merged["out"], str) or not merged["out"]:
+        raise ParameterError("out must be a non-empty path")
     for key in ("summary_out", "svg_dir"):
         if merged[key] is not None and not (isinstance(merged[key], str) and merged[key]):
             raise ParameterError(f"{key} must be a non-empty path or null")
@@ -400,11 +401,15 @@ def build_initial_curve(config: ExperimentConfig) -> np.ndarray:
 def initial_curve(config: ExperimentConfig) -> tuple[np.ndarray, float]:
     """The config's curve resampled to n uniform vertices and the admissible
     offset of its length-2*pi copy; ConvexityLossError at t = 0 if the curve
-    is not strictly convex, NoAdmissibleOffsetError if no offset is."""
+    is not strictly convex, ParameterError if the copy's edges, which the
+    t = 0 derivative monitor reads, are not uniform, NoAdmissibleOffsetError
+    if no offset is admissible."""
     curve = resample_uniform(build_initial_curve(config), config.n)
     if not convexity_check(curve):
         raise ConvexityLossError("initial curve is not strictly convex", time=0.0)
-    return curve, admissible_offset(renormalize(curve))
+    unit = renormalize(curve)
+    bounds.uniform_spacing(edge_lengths(unit), "raise n to resolve the initial curve")
+    return curve, admissible_offset(unit)
 
 
 @dataclass(frozen=True)
@@ -412,8 +417,6 @@ class ExperimentResult:
     exit_code: int
     summary: dict
     rows: list
-    csv_path: str
-    summary_path: str
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -424,25 +427,27 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Any other package error raised while the flow runs, say by a snapshot
     monitor, also ends the run with exit 3 and both files; its time is that
     of the snapshot being observed (None outside an observer).
-    Configuration problems and unwritable output paths raise ParameterError
-    before anything runs.
+    Configuration problems, unwritable output paths and an initial mesh
+    too uneven for the derivative monitors raise ParameterError before any
+    step.
 
-    With os.fork a run uses two cores (forked): a single formulation's flow
-    streams each snapshot from a child to the monitors here, and in both
-    mode a child runs the unnormalized formulation beside the normalized
-    one.  A monitor failure kills the child.  A normalized failure (of the
-    flow or a monitor) drops the unnormalized data; an unnormalized failure
-    keeps its snapshots so far.  A traced evolve keeps it all here, with
-    the same floats.  Each normalized snapshot is paired with the
-    unnormalized one of the same time rescaled to length 2*pi, and
-    cross_check grades the largest Hausdorff distance of the pairs.  That
-    is not independent evidence of accuracy.  The normalized Euler step at
-    dt is algebraically the renormalized unnormalized step at dt/(1-dt), so
-    the two discrete runs differ only by that O(dt) reparametrization of
-    the clock, compounded over the run, plus the occasional step where the
-    two step sizes select different smoothing orders near a threshold of
-    the stability budget.  The distance therefore shrinks under
-    refinement, but it cannot detect an error the two formulations share.
+    With os.fork a run uses two cores (forked): a child runs the mode's
+    last lane (the unnormalized formulation in both mode, which runs the
+    normalized one here meanwhile) and sends each snapshot, then its
+    failure record, to the observers here.  A monitor failure kills the
+    child.  A normalized failure (of the flow or a monitor) drops the
+    unnormalized data; an unnormalized failure keeps its snapshots so far.
+    A traced evolve keeps it all here, with the same floats.  Each
+    unnormalized snapshot, rescaled to length 2*pi, is paired with the
+    normalized one of the same time, and cross_check grades the largest
+    Hausdorff distance of the pairs.  That is not independent evidence of
+    accuracy.  The normalized Euler step at dt is algebraically the
+    renormalized unnormalized step at dt/(1-dt), so the two discrete runs
+    differ only by that O(dt) reparametrization of the clock, compounded
+    over the run, plus the occasional step where the two step sizes select
+    different smoothing orders near a threshold of the stability budget.
+    The distance therefore shrinks under refinement, but it cannot detect
+    an error the two formulations share.
     """
     enabled = config.resolved_checks()
     tolerances = config.resolved_tolerances()
@@ -452,7 +457,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     rows: list[dict] = []
     raw_lengths: list[tuple[float, float]] = []
     stats_snaps: list[np.ndarray] = []
-    raw_snaps: list[np.ndarray] = []
+    cross_distances: list[float] = []
     offset: float | None = None
     failure: dict | None = None
 
@@ -492,9 +497,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 view, time)
 
     def raw_observer(time, vertices, metrics):
+        if config.mode == "both":  # paired with the normalized snapshot of its time
+            cross_distances.append(polyline_hausdorff(
+                renormalize(vertices), stats_snaps[len(raw_lengths)]))
         raw_lengths.append((time, metrics.total_length))
-        if config.mode == "both":
-            raw_snaps.append(renormalize(vertices))
 
     def lane(formulation, *observers, stream=None):
         """Evolve one formulation, or with stream observe the snapshots that a
@@ -521,29 +527,30 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             return {"error": type(exc).__name__, "message": str(exc),
                     "time": exc.time if isinstance(exc, FlowError) else observing}
 
+    # the lane a forked child may run, and the observers of its snapshots here
+    last = "unnormalized" if config.mode == "both" else config.mode
+    observers = {"normalized": (stats_observer,), "both": (raw_observer,),
+                 "unnormalized": (raw_observer, stats_observer)}[config.mode]
+
+    def child_lane(send):
+        # a both-mode parent reads only after its own lane, and a pipe holds
+        # few snapshots, so that child holds its records until its lane ends
+        held = []
+        keep = held.append if config.mode == "both" else send
+        held.append(lane(last, lambda *snapshot: keep(snapshot)))
+        for message in held:
+            send(message)
+
     # a traced evolve (it has __wrapped__) would record a child's calls in the child, unseen
     inline = not hasattr(os, "fork") or hasattr(evolve, "__wrapped__")
-    if failure is None and config.mode == "both":
-        if inline:
-            failure = lane("normalized", stats_observer) or lane("unnormalized", raw_observer)
-        else:
-            with forked("unnormalized formulation", lambda send: send(
-                    (lane("unnormalized", raw_observer), raw_lengths, raw_snaps))) as messages:
+    if failure is None:
+        with (contextlib.nullcontext() if inline
+              else forked(f"{last} formulation", child_lane)) as stream:
+            if config.mode == "both":
                 failure = lane("normalized", stats_observer)
-                if failure is None:  # else the child is killed and its data dropped
-                    [(failure, raw_lengths, raw_snaps)] = messages
-    elif failure is None:
-        observers = ((raw_observer,) if config.mode == "unnormalized" else ()) + (stats_observer,)
-        if inline:
-            failure = lane(config.mode, *observers)
-        else:
-            with forked(f"{config.mode} formulation", lambda send: send(
-                    lane(config.mode, lambda *snapshot: send(snapshot)))) as stream:
-                failure = lane(config.mode, *observers, stream=stream)
+            if failure is None:  # else a child is killed and its data dropped
+                failure = lane(last, *observers, stream=stream)
 
-    cross_distances = [
-        polyline_hausdorff(u, w) for u, w in zip(raw_snaps, stats_snaps)
-    ]
     checks = _evaluate_checks(
         enabled, tolerances, RunSeries(rows, raw_lengths, cross_distances, config.n))
 
@@ -565,13 +572,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     }
     write_csv(config.out, rows)
     write_summary(config.summary_path(), summary)
-    return ExperimentResult(
-        exit_code=exit_code,
-        summary=summary,
-        rows=rows,
-        csv_path=config.out,
-        summary_path=config.summary_path(),
-    )
+    return ExperimentResult(exit_code=exit_code, summary=summary, rows=rows)
 
 
 def _config_echo(config: ExperimentConfig) -> dict:

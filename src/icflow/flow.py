@@ -23,12 +23,12 @@ constant fields, so circles (constant speed) are advanced without any
 smoothing error and keep their closed-form radius law to roundoff.
 
 One step kernel serves both formulations.  Each state's geometry, the
-start state's included (edge lengths, curvature, outward normals;
-curves._geometry, which compute_metrics returns), is computed once, after
-the step and any resampling.  It is the one convexity test (kappa > 0, as
-in convexity_check: the sign of each vertex's cross product, since the
-circumcircle denominators are positive), the input of the next step and,
-wrapped in a CurveMetrics, what snapshot observers receive.
+start state's included (the CurveMetrics of curves._geometry, which
+compute_metrics returns), is computed once, after the step and any
+resampling.  It is the one convexity test (kappa > 0, as in
+convexity_check: the sign of each vertex's cross product, since the
+circumcircle denominators are positive), the input of the next step and
+what snapshot observers receive.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import numpy as np
 
 from .curves import (
     BLOCK_PAIRS,
-    CurveMetrics,
     _geometry,
     _validated_edges,
     edge_lengths,
@@ -213,14 +212,13 @@ def evolve(
     steps = 0
     while True:
         geometry = _geometry(v)
-        if not np.all(geometry[1] > 0.0):  # curvature
+        if not np.all(geometry.curvature > 0.0):
             raise ConvexityLossError(f"convexity lost at t = {time:.6g}", time=time)
         done = not time < stop
         if (steps == 0 or time >= next_snap - half_dt
                 or (done and time > last_fired + _TIME_SLACK)):
-            metrics = CurveMetrics(*geometry)
             for obs in observers:
-                obs(time, v, metrics)
+                obs(time, v, geometry)
             last_fired = time
             while next_snap - half_dt <= time:
                 next_snap += snapshot_interval

@@ -99,7 +99,7 @@ def test_derivative_profiles_on_the_ellipse():
 
 def test_derivative_profiles_reject_nonuniform_meshes():
     v = make_perturbed_circle(1.0, 128, [0.15], [2], seed=1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"\); resample before estimating derivatives$"):
         curvature_derivative_profiles(compute_metrics(v))
     # after resampling the same curve is acceptable
     dk, d2k = curvature_derivative_profiles(compute_metrics(resample_uniform(v, 128)))

@@ -1,8 +1,13 @@
 """Constructors and discrete geometry of closed polygons."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import icflow
 from icflow.curves import (
     _centroid,
     _dual_weights,
@@ -39,6 +44,30 @@ def test_circle_metrics_match_closed_forms(n, radius):
     assert np.max(np.abs(normal_turning(m) - 2 * np.pi / n)) < 1e-12
     assert np.max(np.abs(m.outward_normal - v / radius)) < 1e-12
     assert np.max(np.abs(_dual_weights(m.edge_lengths) - m.total_length / n)) < 1e-13
+
+
+def circle_as_first_written(radius, n):
+    theta = 2.0 * np.pi * np.arange(n) / n
+    return np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
+
+
+@pytest.mark.parametrize("radius", [1e-50, 0.3, 1.0, 7.0, 1e50])
+@pytest.mark.parametrize("n", [16, 17, 512, 4096])
+def test_circle_is_its_first_vertex_formula_bit_for_bit(radius, n):
+    # make_circle is the perturbed circle with no terms
+    assert np.array_equal(make_circle(radius, n), circle_as_first_written(radius, n))
+
+
+def test_circle_leaves_numpy_random_unloaded():
+    # the perturbed circle with no terms draws no phases; numpy 2 loads
+    # numpy.random lazily, and loading it would cost a circle run about 6 MB
+    src = os.path.dirname(os.path.dirname(icflow.__file__))
+    code = ("import sys; from icflow.curves import make_circle; "
+            "make_circle(1.0, 16); print('numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "False\n"
 
 
 def centroid(v):

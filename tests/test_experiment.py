@@ -326,6 +326,20 @@ def test_nonconvex_initial_curve_aborts_cleanly(tmp_path):
     assert summary["failure"]["error"] == "ConvexityLossError"
 
 
+def test_an_initial_mesh_too_uneven_for_the_derivative_monitors_exits_2(tmp_path, capsys):
+    # resampled to 17 vertices, this ellipse has edges spreading by 1
+    # relative to their mean, which the t = 0 derivative monitor rejects
+    flags = ["--shape", "ellipse", "--a", "9e4", "--b", "1", "--n", "17"]
+    message = ("error: mesh is not uniform (relative spread 1); "
+               "raise n to resolve the initial curve\n")
+    out = tmp_path / "r.csv"
+    assert cli.main(["run", *flags, "--t-end", "0.01", "--dt", "1e-3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    assert cli.main(["tbar", *flags]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_unnormalized_run_reports_raw_length(tmp_path):
     cfg = circle_config(tmp_path, mode="unnormalized")
     result = run_experiment(cfg)
@@ -775,73 +789,6 @@ def test_both_mode_failure_precedence(fault, tmp_path, monkeypatch, no_hang):
         assert summary["checks"]["length_law"]["worst"] is not None
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("fault", BOTH_MODE_FAULTS)
-def test_forked_and_inline_both_mode_write_the_same_bytes(fault, tmp_path, no_hang):
-    outputs = []
-    for inline in (False, True):
-        with pytest.MonkeyPatch.context() as mp:
-            BOTH_MODE_FAULTS[fault](mp)
-            if inline:
-                mp.delattr(os, "fork")
-            result = run_experiment(both_mode_config(tmp_path))
-        assert_no_child_left()
-        outputs.append((result.exit_code, (tmp_path / "run.csv").read_bytes(),
-                        (tmp_path / "run_summary.json").read_bytes()))
-    assert outputs[0] == outputs[1]
-
-
-def test_a_traced_evolve_sees_both_formulations_in_this_process(
-        tmp_path, monkeypatch, no_hang):
-    # a span tracer wraps evolve with functools.wraps; a forked lane's spans
-    # would stay in the child, so both lanes run here and give the same bytes
-    run_experiment(both_mode_config(tmp_path))
-    forked = (tmp_path / "run.csv").read_bytes(), (tmp_path / "run_summary.json").read_bytes()
-    traced = []
-
-    @functools.wraps(flow.evolve)
-    def traced_evolve(state, *args, **kwargs):
-        traced.append((state.mode, os.getpid()))
-        return flow.evolve(state, *args, **kwargs)
-
-    monkeypatch.setattr(experiment, "evolve", traced_evolve)
-    run_experiment(both_mode_config(tmp_path))
-    assert_no_child_left()
-    assert traced == [("normalized", os.getpid()), ("unnormalized", os.getpid())]
-    assert ((tmp_path / "run.csv").read_bytes(),
-            (tmp_path / "run_summary.json").read_bytes()) == forked
-
-
-def _crash_unnormalized_lane(monkeypatch, crash):
-    # the unnormalized curve's minimum edge passes 0.165 at t ~ 0.09 (see
-    # _inject_step_rejection); the normalized one never does
-    real_order = flow.smoothing_order
-
-    def crashing_order(dt, min_edge, *rest):
-        if min_edge > 0.165:
-            crash()
-        return real_order(dt, min_edge, *rest)
-
-    monkeypatch.setattr(flow, "smoothing_order", crashing_order)
-
-
-def _divide_by_zero():
-    raise ZeroDivisionError("injected crash")
-
-
-@pytest.mark.parametrize("inline", [False, True])
-def test_a_crash_of_the_unnormalized_lane_raises(inline, tmp_path, monkeypatch, no_hang):
-    _crash_unnormalized_lane(monkeypatch, _divide_by_zero)
-    if inline or not hasattr(os, "fork"):
-        monkeypatch.delattr(os, "fork", raising=False)
-        expected = ZeroDivisionError
-    else:
-        expected = RuntimeError  # carrying the child's traceback
-    with pytest.raises(expected, match="injected crash"):
-        run_experiment(both_mode_config(tmp_path))
-    assert_no_child_left()
-
-
 def test_a_crash_of_the_normalized_lane_reaps_the_child(tmp_path, monkeypatch, no_hang):
     def crashing_scan(*args):
         raise ZeroDivisionError("injected crash")
@@ -852,20 +799,7 @@ def test_a_crash_of_the_normalized_lane_reaps_the_child(tmp_path, monkeypatch, n
     assert_no_child_left()
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_child_that_exits_without_a_result_raises_instead_of_hanging(
-        tmp_path, monkeypatch, no_hang):
-    # os._exit is only ever reached in the forked child
-    _crash_unnormalized_lane(monkeypatch, lambda: os._exit(1))
-    with pytest.raises(RuntimeError, match="exited with status 1 before sending"):
-        run_experiment(both_mode_config(tmp_path))
-    assert_no_child_left()
-
-
-SINGLE_MODES = ("unnormalized", "normalized")
-
-
-def single_mode_config(tmp_path, mode):
+def config_with_svgs(tmp_path, mode):
     return dataclasses.replace(
         both_mode_config(tmp_path), mode=mode, svg_dir=str(tmp_path / "svg"))
 
@@ -875,14 +809,21 @@ def written_bytes(tmp_path):
             [svg.read_bytes() for svg in sorted((tmp_path / "svg").glob("*.svg"))])
 
 
+# The tests below run every mode, both included: each mode's child runs its
+# last lane (the unnormalized formulation in both mode) and sends that
+# lane's snapshots, then its failure record.
+LANES = {"normalized": ("normalized",), "unnormalized": ("unnormalized",),
+         "both": ("normalized", "unnormalized")}
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.parametrize("fault", BOTH_MODE_FAULTS)
-@pytest.mark.parametrize("mode", SINGLE_MODES)
+@pytest.mark.parametrize("mode", LANES)
 def test_forked_and_inline_single_mode_runs_write_the_same_bytes(
         mode, fault, tmp_path, no_hang):
-    # the flow runs in a forked child that streams its snapshots to the
-    # monitors here; a monitor fault (3rd snapshot) kills it, and a flow
-    # fault reaches the summary after the last good snapshot
+    # a monitor fault (3rd snapshot) kills the child, and a flow fault
+    # reaches the summary after the last good snapshot; in both mode a
+    # normalized fault takes precedence
     outputs = []
     for inline in (False, True):
         forks = []
@@ -893,66 +834,75 @@ def test_forked_and_inline_single_mode_runs_write_the_same_bytes(
             else:
                 real_fork = os.fork
                 mp.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-            result = run_experiment(single_mode_config(tmp_path, mode))
+            result = run_experiment(config_with_svgs(tmp_path, mode))
         assert_no_child_left()
         assert len(forks) == (not inline)
         outputs.append((result.exit_code, *written_bytes(tmp_path)))
         shutil.rmtree(tmp_path / "svg")
     assert outputs[0] == outputs[1]
     failure = json.loads(outputs[0][2])["failure"]
+    faulted = [lane for lane in LANES[mode] if fault in (f"{lane}_flow", "both_flows")]
     if fault == "monitor":
         assert failure["message"] == "injected monitor fault"
         assert len(outputs[0][3]) == 2  # the snapshots observed before the fault
-    elif fault in (f"{mode}_flow", "both_flows"):
-        assert failure["message"] == f"injected {mode} fault"
+    elif faulted:
+        assert failure["message"] == f"injected {faulted[0]} fault"
         assert 0.0 < failure["time"] < 0.3
+        # an unnormalized fault in both mode leaves the normalized lane whole
+        assert (len(outputs[0][3]) == 7) == (faulted == ["unnormalized"] and mode == "both")
     else:
         assert failure is None and len(outputs[0][3]) == 7
 
 
-def _crash_flow(monkeypatch, crash):
-    # crash the flow at its 100th step of the 300
-    real_order = flow.smoothing_order
-    calls = []
+def _crash_last_lane(monkeypatch, mode, crash):
+    # crash the lane a forked child would run at its first step past t = 0.1
+    # of the 300 steps; in both mode the normalized lane runs on
+    lane = LANES[mode][-1]
+    real_step = flow._step
 
-    def crashing_order(*args):
-        calls.append(1)
-        if len(calls) == 100:
+    def crashing_step(v, geometry, formulation, dt, control, time):
+        if formulation == lane and time > 0.1:
             crash()
-        return real_order(*args)
+        return real_step(v, geometry, formulation, dt, control, time)
 
-    monkeypatch.setattr(flow, "smoothing_order", crashing_order)
+    monkeypatch.setattr(flow, "_step", crashing_step)
+
+
+def _divide_by_zero():
+    raise ZeroDivisionError("injected crash")
 
 
 @pytest.mark.parametrize("inline", [False, True])
-@pytest.mark.parametrize("mode", SINGLE_MODES)
+@pytest.mark.parametrize("mode", LANES)
 def test_a_crash_of_a_single_mode_flow_raises(mode, inline, tmp_path, monkeypatch, no_hang):
-    _crash_flow(monkeypatch, _divide_by_zero)
+    _crash_last_lane(monkeypatch, mode, _divide_by_zero)
     if inline or not hasattr(os, "fork"):
         monkeypatch.delattr(os, "fork", raising=False)
         expected = ZeroDivisionError
     else:
         expected = RuntimeError  # carrying the child's traceback
     with pytest.raises(expected, match="injected crash"):
-        run_experiment(single_mode_config(tmp_path, mode))
+        run_experiment(config_with_svgs(tmp_path, mode))
     assert_no_child_left()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("mode", SINGLE_MODES)
+@pytest.mark.parametrize("mode", LANES)
 def test_a_single_mode_child_that_exits_without_a_result_raises(
         mode, tmp_path, monkeypatch, no_hang):
     # os._exit is only ever reached in the forked child
-    _crash_flow(monkeypatch, lambda: os._exit(1))
+    _crash_last_lane(monkeypatch, mode, lambda: os._exit(1))
     with pytest.raises(RuntimeError, match="exited with status 1 before sending"):
-        run_experiment(single_mode_config(tmp_path, mode))
+        run_experiment(config_with_svgs(tmp_path, mode))
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("mode", SINGLE_MODES)
+@pytest.mark.parametrize("mode", LANES)
 def test_a_traced_single_mode_evolve_runs_in_this_process(
         mode, tmp_path, monkeypatch, no_hang):
-    run_experiment(single_mode_config(tmp_path, mode))
+    # a span tracer wraps evolve with functools.wraps; a forked lane's spans
+    # would stay in the child, so every lane runs here and gives the same bytes
+    run_experiment(config_with_svgs(tmp_path, mode))
     forked = written_bytes(tmp_path)
     traced = []
 
@@ -962,9 +912,9 @@ def test_a_traced_single_mode_evolve_runs_in_this_process(
         return flow.evolve(state, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "evolve", traced_evolve)
-    run_experiment(single_mode_config(tmp_path, mode))
+    run_experiment(config_with_svgs(tmp_path, mode))
     assert_no_child_left()
-    assert traced == [(mode, os.getpid())]
+    assert traced == [(lane, os.getpid()) for lane in LANES[mode]]
     assert written_bytes(tmp_path) == forked
 
 

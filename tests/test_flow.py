@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from icflow.curves import (
+    CurveMetrics,
     _geometry,
     compute_metrics,
     make_circle,
@@ -311,11 +312,11 @@ def _roll_geometry(v):
 )
 def test_kernel_geometry_is_the_roll_formulas_bit_for_bit(v):
     expected = _roll_geometry(v)
-    m = compute_metrics(v)
-    for got in (_geometry(v), (m.edge_lengths, m.curvature, m.outward_normal)):
-        for array, oracle in zip(got, expected):
+    for m in (_geometry(v), compute_metrics(v)):
+        assert isinstance(m, CurveMetrics)
+        for array, oracle in zip((m.edge_lengths, m.curvature, m.outward_normal), expected):
             assert np.array_equal(array, oracle)
-    assert m.total_length == float(np.sum(expected[0]))
+        assert m.total_length == float(np.sum(expected[0]))
 
 
 def test_in_place_smoother_is_smooth_periodic_bit_for_bit(rng):
