@@ -28,12 +28,13 @@ first bounds each diagonal's gaps from below with cheap operations only
 evaluates diagonals exactly, lowest bound first, until the next bound
 exceeds the smallest gap found; its result is that of the exhaustive
 scan, ties and NaNs included.  The admissible offset's bisection tests
-each offset with the same minimum, the time-independent part of the
-bounds computed once.
+each offset on the same bounds, the time-independent part computed once,
+and ends each test at its first negative or NaN gap.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .curves import BLOCK_PAIRS, _geometry, _validated_edges
 from .errors import NoAdmissibleOffsetError, ParameterError
+from .forked import forked
 
 # Below this argument the direct arctan(w) - w/(1+w^2) suffers cancellation;
 # switch to the leading terms of its power series.
@@ -264,16 +266,16 @@ class ProfileCertificate:
     max_slope_mismatch: float
 
 
-def _fold_argmin(best, block: np.ndarray, row0: int):
-    """Fold a block of grid rows into the running (value, row, column) minimum.
-
-    Blocks arrive in row order, so the result is np.argmin's over the whole
-    grid: the first NaN wins, else the first exact minimum.
+def _fold_argmin(best, values: np.ndarray, start: int):
+    """Fold values, the grid entries from flat index start on in (t, x)
+    order, into the running (value, flat index) minimum: np.argmin's over
+    the grid, the first NaN, else the first exact minimum.  Index -1 marks
+    no minimum yet, which the first values always replace, an inf included.
     """
-    r, k = np.unravel_index(int(np.argmin(block)), block.shape)
-    value = block[r, k]
-    if not np.isnan(best[0]) and (np.isnan(value) or value < best[0]):
-        return float(value), row0 + int(r), int(k)
+    i = int(np.argmin(values))
+    value = values.flat[i]
+    if best[1] < 0 or not np.isnan(best[0]) and (np.isnan(value) or value < best[0]):
+        return float(value), start + i
     return best
 
 
@@ -291,6 +293,11 @@ def residual_certificate_scan(x_values: np.ndarray, t_values: np.ndarray) -> Pro
     value is NaN (an overflowed evaluation is never certified), and
     max_slope_mismatch is NaN if any mismatch is.  Raises if any x lies
     outside (0, pi].
+
+    With os.fork and at least two blocks, the scan uses two cores (forked):
+    a child scans the blocks from the middle one on, in block arrays of its
+    own, and sends its minima, which are folded after those of the blocks
+    before it by the same rules, so the result is that of one process.
     """
     x = np.asarray(x_values, dtype=float)
     t = np.asarray(t_values, dtype=float)
@@ -306,40 +313,56 @@ def residual_certificate_scan(x_values: np.ndarray, t_values: np.ndarray) -> Pro
     z2 = z * z
     z_plus, z_minus = np.sin(0.5 * (xs + h)), np.sin(0.5 * (xs - h))
     z2_plus, z2_minus = z_plus * z_plus, z_minus * z_minus
-
-    best_res = best_fd = best_closed = (np.inf, -1, -1)  # value, t index, x index
-    max_mismatch = 0.0
     rows = max(1, BLOCK_PAIRS // x.size)
-    # five block arrays, reused by every block; once the slope is in the
-    # first, the other four hold the stencil values
-    buffers = [np.empty(min(rows, t.size) * x.size) for _ in range(5)]
-    for row0 in range(0, t.size, rows):
-        tb = t[row0:row0 + rows, None]
-        alpha = _alpha(tb)
-        work = _views(buffers[:3], tb.shape[0], x.size)
-        best_res = _fold_argmin(best_res, _residual_of_z(z, z2, alpha, tb, work), row0)
-        closed = _residual_dx_of_z(z2, c, alpha, work)
-        best_closed = _fold_argmin(best_closed, closed, row0)
-        if xs.size:
-            plus, minus, a, b = _views(buffers[1:], tb.shape[0], xs.size)
-            fd = _residual_of_z(z_plus, z2_plus, alpha, tb, (plus, a, b))
-            np.subtract(fd, _residual_of_z(z_minus, z2_minus, alpha, tb, (minus, a, b)), out=fd)
-            np.divide(fd, 2.0 * h, out=fd)
-            best_fd = _fold_argmin(best_fd, fd, row0)
-            np.compress(stencil, closed, axis=1, out=minus)
-            np.subtract(fd, minus, out=fd)
-            np.maximum(np.abs(minus, out=minus), 1.0, out=minus)
-            mism = float(np.max(np.divide(np.abs(fd, out=fd), minus, out=fd)))
-            if mism > max_mismatch or np.isnan(mism):
-                max_mismatch = mism
+
+    def scan(r0, r1):
+        """The minima (value, flat index) of the residual, the fd slope, the
+        closed-form slope and the negated mismatch over the blocks of rows
+        r0:r1: the largest mismatch, or a NaN, is the smallest negation."""
+        best = [(np.inf, -1)] * 4
+        # five block arrays, reused by every block; once the slope is in the
+        # first, the other four hold the stencil values
+        buffers = [np.empty(min(rows, t.size) * x.size) for _ in range(5)]
+        for row0 in range(r0, r1, rows):
+            tb = t[row0:row0 + rows, None]
+            alpha = _alpha(tb)
+            work = _views(buffers[:3], tb.shape[0], x.size)
+            best[0] = _fold_argmin(best[0], _residual_of_z(z, z2, alpha, tb, work), row0 * x.size)
+            closed = _residual_dx_of_z(z2, c, alpha, work)
+            best[2] = _fold_argmin(best[2], closed, row0 * x.size)
+            if xs.size:
+                plus, minus, a, b = _views(buffers[1:], tb.shape[0], xs.size)
+                fd = _residual_of_z(z_plus, z2_plus, alpha, tb, (plus, a, b))
+                # inf - inf where the residual overflows: the NaN is a violation
+                with np.errstate(invalid="ignore"):
+                    np.subtract(fd, _residual_of_z(z_minus, z2_minus, alpha, tb, (minus, a, b)),
+                                out=fd)
+                    np.divide(fd, 2.0 * h, out=fd)
+                    best[1] = _fold_argmin(best[1], fd, row0 * xs.size)
+                    np.compress(stencil, closed, axis=1, out=minus)
+                    np.subtract(fd, minus, out=fd)
+                    np.maximum(np.abs(minus, out=minus), 1.0, out=minus)
+                    np.divide(np.abs(fd, out=fd), np.negative(minus, out=minus), out=fd)
+                best[3] = _fold_argmin(best[3], fd, 0)
+        return best
+
+    split = rows * ((t.size + rows - 1) // rows // 2)  # a block boundary, 0 below two blocks
+    if split and hasattr(os, "fork"):
+        with forked("certificate scan", lambda send: send(scan(split, t.size))) as stream:
+            found = scan(0, split)
+            [tail] = list(stream)  # to its end, so that the child is reaped
+        found = [_fold_argmin(best, np.array(value), i) for best, (value, i) in zip(found, tail)]
+    else:
+        found = scan(0, t.size)
 
     def located(best, grid):
-        value, ti, xi = best
-        return value, (np.nan, np.nan) if ti < 0 else (float(grid[xi]), float(t[ti]))
+        ti, xi = divmod(best[1], grid.size or 1)
+        return best[0], (np.nan, np.nan) if ti < 0 else (float(grid[xi]), float(t[ti]))
 
     return ProfileCertificate(
-        *located(best_res, x), *located(best_fd, xs), *located(best_closed, x),
-        max_slope_mismatch=max_mismatch,
+        *located(found[0], x), *located(found[1], xs), *located(found[2], x),
+        # 0 - min(v, 0) keeps a NaN, and reads 0 for an empty stencil's inf
+        max_slope_mismatch=0.0 - min(found[3][0], 0.0),
     )
 
 
@@ -372,10 +395,9 @@ def numerator_grid_min(z_values, alphas) -> tuple[float, tuple[float, float]]:
     """Minimum of residual_dx_numerator over a (z, alpha) product grid."""
     z = np.asarray(z_values, dtype=float)
     a = np.asarray(alphas, dtype=float)
-    vals = residual_dx_numerator(z[None, :], a[:, None])
-    flat = int(np.argmin(vals))
+    value, flat = _fold_argmin((np.inf, -1), residual_dx_numerator(z[None, :], a[:, None]), 0)
     ai, zi = divmod(flat, z.size)
-    return float(vals[ai, zi]), (float(z[zi]), float(a[ai]))
+    return value, (float(z[zi]), float(a[ai]))
 
 
 @dataclass(frozen=True)
@@ -532,6 +554,16 @@ class TwoPointReport:
     argmin_pair: tuple[int, int]
 
 
+def _chunks(diag: _Diagonals, order: np.ndarray):
+    """The diagonals order lists (as k - 1), in its order, in chunks of 1, 2,
+    4, ... up to a block: yields each chunk's first entry and its diagonals
+    k, ascending."""
+    pos, size = 0, 1
+    while pos < order.size:
+        yield order[pos], np.sort(order[pos:pos + size]) + 1
+        pos, size = pos + size, min(2 * size, diag.rows)
+
+
 def _min_gap(diag: _Diagonals, extremes: tuple, t: float, buffers) -> tuple:
     """The smallest gap over all pairs at time t, and i * n + j of its pair,
     using three block buffers.
@@ -543,13 +575,11 @@ def _min_gap(diag: _Diagonals, extremes: tuple, t: float, buffers) -> tuple:
     """
     n = diag.n
     bound = _gap_lower_bounds(extremes, t)
-    order = np.argsort(bound, kind="stable")
     best = np.inf
     best_key = n * n  # i * n + j of the reported pair; triu order is key order
-    pos, size = 0, 1
-    while pos < order.size and not bound[order[pos]] > best:
-        ks = np.sort(order[pos:pos + size]) + 1
-        pos, size = pos + size, min(2 * size, diag.rows)
+    for first, ks in _chunks(diag, np.argsort(bound, kind="stable")):
+        if bound[first] > best:
+            break
         gaps = _diagonal_gaps(diag, ks, t, buffers)
         # np.argmin semantics: the first NaN wins, else the first minimum
         low = gaps.min()
@@ -620,13 +650,18 @@ def admissible_offset(vertices: np.ndarray) -> float:
     (circles) have an inactive floor and return lo, every offset being
     pair-feasible for them.
 
-    Each feasibility test is the gap scan's exact minimum at time 0
-    (_min_gap), with the per-diagonal chord floors and z ceilings computed
-    once.  chord >= profile holds exactly when chord - profile >= 0, and a
-    NaN gap fails both, so every test, and with it the bisection path, is
-    that of a test over all pairs, in a few block arrays of memory.  Small
-    meshes pay the tests' fixed cost (some ms a call at n <= 64), and where
-    some arc rounds to 0 nothing is pruned and every test is a full scan.
+    Each feasibility test decides whether the gap scan's exact minimum at
+    time 0 (_min_gap) is >= 0, with the per-diagonal chord floors and z
+    ceilings computed once.  A diagonal whose bound is >= 0 holds no
+    negative and no NaN gap, so a test evaluates only the other diagonals,
+    lowest bound first in _min_gap's chunks, and fails at the first chunk
+    that holds a gap that is not >= 0; an infeasible offset usually costs
+    a chunk or two.  chord >= profile holds exactly when chord - profile
+    >= 0, and a NaN gap fails both, so every test, and with it the
+    bisection path, is that of a test over all pairs, in a few block
+    arrays of memory.  Small meshes pay the tests' fixed cost (some ms a
+    call at n <= 64), and where some arc rounds to 0 nothing is pruned and
+    a feasible test is a full scan.  It runs in one process.
     """
     v, edge_len = _validated_edges(vertices)
     kappa = _geometry(v).curvature
@@ -642,7 +677,14 @@ def admissible_offset(vertices: np.ndarray) -> float:
     buffers = diag.buffers(3)
 
     def feasible(offset: float) -> bool:
-        return _min_gap(diag, extremes, -offset, buffers)[0] >= 0.0
+        # _min_gap(...)[0] >= 0.0: a diagonal whose bound is >= 0 holds no
+        # negative and no NaN gap, so only the others are evaluated, lowest
+        # bound first, and the test ends at the first chunk with a gap that
+        # is not >= 0
+        bound = _gap_lower_bounds(extremes, -offset)
+        order = np.argsort(bound, kind="stable")
+        return all(np.all(_diagonal_gaps(diag, ks, -offset, buffers) >= 0.0)
+                   for _, ks in _chunks(diag, order[~(bound[order] >= 0.0)]))
 
     if not feasible(hi):
         raise NoAdmissibleOffsetError(

@@ -6,6 +6,8 @@ formulas), then rounded to double precision.
 """
 
 import functools
+import os
+import random
 import tracemalloc
 
 import numpy as np
@@ -322,6 +324,129 @@ def test_certificate_scan_reports_the_first_nan_like_argmin(rows, monkeypatch):
     assert not np.isnan(loop_certificate_scan(x, t).min_residual)
 
 
+def argmin_certificate_scan(x, t):
+    # the certificate as np.argmin and np.max over whole (t, x) arrays, NaN
+    # rules included
+    h = comparison.FD_STEP
+    xs = x[(x - h > 0.0) & (x + h <= np.pi + 1e-12)]
+    tc = t[:, None]
+    with np.errstate(all="ignore"):
+        fd = (profile_residual(xs + h, tc) - profile_residual(xs - h, tc)) / (2.0 * h)
+        closed = residual_slope(xs, tc)
+        mismatch = np.abs(fd - closed) / np.maximum(np.abs(closed), 1.0)
+
+    def first_min(values, grid):
+        if not values.size:  # an empty stencil
+            return np.inf, (np.nan, np.nan)
+        ti, xi = divmod(int(np.argmin(values)), grid.size)
+        return float(values[ti, xi]), (float(grid[xi]), float(t[ti]))
+
+    return comparison.ProfileCertificate(
+        *first_min(profile_residual(x, tc), x), *first_min(fd, xs),
+        *first_min(residual_slope(x, tc), x), float(np.max(mismatch, initial=0.0)))
+
+
+def count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def forked_and_inline_scans(x, t, monkeypatch):
+    # the scan with os.fork, which must fork once, and without it
+    with monkeypatch.context() as patch:
+        forks = count_forks(patch)
+        forked = residual_certificate_scan(x, t)
+        patch.delattr(os, "fork")
+        inline = residual_certificate_scan(x, t)
+    assert len(forks) == 1
+    return forked, inline
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_GRIDS))
+def test_forked_scan_is_bit_identical_to_one_process_and_the_loop(name, monkeypatch):
+    x, t, h = SCAN_GRIDS[name]
+    monkeypatch.setattr(comparison, "FD_STEP", h)
+    if name != "one_row":  # whose x alone fills a block
+        # about four blocks, so that the split falls mid-grid
+        monkeypatch.setattr(comparison, "BLOCK_PAIRS", max(1, t.size // 4) * x.size)
+    forked, inline = forked_and_inline_scans(x, t, monkeypatch)
+    assert repr(forked) == repr(inline) == repr(loop_certificate_scan(x, t))
+    assert repr(forked) == repr(argmin_certificate_scan(x, t))
+
+
+# Two halves of t-rows and the t of the first residual minimum in (t, x)
+# order.  Every residual at t = -400 and at t = -500 is NaN; on this x grid
+# the residual minima at t = 37, 38, 42 and 44 are the same float.
+HALF_GRIDS = {
+    "nan_first": ([0.0, -400.0, 1.0, 2.0], [3.0, 4.0, 5.0, 6.0], -400.0),
+    "nan_second": ([0.0, 1.0, 2.0, 3.0], [4.0, -400.0, 5.0, -500.0], -400.0),
+    "nan_both": ([0.0, 1.0, -500.0, 2.0], [3.0, -400.0, 4.0, 5.0], -500.0),
+    "ties_first": ([35.0, 37.0, 36.0, 38.0], [39.0, 40.0, 41.0, 43.0], 37.0),
+    "ties_second": ([35.0, 36.0, 39.0, 40.0], [41.0, 44.0, 43.0, 42.0], 44.0),
+    "ties_both": ([35.0, 38.0, 36.0, 39.0], [40.0, 37.0, 41.0, 42.0], 38.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HALF_GRIDS))
+def test_forked_scan_merges_nans_and_ties_like_argmin(name, monkeypatch):
+    # two-row blocks: the parent scans the first four rows, the child the rest
+    x = np.linspace(0.2, np.pi, 60)
+    head, tail, first_t = HALF_GRIDS[name]
+    t = np.array(head + tail)
+    monkeypatch.setattr(comparison, "BLOCK_PAIRS", 2 * x.size)
+    forked, inline = forked_and_inline_scans(x, t, monkeypatch)
+    assert repr(forked) == repr(inline) == repr(argmin_certificate_scan(x, t))
+    assert forked.min_residual_at[1] == first_t
+
+
+def test_a_child_that_raises_surfaces_with_its_traceback_and_is_reaped(monkeypatch):
+    x = np.linspace(0.05, np.pi, 64)
+    t = np.linspace(-3.0, 3.0, 25)
+    monkeypatch.setattr(comparison, "BLOCK_PAIRS", 4 * x.size)
+    parent, slope = os.getpid(), comparison._residual_dx_of_z
+
+    def failing_in_the_child(*args):
+        if os.getpid() != parent:
+            raise ValueError("slope failed in the child")
+        return slope(*args)
+
+    monkeypatch.setattr(comparison, "_residual_dx_of_z", failing_in_the_child)
+    with pytest.raises(RuntimeError, match="(?s)certificate scan raised.*Traceback.*"
+                                           "slope failed in the child"):
+        residual_certificate_scan(x, t)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("extra, forks", [(0, 0), (1, 1)])
+def test_a_grid_below_two_blocks_does_not_fork(extra, forks, monkeypatch):
+    # one block of 5 rows, then one more row: a second block
+    x = np.linspace(0.05, np.pi, 64)
+    t = np.linspace(-3.0, 3.0, 5 + extra)
+    monkeypatch.setattr(comparison, "BLOCK_PAIRS", 5 * x.size)
+    counted = count_forks(monkeypatch)
+    assert repr(residual_certificate_scan(x, t)) == repr(argmin_certificate_scan(x, t))
+    assert len(counted) == forks
+
+
+def test_an_all_inf_grid_keeps_its_first_location():
+    # at t = -300 every residual overflows to +inf, and np.argmin reports
+    # the first grid point
+    x = np.linspace(1e-3, np.pi, 50)
+    cert = residual_certificate_scan(x, np.array([-300.0]))
+    assert cert.min_residual == np.inf
+    assert cert.min_residual_at == (1e-3, -300.0)
+
+
 @pytest.mark.parametrize("t", [-3.0, 0.0, 3.0])
 def test_residual_vanishes_at_the_left_endpoint(t):
     assert abs(profile_residual(1e-6, t)) < 1e-5
@@ -416,12 +541,7 @@ def triu_scan(v, time, offset):
     return float(gaps[k]), (int(i[k]), int(j[k]))
 
 
-def triu_bisection(v, lo=-50.0, hi=50.0, tol=1e-6):
-    _, _, chord, arc = triu_pairs(v)
-
-    def feasible(offset):
-        return bool(np.all(chord >= profile_value(arc, -offset)))
-
+def bisect_offset(feasible, lo=-50.0, hi=50.0, tol=1e-6):
     if feasible(lo):
         return lo
     a, b = lo, hi
@@ -429,6 +549,11 @@ def triu_bisection(v, lo=-50.0, hi=50.0, tol=1e-6):
         mid = 0.5 * (a + b)
         a, b = (a, mid) if feasible(mid) else (mid, b)
     return b
+
+
+def triu_bisection(v):
+    _, _, chord, arc = triu_pairs(v)
+    return bisect_offset(lambda offset: bool(np.all(chord >= profile_value(arc, -offset))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -657,6 +782,87 @@ def test_circle_ties_resolve_to_the_first_pair_in_triu_order():
     gaps = chord - profile_value(arc, -50.0)
     assert np.count_nonzero(gaps == gaps.min()) == 2
     assert two_point_gap_scan(v, 0.0, 50.0).argmin_pair == triu_scan(v, 0.0, 50.0)[1]
+
+
+def min_gap_feasibility(v):
+    # each offset tested by _min_gap's exact minimum, as admissible_offset
+    # did before its tests ended at their first failing gap
+    diag = diagonals(v)
+    extremes = comparison._diagonal_extremes(diag)
+    buffers = diag.buffers(3)
+    return lambda offset: comparison._min_gap(diag, extremes, -offset, buffers)[0] >= 0.0
+
+
+def certify_curve(seed, shape, n=2048):
+    # a tbar curve of the benchmark's certify workload, drawn as it draws
+    # them, resampled and rescaled as `icflow tbar` does
+    rng = random.Random(seed)
+    a = rng.choice((1.5, 2.0, 4.0))
+    if shape == "ellipse":
+        return renormalize(resample_uniform(make_ellipse(a, 1.0, n), n))
+    return workload_perturbed_circle(n, seed=rng.randrange(2**32))
+
+
+EARLY_EXIT_CURVES = {
+    **{f"certify_{shape}{seed}": functools.partial(certify_curve, seed, shape)
+       for seed in range(7, 13) for shape in ("ellipse", "circle")},
+    "circle": normalized_circle,
+    "one_long_edge": one_long_edge_circle,
+    # an arc rounds to 0, so every bound is -inf and every test a full scan
+    "zero_arc": lambda: tiny_edge_curve(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EARLY_EXIT_CURVES))
+def test_early_exit_bisection_matches_the_exact_minimum(name, monkeypatch):
+    v = EARLY_EXIT_CURVES[name]()
+    # without the curvature floor the offset is the pair bisection's own result
+    monkeypatch.setattr(comparison, "_FLOOR_ACTIVATION", np.inf)
+    threshold = admissible_offset(v)
+    assert threshold == bisect_offset(min_gap_feasibility(v))
+    if name == "circle":
+        assert threshold == comparison.OFFSET_BRACKET[0]
+
+
+def test_early_exit_keeps_the_upper_endpoint_error(monkeypatch):
+    v = normalized_ellipse()
+    monkeypatch.setattr(comparison, "OFFSET_BRACKET", (-50.0, 0.5))
+    assert not min_gap_feasibility(v)(0.5)
+    with pytest.raises(NoAdmissibleOffsetError, match=r"^no admissible offset in "
+                                                      r"\[-50\.0, 0\.5\]: upper endpoint infeasible$"):
+        admissible_offset(v)
+
+
+def test_a_feasibility_test_ends_at_its_first_failing_chunk(monkeypatch):
+    v = workload_perturbed_circle(512)
+    diag = diagonals(v)
+    extremes = comparison._diagonal_extremes(diag)
+    evaluated = []  # (t, diagonals) of each _diagonal_gaps call
+    exact = comparison._diagonal_gaps
+
+    def counting(diag, ks, t, buffers):
+        evaluated.append((t, ks.size))
+        return exact(diag, ks, t, buffers)
+
+    monkeypatch.setattr(comparison, "_diagonal_gaps", counting)
+    admissible_offset(v)
+    per_test = {}  # the bisection tests each offset once
+    for t, count in evaluated:
+        per_test[t] = per_test.get(t, 0) + count
+    infeasible = []
+    for t, count in per_test.items():
+        evaluated.clear()
+        low = comparison._min_gap(diag, extremes, t, diag.buffers(3))[0]
+        by_min_gap = sum(k for _, k in evaluated)
+        assert count <= by_min_gap
+        if low >= 0.0:
+            # all the diagonals whose bound is not >= 0, and no other
+            bound = comparison._gap_lower_bounds(extremes, t)
+            assert count == np.count_nonzero(~(bound >= 0.0))
+        else:
+            infeasible.append((count, by_min_gap))
+    assert len(infeasible) >= 10
+    assert sum(c for c, _ in infeasible) < 0.5 * sum(m for _, m in infeasible)
 
 
 def test_admissible_offset_allocates_no_pair_arrays():
