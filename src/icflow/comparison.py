@@ -555,12 +555,12 @@ class TwoPointReport:
 
 
 def _chunks(diag: _Diagonals, order: np.ndarray):
-    """The diagonals order lists (as k - 1), in its order, in chunks of 1, 2,
-    4, ... up to a block: yields each chunk's first entry and its diagonals
-    k, ascending."""
+    """order, the indices k - 1 of diagonals, in its order in chunks of 1,
+    2, 4, ... up to a block; each chunk's diagonals k are np.sort(chunk) + 1,
+    which a caller that stops at a chunk does not compute."""
     pos, size = 0, 1
     while pos < order.size:
-        yield order[pos], np.sort(order[pos:pos + size]) + 1
+        yield order[pos:pos + size]
         pos, size = pos + size, min(2 * size, diag.rows)
 
 
@@ -577,19 +577,17 @@ def _min_gap(diag: _Diagonals, extremes: tuple, t: float, buffers) -> tuple:
     bound = _gap_lower_bounds(extremes, t)
     best = np.inf
     best_key = n * n  # i * n + j of the reported pair; triu order is key order
-    for first, ks in _chunks(diag, np.argsort(bound, kind="stable")):
-        if bound[first] > best:
+    for chunk in _chunks(diag, np.argsort(bound, kind="stable")):
+        if bound[chunk[0]] > best:
             break
+        ks = np.sort(chunk) + 1
         gaps = _diagonal_gaps(diag, ks, t, buffers)
         # np.argmin semantics: the first NaN wins, else the first minimum
         low = gaps.min()
         nan = np.isnan(low)
-        if nan:
-            hits = np.isnan(gaps)
-        elif low <= best:
-            hits = gaps == low
-        else:
+        if not (nan or low <= best):
             continue
+        hits = np.isnan(gaps) if nan else gaps == low
         r, i = np.nonzero(hits)
         j = (i + ks[r]) % n
         key = int(np.min(np.minimum(i, j) * n + np.maximum(i, j)))
@@ -683,8 +681,8 @@ def admissible_offset(vertices: np.ndarray) -> float:
         # is not >= 0
         bound = _gap_lower_bounds(extremes, -offset)
         order = np.argsort(bound, kind="stable")
-        return all(np.all(_diagonal_gaps(diag, ks, -offset, buffers) >= 0.0)
-                   for _, ks in _chunks(diag, order[~(bound[order] >= 0.0)]))
+        return all(np.all(_diagonal_gaps(diag, np.sort(chunk) + 1, -offset, buffers) >= 0.0)
+                   for chunk in _chunks(diag, order[~(bound[order] >= 0.0)]))
 
     if not feasible(hi):
         raise NoAdmissibleOffsetError(
