@@ -28,8 +28,8 @@ first bounds each diagonal's gaps from below with cheap operations only
 evaluates diagonals exactly, lowest bound first, until the next bound
 exceeds the smallest gap found; its result is that of the exhaustive
 scan, ties and NaNs included.  The admissible offset's bisection tests
-each offset on the same bounds, the time-independent part computed once,
-and ends each test at its first negative or NaN gap.
+each offset with the same minimum, the time-independent part of the
+bounds computed once.
 """
 
 from __future__ import annotations
@@ -554,16 +554,6 @@ class TwoPointReport:
     argmin_pair: tuple[int, int]
 
 
-def _chunks(diag: _Diagonals, order: np.ndarray):
-    """order, the indices k - 1 of diagonals, in its order in chunks of 1,
-    2, 4, ... up to a block; each chunk's diagonals k are np.sort(chunk) + 1,
-    which a caller that stops at a chunk does not compute."""
-    pos, size = 0, 1
-    while pos < order.size:
-        yield order[pos:pos + size]
-        pos, size = pos + size, min(2 * size, diag.rows)
-
-
 def _min_gap(diag: _Diagonals, extremes: tuple, t: float, buffers) -> tuple:
     """The smallest gap over all pairs at time t, and i * n + j of its pair,
     using three block buffers.
@@ -575,19 +565,23 @@ def _min_gap(diag: _Diagonals, extremes: tuple, t: float, buffers) -> tuple:
     """
     n = diag.n
     bound = _gap_lower_bounds(extremes, t)
+    order = np.argsort(bound, kind="stable")
     best = np.inf
     best_key = n * n  # i * n + j of the reported pair; triu order is key order
-    for chunk in _chunks(diag, np.argsort(bound, kind="stable")):
-        if bound[chunk[0]] > best:
-            break
-        ks = np.sort(chunk) + 1
+    pos, size = 0, 1
+    while pos < order.size and not bound[order[pos]] > best:
+        ks = np.sort(order[pos:pos + size]) + 1
+        pos, size = pos + size, min(2 * size, diag.rows)
         gaps = _diagonal_gaps(diag, ks, t, buffers)
         # np.argmin semantics: the first NaN wins, else the first minimum
         low = gaps.min()
         nan = np.isnan(low)
-        if not (nan or low <= best):
+        if nan:
+            hits = np.isnan(gaps)
+        elif low <= best:
+            hits = gaps == low
+        else:
             continue
-        hits = np.isnan(gaps) if nan else gaps == low
         r, i = np.nonzero(hits)
         j = (i + ks[r]) % n
         key = int(np.min(np.minimum(i, j) * n + np.maximum(i, j)))
@@ -648,18 +642,13 @@ def admissible_offset(vertices: np.ndarray) -> float:
     (circles) have an inactive floor and return lo, every offset being
     pair-feasible for them.
 
-    Each feasibility test decides whether the gap scan's exact minimum at
-    time 0 (_min_gap) is >= 0, with the per-diagonal chord floors and z
-    ceilings computed once.  A diagonal whose bound is >= 0 holds no
-    negative and no NaN gap, so a test evaluates only the other diagonals,
-    lowest bound first in _min_gap's chunks, and fails at the first chunk
-    that holds a gap that is not >= 0; an infeasible offset usually costs
-    a chunk or two.  chord >= profile holds exactly when chord - profile
-    >= 0, and a NaN gap fails both, so every test, and with it the
-    bisection path, is that of a test over all pairs, in a few block
-    arrays of memory.  Small meshes pay the tests' fixed cost (some ms a
-    call at n <= 64), and where some arc rounds to 0 nothing is pruned and
-    a feasible test is a full scan.  It runs in one process.
+    Each feasibility test is the gap scan's exact minimum at time 0
+    (_min_gap), with the per-diagonal chord floors and z ceilings computed
+    once.  chord >= profile holds exactly when chord - profile >= 0, and a
+    NaN gap fails both, so every test, and with it the bisection path, is
+    that of a test over all pairs, in a few block arrays of memory.  Small
+    meshes pay the tests' fixed cost (some ms a call at n <= 64), and where
+    some arc rounds to 0 nothing is pruned and every test is a full scan.
     """
     v, edge_len = _validated_edges(vertices)
     kappa = _geometry(v).curvature
@@ -675,14 +664,7 @@ def admissible_offset(vertices: np.ndarray) -> float:
     buffers = diag.buffers(3)
 
     def feasible(offset: float) -> bool:
-        # _min_gap(...)[0] >= 0.0: a diagonal whose bound is >= 0 holds no
-        # negative and no NaN gap, so only the others are evaluated, lowest
-        # bound first, and the test ends at the first chunk with a gap that
-        # is not >= 0
-        bound = _gap_lower_bounds(extremes, -offset)
-        order = np.argsort(bound, kind="stable")
-        return all(np.all(_diagonal_gaps(diag, np.sort(chunk) + 1, -offset, buffers) >= 0.0)
-                   for chunk in _chunks(diag, order[~(bound[order] >= 0.0)]))
+        return _min_gap(diag, extremes, -offset, buffers)[0] >= 0.0
 
     if not feasible(hi):
         raise NoAdmissibleOffsetError(

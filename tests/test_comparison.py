@@ -7,7 +7,6 @@ formulas), then rounded to double precision.
 
 import functools
 import os
-import random
 import tracemalloc
 
 import numpy as np
@@ -541,7 +540,12 @@ def triu_scan(v, time, offset):
     return float(gaps[k]), (int(i[k]), int(j[k]))
 
 
-def bisect_offset(feasible, lo=-50.0, hi=50.0, tol=1e-6):
+def triu_bisection(v, lo=-50.0, hi=50.0, tol=1e-6):
+    _, _, chord, arc = triu_pairs(v)
+
+    def feasible(offset):
+        return bool(np.all(chord >= profile_value(arc, -offset)))
+
     if feasible(lo):
         return lo
     a, b = lo, hi
@@ -549,11 +553,6 @@ def bisect_offset(feasible, lo=-50.0, hi=50.0, tol=1e-6):
         mid = 0.5 * (a + b)
         a, b = (a, mid) if feasible(mid) else (mid, b)
     return b
-
-
-def triu_bisection(v):
-    _, _, chord, arc = triu_pairs(v)
-    return bisect_offset(lambda offset: bool(np.all(chord >= profile_value(arc, -offset))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -782,87 +781,6 @@ def test_circle_ties_resolve_to_the_first_pair_in_triu_order():
     gaps = chord - profile_value(arc, -50.0)
     assert np.count_nonzero(gaps == gaps.min()) == 2
     assert two_point_gap_scan(v, 0.0, 50.0).argmin_pair == triu_scan(v, 0.0, 50.0)[1]
-
-
-def min_gap_feasibility(v):
-    # each offset tested by _min_gap's exact minimum, as admissible_offset
-    # did before its tests ended at their first failing gap
-    diag = diagonals(v)
-    extremes = comparison._diagonal_extremes(diag)
-    buffers = diag.buffers(3)
-    return lambda offset: comparison._min_gap(diag, extremes, -offset, buffers)[0] >= 0.0
-
-
-def certify_curve(seed, shape, n=2048):
-    # a tbar curve of the benchmark's certify workload, drawn as it draws
-    # them, resampled and rescaled as `icflow tbar` does
-    rng = random.Random(seed)
-    a = rng.choice((1.5, 2.0, 4.0))
-    if shape == "ellipse":
-        return renormalize(resample_uniform(make_ellipse(a, 1.0, n), n))
-    return workload_perturbed_circle(n, seed=rng.randrange(2**32))
-
-
-EARLY_EXIT_CURVES = {
-    **{f"certify_{shape}{seed}": functools.partial(certify_curve, seed, shape)
-       for seed in range(7, 13) for shape in ("ellipse", "circle")},
-    "circle": normalized_circle,
-    "one_long_edge": one_long_edge_circle,
-    # an arc rounds to 0, so every bound is -inf and every test a full scan
-    "zero_arc": lambda: tiny_edge_curve(5),
-}
-
-
-@pytest.mark.parametrize("name", sorted(EARLY_EXIT_CURVES))
-def test_early_exit_bisection_matches_the_exact_minimum(name, monkeypatch):
-    v = EARLY_EXIT_CURVES[name]()
-    # without the curvature floor the offset is the pair bisection's own result
-    monkeypatch.setattr(comparison, "_FLOOR_ACTIVATION", np.inf)
-    threshold = admissible_offset(v)
-    assert threshold == bisect_offset(min_gap_feasibility(v))
-    if name == "circle":
-        assert threshold == comparison.OFFSET_BRACKET[0]
-
-
-def test_early_exit_keeps_the_upper_endpoint_error(monkeypatch):
-    v = normalized_ellipse()
-    monkeypatch.setattr(comparison, "OFFSET_BRACKET", (-50.0, 0.5))
-    assert not min_gap_feasibility(v)(0.5)
-    with pytest.raises(NoAdmissibleOffsetError, match=r"^no admissible offset in "
-                                                      r"\[-50\.0, 0\.5\]: upper endpoint infeasible$"):
-        admissible_offset(v)
-
-
-def test_a_feasibility_test_ends_at_its_first_failing_chunk(monkeypatch):
-    v = workload_perturbed_circle(512)
-    diag = diagonals(v)
-    extremes = comparison._diagonal_extremes(diag)
-    evaluated = []  # (t, diagonals) of each _diagonal_gaps call
-    exact = comparison._diagonal_gaps
-
-    def counting(diag, ks, t, buffers):
-        evaluated.append((t, ks.size))
-        return exact(diag, ks, t, buffers)
-
-    monkeypatch.setattr(comparison, "_diagonal_gaps", counting)
-    admissible_offset(v)
-    per_test = {}  # the bisection tests each offset once
-    for t, count in evaluated:
-        per_test[t] = per_test.get(t, 0) + count
-    infeasible = []
-    for t, count in per_test.items():
-        evaluated.clear()
-        low = comparison._min_gap(diag, extremes, t, diag.buffers(3))[0]
-        by_min_gap = sum(k for _, k in evaluated)
-        assert count <= by_min_gap
-        if low >= 0.0:
-            # all the diagonals whose bound is not >= 0, and no other
-            bound = comparison._gap_lower_bounds(extremes, t)
-            assert count == np.count_nonzero(~(bound >= 0.0))
-        else:
-            infeasible.append((count, by_min_gap))
-    assert len(infeasible) >= 10
-    assert sum(c for c, _ in infeasible) < 0.5 * sum(m for _, m in infeasible)
 
 
 def test_admissible_offset_allocates_no_pair_arrays():
