@@ -179,7 +179,8 @@ def _handle_verify_profile(args: argparse.Namespace) -> int:
 
     at = " at (x, t) = (%.17g, %.17g)"
     # printed label, violation label, value, where it sits, and the interval
-    # the value must lie in; NaN lies in none
+    # the value must lie in; a value passes only when it is also finite, so
+    # that NaN, an overflowed +inf and the inf of an empty minimum all fail
     table = (
         ("residual min", "residual", certificate.min_residual,
          at % certificate.min_residual_at, -CERTIFICATE_TOL, math.inf),
@@ -199,7 +200,7 @@ def _handle_verify_profile(args: argparse.Namespace) -> int:
     violations = []
     for label, name, value, where, lowest, highest in table:
         print("%-23s = %.17g%s" % (label, value, where))
-        if not lowest <= value <= highest:
+        if not (math.isfinite(value) and lowest <= value <= highest):
             violations.append("%s %.6g%s" % (name, value, where))
 
     if violations:

@@ -131,11 +131,6 @@ def _work_arrays(count: int, *operands) -> list:
     return [np.empty(shape) for _ in range(count)]
 
 
-def _views(buffers, rows: int, width: int) -> list:
-    """Flat buffers as (rows, width) arrays over their leading entries."""
-    return [b[:rows * width].reshape(rows, width) for b in buffers]
-
-
 def _residual_of_z(z, z2, alpha, t, work):
     """profile_residual from z = sin(x/2), z2 = z * z and alpha = e^{-2t}.
 
@@ -290,9 +285,10 @@ def residual_certificate_scan(x_values: np.ndarray, t_values: np.ndarray) -> Pro
     is the float that profile_residual and _residual_dx_of_z give at
     that (x, t).  Each minimum and its location follow np.argmin over the
     grid in (t, x) order: the first exact minimum, or the first NaN if any
-    value is NaN (an overflowed evaluation is never certified), and
-    max_slope_mismatch is NaN if any mismatch is.  Raises if any x lies
-    outside (0, pi].
+    value is NaN, and max_slope_mismatch is NaN if any mismatch is.  An
+    overflowed value reads +inf or NaN, and an empty stencil's fd minimum
+    +inf at (nan, nan): verify-profile passes only finite values.  Raises
+    if any x lies outside (0, pi].
 
     With os.fork and at least two blocks, the scan uses two cores (forked):
     a child scans the blocks from the middle one on, in block arrays of its
@@ -320,18 +316,19 @@ def residual_certificate_scan(x_values: np.ndarray, t_values: np.ndarray) -> Pro
         closed-form slope and the negated mismatch over the blocks of rows
         r0:r1: the largest mismatch, or a NaN, is the smallest negation."""
         best = [(np.inf, -1)] * 4
-        # five block arrays, reused by every block; once the slope is in the
-        # first, the other four hold the stencil values
+        # five block arrays, whose leading entries every block reuses; once
+        # the slope is in the first, the other four hold the stencil values
         buffers = [np.empty(min(rows, t.size) * x.size) for _ in range(5)]
         for row0 in range(r0, r1, rows):
             tb = t[row0:row0 + rows, None]
             alpha = _alpha(tb)
-            work = _views(buffers[:3], tb.shape[0], x.size)
+            work = [buf[:tb.size * x.size].reshape(tb.size, x.size) for buf in buffers[:3]]
             best[0] = _fold_argmin(best[0], _residual_of_z(z, z2, alpha, tb, work), row0 * x.size)
             closed = _residual_dx_of_z(z2, c, alpha, work)
             best[2] = _fold_argmin(best[2], closed, row0 * x.size)
             if xs.size:
-                plus, minus, a, b = _views(buffers[1:], tb.shape[0], xs.size)
+                plus, minus, a, b = (
+                    buf[:tb.size * xs.size].reshape(tb.size, xs.size) for buf in buffers[1:])
                 fd = _residual_of_z(z_plus, z2_plus, alpha, tb, (plus, a, b))
                 # inf - inf where the residual overflows: the NaN is a violation
                 with np.errstate(invalid="ignore"):
@@ -402,7 +399,9 @@ def numerator_grid_min(z_values, alphas) -> tuple[float, tuple[float, float]]:
 
 @dataclass(frozen=True)
 class _Diagonals:
-    """A validated polygon laid out for walking its cyclic diagonals.
+    """One curve's pair scan: a validated polygon of length 2 pi laid out
+    for walking its cyclic diagonals, the time-independent half of their gap
+    bounds, and the block arrays every walk reuses.
 
     Pairs are walked as diagonals (i, i + k mod n), k = 1..n//2, each a row
     of n pairs.  On the k = n/2 row of an even n each pair appears twice, as
@@ -410,30 +409,19 @@ class _Diagonals:
     over the rows are those over the n(n-1)/2 pairs.  base holds the
     coordinate and arc-length arrays (x, y, s); row k of each rolled window
     view is the same array rotated by k, so a run of diagonals is a slice
-    and needs no index arrays.  A block is at most rows diagonals, about
-    BLOCK_PAIRS pairs.
+    and needs no index arrays.  chord_lo[k - 1] is a float at or below every
+    chord on diagonal k, z_hi[k - 1] one at or above every z = sin(arc/2) on
+    it.  blocks holds three (rows, n) arrays of at most BLOCK_PAIRS floats
+    each (one row where n is larger); a walk takes their leading rows.
     """
 
     n: int
     total: float
-    max_edge: float
     base: tuple
     rolled: tuple
-    rows: int
-
-    def buffers(self, count: int) -> list:
-        """count new block-sized arrays, for a walk to reuse (_views)."""
-        return [np.empty(self.rows * self.n) for _ in range(count)]
-
-
-def _diagonals(v: np.ndarray, edge_len: np.ndarray) -> _Diagonals:
-    """The diagonals of validated vertices, given their edge lengths."""
-    n = v.shape[0]
-    s = np.concatenate([[0.0], np.cumsum(edge_len[:-1])])
-    base = (v[:, 0], v[:, 1], s)
-    rolled = tuple(sliding_window_view(np.concatenate([a, a]), n) for a in base)
-    total, max_edge = float(np.sum(edge_len)), float(np.max(edge_len))
-    return _Diagonals(n, total, max_edge, base, rolled, max(1, BLOCK_PAIRS // n))
+    chord_lo: np.ndarray
+    z_hi: np.ndarray
+    blocks: tuple
 
 
 # Relative slacks of the gap bound: 2**-48 covers a few roundings of hypot,
@@ -447,42 +435,40 @@ _TINY_SQUARE = 2.0 ** -1000
 _ARC_SLACK = 2.0 ** -50
 
 
-def _diagonal_extremes(diag: _Diagonals) -> tuple:
-    """Per diagonal k = 1..n//2, a float at or below every chord on it and
-    one at or above every z = sin(arc/2) on it; neither depends on time.
+def _diagonals(vertices: np.ndarray) -> _Diagonals:
+    """The pair-scan record of vertices, which must be a valid polygon of
+    length 2 pi.
 
     One pass over the blocks records, per diagonal, the smallest squared
     chord dx^2 + dy^2, with no hypot and no arc per pair.  The chord floor
     is sqrt(min c2) shrunk by _CHORD_SLACK (0 where the squares may be
-    subnormal), the z ceiling _z_ceiling of _arc_ceiling.  Where some half
-    arc (the smallest is a step of s or total - s[-1]) rounds to 0, z = 0
-    there and e^{-t} z is NaN when e^{-t} overflows, so no bound may prune:
-    the pass is skipped, every floor is -inf and every ceiling 1.
+    subnormal); the z ceiling is _z_ceiling of k max_edge grown by
+    _ARC_SLACK, at or above every arc on diagonal k.
     """
-    x, y, s = diag.base
-    m = diag.n // 2
-    if 0.5 * min(np.min(np.diff(s)), diag.total - s[-1]) <= 0.0:
-        return np.full(m, -np.inf), np.ones(m)
-    c2 = np.empty(m)
-    xr, yr, _ = diag.rolled
-    buffers = diag.buffers(2)
-    for k0 in range(1, m + 1, diag.rows):
-        k1 = min(k0 + diag.rows, m + 1)
-        a, b = _views(buffers, k1 - k0, diag.n)
-        np.subtract(xr[k0:k1], x, out=a)
-        a *= a
-        np.subtract(yr[k0:k1], y, out=b)
-        b *= b
-        a += b
-        np.min(a, axis=1, out=c2[k0 - 1:k1 - 1])
+    v, edge_len = _validated_edges(vertices)
+    n, total = v.shape[0], float(np.sum(edge_len))
+    if abs(total - 2.0 * np.pi) > 1e-6 * 2.0 * np.pi:
+        raise ParameterError(
+            f"curve length {total:.12g} is not 2*pi; renormalize before comparing")
+    s = np.concatenate([[0.0], np.cumsum(edge_len[:-1])])
+    base = (v[:, 0], v[:, 1], s)
+    rolled = tuple(sliding_window_view(np.concatenate([a, a]), n) for a in base)
+    blocks = tuple(np.empty((max(1, BLOCK_PAIRS // n), n)) for _ in range(3))
+    (x, y, _), (xr, yr, _), (a, b, _) = base, rolled, blocks
+    k = np.arange(1, n // 2 + 1)
+    c2 = np.empty(k.size)
+    for k0 in range(1, k.size + 1, len(a)):
+        k1 = min(k0 + len(a), k.size + 1)
+        dx, dy = a[:k1 - k0], b[:k1 - k0]
+        np.subtract(xr[k0:k1], x, out=dx)
+        dx *= dx
+        np.subtract(yr[k0:k1], y, out=dy)
+        dy *= dy
+        dx += dy
+        np.min(dx, axis=1, out=c2[k0 - 1:k1 - 1])
     chord_lo = np.where(c2 < _TINY_SQUARE, 0.0, np.sqrt(c2) * (1.0 - _CHORD_SLACK))
-    return chord_lo, _z_ceiling(_arc_ceiling(diag))
-
-
-def _arc_ceiling(diag: _Diagonals) -> np.ndarray:
-    """Per diagonal k = 1..n//2, k max_edge grown by _ARC_SLACK: at or above its arcs."""
-    k = np.arange(1, diag.n // 2 + 1)
-    return k * diag.max_edge * (1.0 + _ARC_SLACK) + 2.0 * diag.n * diag.total * _ARC_SLACK
+    arc_hi = k * float(np.max(edge_len)) * (1.0 + _ARC_SLACK) + 2.0 * n * total * _ARC_SLACK
+    return _Diagonals(n, total, base, rolled, chord_lo, _z_ceiling(arc_hi), blocks)
 
 
 def _z_ceiling(arc):
@@ -495,26 +481,27 @@ def _z_ceiling(arc):
     return np.minimum(1.0, np.sin(half) * (1.0 + _CHORD_SLACK))
 
 
-def _gap_lower_bounds(extremes: tuple, t: float) -> np.ndarray:
+def _gap_lower_bounds(diag: _Diagonals, t: float) -> np.ndarray:
     """Per diagonal, a float at or below every gap on it at time t: the
-    chord floor minus the profile at the z ceiling (_diagonal_extremes)
-    grown by _PROFILE_SLACK.
+    chord floor minus the profile at the z ceiling grown by _PROFILE_SLACK.
 
-    Every step of the pair recipe and of the profile is monotone up to the
-    slacks.  Every bound is -inf when 2 e^t overflows, as every profile is
-    then inf or NaN (0 * inf where e^{-t} z underflows); otherwise no bound
-    is NaN, and no gap is NaN where its floor is finite.
+    Every bound is -inf where e^{-t} or 2 e^t overflows, as a profile can
+    then be NaN: inf * 0 where z = 0 (a half arc that underflows), 0 * inf
+    where e^{-t} z underflows.  Elsewhere e^{-t} z is finite for every z in
+    [0, 1], every step of the pair recipe and of the profile is monotone up
+    to the slacks, no bound is NaN, and no gap is NaN where its floor is
+    finite.
     """
-    chord_lo, z_hi = extremes
-    if not np.isfinite(_profile_of_z(1.0, t)):
-        return np.full(chord_lo.size, -np.inf)
-    return chord_lo - _profile_of_z(z_hi, t) * (1.0 + _PROFILE_SLACK)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(np.exp(-t) * (2.0 * np.exp(t))):
+            return np.full(diag.chord_lo.size, -np.inf)
+    return diag.chord_lo - _profile_of_z(diag.z_hi, t) * (1.0 + _PROFILE_SLACK)
 
 
-def _diagonal_gaps(diag: _Diagonals, ks: np.ndarray, t: float, buffers) -> np.ndarray:
+def _diagonal_gaps(diag: _Diagonals, ks: np.ndarray, t: float) -> np.ndarray:
     """Gaps of the ascending diagonals ks, one row of n pairs (i, i + k)
-    each, in the three block buffers; each run of consecutive diagonals is
-    computed on window views.
+    each, in the leading rows of the three block arrays; each run of
+    consecutive diagonals is computed on window views.
 
     Every value is the triu scan's float: chord is hypot(v[j] - v[i]),
     which ignores the sign flip of a wrapped pair; the forward arc
@@ -522,7 +509,7 @@ def _diagonal_gaps(diag: _Diagonals, ks: np.ndarray, t: float, buffers) -> np.nd
     computes it.  The triu scan's cap of arcs at 2 pi never acts: a shorter
     arc is at most half the length, which is 2 pi to 1e-6.
     """
-    chord, z, back = _views(buffers, ks.size, diag.n)
+    chord, z, back = (block[:ks.size] for block in diag.blocks)
     (xr, yr, sr), (x, y, s) = diag.rolled, diag.base
     cuts = [0, *(np.flatnonzero(np.diff(ks) != 1) + 1), ks.size]
     for r0, r1 in zip(cuts[:-1], cuts[1:]):
@@ -540,12 +527,6 @@ def _diagonal_gaps(diag: _Diagonals, ks: np.ndarray, t: float, buffers) -> np.nd
     return np.subtract(chord, gaps, out=gaps)
 
 
-def _require_normalized_length(total: float) -> None:
-    if abs(total - 2.0 * np.pi) > 1e-6 * 2.0 * np.pi:
-        raise ParameterError(
-            f"curve length {total:.12g} is not 2*pi; renormalize before comparing")
-
-
 @dataclass(frozen=True)
 class TwoPointReport:
     """Result of a two-point gap scan at one snapshot."""
@@ -554,9 +535,8 @@ class TwoPointReport:
     argmin_pair: tuple[int, int]
 
 
-def _min_gap(diag: _Diagonals, extremes: tuple, t: float, buffers) -> tuple:
-    """The smallest gap over all pairs at time t, and i * n + j of its pair,
-    using three block buffers.
+def _min_gap(diag: _Diagonals, t: float) -> tuple:
+    """The smallest gap over all pairs at time t, and i * n + j of its pair.
 
     Diagonals are evaluated exactly in ascending order of their bounds, in
     chunks of 1, 2, 4, ... diagonals up to a block, until the next bound is
@@ -564,15 +544,15 @@ def _min_gap(diag: _Diagonals, extremes: tuple, t: float, buffers) -> tuple:
     smaller or an equal gap; a NaN minimum never stops the scan.
     """
     n = diag.n
-    bound = _gap_lower_bounds(extremes, t)
+    bound = _gap_lower_bounds(diag, t)
     order = np.argsort(bound, kind="stable")
     best = np.inf
     best_key = n * n  # i * n + j of the reported pair; triu order is key order
     pos, size = 0, 1
     while pos < order.size and not bound[order[pos]] > best:
         ks = np.sort(order[pos:pos + size]) + 1
-        pos, size = pos + size, min(2 * size, diag.rows)
-        gaps = _diagonal_gaps(diag, ks, t, buffers)
+        pos, size = pos + size, min(2 * size, len(diag.blocks[0]))
+        gaps = _diagonal_gaps(diag, ks, t)
         # np.argmin semantics: the first NaN wins, else the first minimum
         low = gaps.min()
         nan = np.isnan(low)
@@ -608,9 +588,8 @@ def two_point_gap_scan(vertices: np.ndarray, time: float, offset: float) -> TwoP
     pass and the chunk loop are a fixed cost, which can make a scan slower
     than the exhaustive one.
     """
-    diag = _diagonals(*_validated_edges(vertices))
-    _require_normalized_length(diag.total)
-    best, key = _min_gap(diag, _diagonal_extremes(diag), time - offset, diag.buffers(3))
+    diag = _diagonals(vertices)
+    best, key = _min_gap(diag, time - offset)
     return TwoPointReport(min_gap=best, argmin_pair=divmod(key, diag.n))
 
 
@@ -643,14 +622,14 @@ def admissible_offset(vertices: np.ndarray) -> float:
     pair-feasible for them.
 
     Each feasibility test is the gap scan's exact minimum at time 0
-    (_min_gap), with the per-diagonal chord floors and z ceilings computed
-    once.  chord >= profile holds exactly when chord - profile >= 0, and a
-    NaN gap fails both, so every test, and with it the bisection path, is
-    that of a test over all pairs, in a few block arrays of memory.  Small
-    meshes pay the tests' fixed cost (some ms a call at n <= 64), and where
-    some arc rounds to 0 nothing is pruned and every test is a full scan.
+    (_min_gap) on one _Diagonals record, bounds and block arrays included.
+    chord >= profile holds exactly when chord - profile >= 0, and a NaN gap
+    fails both, so every test, and with it the bisection path, is that of a
+    test over all pairs, in a few block arrays of memory.  Small meshes pay
+    the tests' fixed cost (some ms a call at n <= 64).
     """
-    v, edge_len = _validated_edges(vertices)
+    v = np.asarray(vertices, dtype=float)
+    diag = _diagonals(v)
     kappa = _geometry(v).curvature
     if not np.all(kappa > 0.0):
         raise ParameterError("admissible offset is defined for convex curves only")
@@ -658,13 +637,8 @@ def admissible_offset(vertices: np.ndarray) -> float:
     del kappa  # only the float stays alive across the bisection
     lo, hi = OFFSET_BRACKET
 
-    diag = _diagonals(v, edge_len)
-    _require_normalized_length(diag.total)
-    extremes = _diagonal_extremes(diag)
-    buffers = diag.buffers(3)
-
     def feasible(offset: float) -> bool:
-        return _min_gap(diag, extremes, -offset, buffers)[0] >= 0.0
+        return _min_gap(diag, -offset)[0] >= 0.0
 
     if not feasible(hi):
         raise NoAdmissibleOffsetError(

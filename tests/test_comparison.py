@@ -26,8 +26,8 @@ from icflow.comparison import (
     two_point_gap_scan,
 )
 from icflow.curves import (
-    _validated_edges,
     compute_metrics,
+    edge_lengths,
     make_circle,
     make_ellipse,
     make_perturbed_circle,
@@ -618,10 +618,6 @@ def diagonal_gap_minima(v, time, offset):
     return lows
 
 
-def diagonals(v):
-    return comparison._diagonals(*_validated_edges(v))
-
-
 def tiny_edge_curve(at):
     # a 1e-160 edge from vertex `at`: its squared length is subnormal and
     # rounds up; away from vertex 0 the arc-length sum absorbs it entirely
@@ -643,9 +639,9 @@ BOUND_CURVES = {
 @pytest.mark.parametrize("name", sorted(BOUND_CURVES))
 def test_gap_bounds_lie_at_or_below_every_gap_of_their_diagonal(name):
     v = BOUND_CURVES[name]()
-    extremes = comparison._diagonal_extremes(diagonals(v))
+    diag = comparison._diagonals(v)
     for time, offset in SCAN_TIMES:
-        bounds = comparison._gap_lower_bounds(extremes, time - offset)
+        bounds = comparison._gap_lower_bounds(diag, time - offset)
         lows = diagonal_gap_minima(v, time, offset)
         # a diagonal holding a NaN gap must never be skipped
         nan_low = np.isnan(lows)
@@ -660,20 +656,28 @@ def test_long_curve_has_arcs_past_pi():
     assert arc.max() > np.pi
 
 
-def test_tiny_edges_exercise_the_subnormal_and_zero_arc_guards():
-    first = diagonals(BOUND_CURVES["tiny_edge_first"]())
+def test_tiny_edges_exercise_the_subnormal_and_zero_arc_guards(monkeypatch):
+    first = comparison._diagonals(BOUND_CURVES["tiny_edge_first"]())
     x, y, _ = first.base
     # the edge's squared length is subnormal and rounded up past its square
     c2 = (x[1] - x[0]) ** 2 + (y[1] - y[0]) ** 2
     assert 0.0 < c2 < 2.0 ** -1022
     assert np.sqrt(c2) * (1.0 - 2.0 ** -48) > np.hypot(x[1] - x[0], y[1] - y[0])
-    bounds = comparison._gap_lower_bounds(comparison._diagonal_extremes(first), 1.0)
-    assert np.all(np.isfinite(bounds))
-    # absorbed into the arc-length sum, the edge leaves an arc of 0: no pruning
-    inside = diagonals(BOUND_CURVES["tiny_edge_inside"]())
+    assert np.all(np.isfinite(comparison._gap_lower_bounds(first, 1.0)))
+    # absorbed into the arc-length sum, the edge leaves an arc of 0, so z = 0
+    # there: the bounds hold and prune at ordinary t, and are all -inf once
+    # e^{-t} overflows, where that pair's profile is NaN
+    v = BOUND_CURVES["tiny_edge_inside"]()
+    inside = comparison._diagonals(v)
     assert np.min(np.diff(inside.base[2])) == 0.0
-    bounds = comparison._gap_lower_bounds(comparison._diagonal_extremes(inside), 1.0)
-    assert np.all(bounds == -np.inf)
+    bounds = comparison._gap_lower_bounds(inside, 1.0)
+    assert np.all(np.isfinite(bounds))
+    assert np.all(bounds <= diagonal_gap_minima(v, 1.0, 0.0))
+    evaluated = count_exact_diagonals(monkeypatch)
+    assert_scan_matches_triu(v, 1.0, 0.0)
+    assert len(evaluated) < inside.n // 2
+    assert np.all(comparison._gap_lower_bounds(inside, -710.0) == -np.inf)
+    assert_scan_matches_triu(v, 0.0, 710.0)
 
 
 def test_z_ceiling_covers_every_shorter_arc():
@@ -704,25 +708,25 @@ ARC_CEILING_CURVES = {
 
 @pytest.mark.parametrize("name", sorted(ARC_CEILING_CURVES))
 def test_arc_ceiling_lies_at_or_above_every_arc_of_its_diagonal(name):
+    # the bounds use the arc ceiling as the z ceiling diag.z_hi
     v = ARC_CEILING_CURVES[name]()
-    diag = diagonals(v)
-    ceiling = comparison._arc_ceiling(diag)
+    diag = comparison._diagonals(v)
     # the triu scan's arcs are the floats of _diagonal_gaps (its cap at 2 pi
-    # never acts on a shorter arc)
+    # never acts on a shorter arc), and z = sin(arc/2) there
     i, j, _, arc = triu_pairs(v)
     k = np.minimum(j - i, diag.n - (j - i))
-    assert np.all(ceiling[k - 1] >= arc)
-    # it is k max_edge up to the rounding slack
-    assert ceiling[0] <= diag.max_edge * (1.0 + 1e-8)
+    assert np.all(diag.z_hi[k - 1] >= np.sin(0.5 * arc))
+    # the arc ceiling is k max_edge up to the rounding slack
+    assert diag.z_hi[0] <= np.sin(0.5 * np.max(edge_lengths(v))) * (1.0 + 1e-8)
 
 
 def count_exact_diagonals(monkeypatch):
     evaluated = []
     exact = comparison._diagonal_gaps
 
-    def counting(diag, ks, t, buffers):
+    def counting(diag, ks, t):
         evaluated.extend(ks.tolist())
-        return exact(diag, ks, t, buffers)
+        return exact(diag, ks, t)
 
     monkeypatch.setattr(comparison, "_diagonal_gaps", counting)
     return evaluated
@@ -793,6 +797,25 @@ def test_admissible_offset_allocates_no_pair_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_admissible_offset_builds_one_pair_scan_record(monkeypatch):
+    # the bisection's 30 or so tests share one record's bounds and blocks
+    built = []
+    build = comparison._diagonals
+    monkeypatch.setattr(comparison, "_diagonals", lambda v: built.append(v) or build(v))
+    admissible_offset(normalized_ellipse(256))
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("n", [16, 1024, 2048, 3000])
+def test_pair_scan_blocks_are_three_arrays_of_at_most_one_block(n):
+    # three arrays of their own rather than views of one, so that no chunk
+    # the scan frees is larger than a block (glibc's mmap threshold rises
+    # to the largest chunk freed, and peak RSS with it)
+    blocks = comparison._diagonals(normalized_circle(n)).blocks
+    assert len(blocks) == 3
+    assert all(b.base is None and b.size <= comparison.BLOCK_PAIRS for b in blocks)
 
 
 def test_admissible_offset_rejects_unnormalized_and_nonconvex_curves():

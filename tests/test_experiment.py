@@ -477,6 +477,20 @@ def test_cli_verify_profile_fails_on_an_overflowed_grid(t, capsys):
     assert "all profile certificates hold" not in out
 
 
+@pytest.mark.parametrize("flags,violation", [
+    # every residual overflows to +inf, which once lay in [-tol, inf]
+    (["--t-min", "-300", "--t-max", "-300"], "residual inf at (x, t) = (0.001, -300)"),
+    # no x admits the fd stencil, and its empty minimum once exited 0
+    (["--x-min", "3.1415926", "--x-max", "3.1415926", "--t-min", "0", "--t-max", "0"],
+     "fd slope inf at (x, t) = (nan, nan)"),
+], ids=["overflow", "empty_stencil"])
+def test_cli_verify_profile_fails_on_a_value_that_is_not_finite(flags, violation, capsys):
+    assert cli.main(["verify-profile", *flags]) == 1
+    out = capsys.readouterr().out
+    assert "violation: " + violation in out.splitlines()
+    assert "all profile certificates hold" not in out
+
+
 @pytest.mark.parametrize("name,value,violation", [
     ("numerator_grid_min", (np.nan, (0.5, 1.0)), "A-polynomial nan at (z, alpha) = (0.5, 1)"),
     ("derivative_cross_check", (np.nan, ("dx", 0.5, 0.0)),
