@@ -27,9 +27,11 @@ first bounds each diagonal's gaps from below with cheap operations only
 (squared chords and arcs, no hypot, sin or arctan per pair), then
 evaluates diagonals exactly, lowest bound first, until the next bound
 exceeds the smallest gap found; its result is that of the exhaustive
-scan, ties and NaNs included.  The admissible offset's bisection tests
-each offset with the same minimum, the time-independent part of the
-bounds computed once.
+scan, ties and NaNs included.  The admissible offset's bisection needs
+only the sign of that minimum: each test proves the diagonals whose bound
+is >= 0 and evaluates the others one at a time, lowest bound first, until
+a gap is negative or NaN; the time-independent chord and z rows of the
+lowest-bound ones stay in the record's block arrays for the later tests.
 """
 
 from __future__ import annotations
@@ -412,7 +414,8 @@ class _Diagonals:
     and needs no index arrays.  chord_lo[k - 1] is a float at or below every
     chord on diagonal k, z_hi[k - 1] one at or above every z = sin(arc/2) on
     it.  blocks holds three (rows, n) arrays of at most BLOCK_PAIRS floats
-    each (one row where n is larger); a walk takes their leading rows.
+    and at most n // 2 rows each (one row where n is larger); a walk takes
+    their leading rows.
     """
 
     n: int
@@ -453,7 +456,7 @@ def _diagonals(vertices: np.ndarray) -> _Diagonals:
     s = np.concatenate([[0.0], np.cumsum(edge_len[:-1])])
     base = (v[:, 0], v[:, 1], s)
     rolled = tuple(sliding_window_view(np.concatenate([a, a]), n) for a in base)
-    blocks = tuple(np.empty((max(1, BLOCK_PAIRS // n), n)) for _ in range(3))
+    blocks = tuple(np.empty((max(1, min(BLOCK_PAIRS // n, n // 2)), n)) for _ in range(3))
     (x, y, _), (xr, yr, _), (a, b, _) = base, rolled, blocks
     k = np.arange(1, n // 2 + 1)
     c2 = np.empty(k.size)
@@ -498,20 +501,21 @@ def _gap_lower_bounds(diag: _Diagonals, t: float) -> np.ndarray:
     return diag.chord_lo - _profile_of_z(diag.z_hi, t) * (1.0 + _PROFILE_SLACK)
 
 
-def _diagonal_gaps(diag: _Diagonals, ks: np.ndarray, t: float) -> np.ndarray:
-    """Gaps of the ascending diagonals ks, one row of n pairs (i, i + k)
-    each, in the leading rows of the three block arrays; each run of
+def _pair_rows(diag: _Diagonals, ks: list, chord, z, back) -> None:
+    """The time-independent half of the gaps of the diagonals ks, a list of
+    ascending ints: for each, a row of n pairs (i, i + k), its chords in
+    chord and its z = sin(arc/2) in z, with back as scratch; each run of
     consecutive diagonals is computed on window views.
 
     Every value is the triu scan's float: chord is hypot(v[j] - v[i]),
     which ignores the sign flip of a wrapped pair; the forward arc
-    |s[j] - s[i]| is the triu difference; z = sin(arc/2) as profile_value
-    computes it.  The triu scan's cap of arcs at 2 pi never acts: a shorter
-    arc is at most half the length, which is 2 pi to 1e-6.
+    |s[j] - s[i]| is the triu difference; z = sin(arc/2) of the shorter arc
+    as profile_value computes it.  The triu scan's cap of arcs at 2 pi
+    never acts: a shorter arc is at most half the length, which is 2 pi to
+    1e-6.
     """
-    chord, z, back = (block[:ks.size] for block in diag.blocks)
     (xr, yr, sr), (x, y, s) = diag.rolled, diag.base
-    cuts = [0, *(np.flatnonzero(np.diff(ks) != 1) + 1), ks.size]
+    cuts = [0, *(r for r in range(1, len(ks)) if ks[r] != ks[r - 1] + 1), len(ks)]
     for r0, r1 in zip(cuts[:-1], cuts[1:]):
         rows = slice(ks[r0], ks[r0] + r1 - r0)
         np.subtract(xr[rows], x, out=chord[r0:r1])
@@ -523,8 +527,11 @@ def _diagonal_gaps(diag: _Diagonals, ks: np.ndarray, t: float) -> np.ndarray:
     np.minimum(z, back, out=z)  # the shorter arc
     z *= 0.5
     np.sin(z, out=z)
-    gaps = _profile_of_z(z, t, out=back)
-    return np.subtract(chord, gaps, out=gaps)
+
+
+def _row_gaps(chord, z, t: float, out) -> np.ndarray:
+    """The gaps chord - profile(z, t) of pair rows, in out."""
+    return np.subtract(chord, _profile_of_z(z, t, out=out), out=out)
 
 
 @dataclass(frozen=True)
@@ -552,7 +559,9 @@ def _min_gap(diag: _Diagonals, t: float) -> tuple:
     while pos < order.size and not bound[order[pos]] > best:
         ks = np.sort(order[pos:pos + size]) + 1
         pos, size = pos + size, min(2 * size, len(diag.blocks[0]))
-        gaps = _diagonal_gaps(diag, ks, t)
+        chord, z, gaps = (block[:ks.size] for block in diag.blocks)
+        _pair_rows(diag, ks.tolist(), chord, z, gaps)
+        _row_gaps(chord, z, t, gaps)
         # np.argmin semantics: the first NaN wins, else the first minimum
         low = gaps.min()
         nan = np.isnan(low)
@@ -593,6 +602,57 @@ def two_point_gap_scan(vertices: np.ndarray, time: float, offset: float) -> TwoP
     return TwoPointReport(min_gap=best, argmin_pair=divmod(key, diag.n))
 
 
+def _feasibility(diag: _Diagonals):
+    """admissible_offset's test of an offset: whether every gap of diag at
+    time t = -offset is >= 0, which is _min_gap(diag, t)[0] >= 0.0, a NaN
+    gap failing both.
+
+    A diagonal whose bound is >= 0 holds no negative and no NaN gap, so it
+    is proven without evaluation.  The others are evaluated one row at a
+    time in the stable ascending-bound order of _min_gap, with its pair
+    recipe, and the test fails at the first row whose smallest gap is not
+    >= 0.  The block arrays of diag serve as a cache across tests: the
+    chord and z rows of up to rows diagonals stay in the first two, and
+    each test keeps those of its lowest-bound unproven diagonals there,
+    evaluating the others in the slot the walk used last; the third holds
+    the gap row.  So a later test computes only the profile of a kept
+    diagonal, and no other walk may use diag's blocks meanwhile.
+    """
+    chords, zs, gaps = diag.blocks
+    gap = gaps[:1]
+    held = []  # the diagonal each slot holds
+    slot_of = {}  # its inverse
+
+    def feasible(offset: float) -> bool:
+        t = -offset
+        bound = _gap_lower_bounds(diag, t)
+        # plain Python bookkeeping: array comparisons and sums here left
+        # lasting numpy dispatch-cache entries mid-search, which raised a
+        # run's peak RSS in benchmarks through heap placement
+        low = bound.tolist()
+        walk = [k + 1 for k in np.argsort(bound, kind="stable").tolist() if not low[k] >= 0.0]
+        kept = set(walk[:len(chords)])
+        stale = [slot for slot, k in enumerate(held) if k not in kept]
+        for k in walk:
+            if k in slot_of:
+                slot = slot_of[k]
+            else:
+                if len(held) < len(chords):
+                    slot = len(held)
+                    held.append(k)
+                else:  # a stale slot; past the kept ones, the walk's last slot
+                    slot = stale.pop() if stale else slot
+                    del slot_of[held[slot]]
+                    held[slot] = k
+                slot_of[k] = slot
+                _pair_rows(diag, [k], chords[slot:slot + 1], zs[slot:slot + 1], gap)
+            if not _row_gaps(chords[slot], zs[slot], t, gap[0]).min() >= 0.0:
+                return False
+        return True
+
+    return feasible
+
+
 # Curvature-floor activation: squared-curvature excess below this is treated
 # as roundoff (an exact polygonal circle measures kappa = 1 to ~1e-15).
 _FLOOR_ACTIVATION = 1e-9
@@ -621,12 +681,14 @@ def admissible_offset(vertices: np.ndarray) -> float:
     (circles) have an inactive floor and return lo, every offset being
     pair-feasible for them.
 
-    Each feasibility test is the gap scan's exact minimum at time 0
-    (_min_gap) on one _Diagonals record, bounds and block arrays included.
-    chord >= profile holds exactly when chord - profile >= 0, and a NaN gap
-    fails both, so every test, and with it the bisection path, is that of a
-    test over all pairs, in a few block arrays of memory.  Small meshes pay
-    the tests' fixed cost (some ms a call at n <= 64).
+    Each feasibility test decides the sign of the gap scan's minimum at
+    time 0 on one _Diagonals record (_feasibility): it proves the
+    diagonals whose bound is >= 0, evaluates the others lowest bound first
+    and ends at the first negative or NaN gap, and the chord and z rows of
+    the lowest-bound ones stay in the record's block arrays for the later
+    tests.  chord >= profile holds exactly when chord - profile >= 0, and
+    a NaN gap fails both, so every test, and with it the bisection path,
+    is that of a test over all pairs, in a few block arrays of memory.
     """
     v = np.asarray(vertices, dtype=float)
     diag = _diagonals(v)
@@ -636,10 +698,7 @@ def admissible_offset(vertices: np.ndarray) -> float:
     kappa_max = float(np.max(kappa))
     del kappa  # only the float stays alive across the bisection
     lo, hi = OFFSET_BRACKET
-
-    def feasible(offset: float) -> bool:
-        return _min_gap(diag, -offset)[0] >= 0.0
-
+    feasible = _feasibility(diag)
     if not feasible(hi):
         raise NoAdmissibleOffsetError(
             f"no admissible offset in [{lo}, {hi}]: upper endpoint infeasible")

@@ -711,7 +711,7 @@ def test_arc_ceiling_lies_at_or_above_every_arc_of_its_diagonal(name):
     # the bounds use the arc ceiling as the z ceiling diag.z_hi
     v = ARC_CEILING_CURVES[name]()
     diag = comparison._diagonals(v)
-    # the triu scan's arcs are the floats of _diagonal_gaps (its cap at 2 pi
+    # the triu scan's arcs are the floats of _pair_rows (its cap at 2 pi
     # never acts on a shorter arc), and z = sin(arc/2) there
     i, j, _, arc = triu_pairs(v)
     k = np.minimum(j - i, diag.n - (j - i))
@@ -721,14 +721,15 @@ def test_arc_ceiling_lies_at_or_above_every_arc_of_its_diagonal(name):
 
 
 def count_exact_diagonals(monkeypatch):
+    # the diagonals whose chord and z rows are computed, in call order
     evaluated = []
-    exact = comparison._diagonal_gaps
+    exact = comparison._pair_rows
 
-    def counting(diag, ks, t):
-        evaluated.extend(ks.tolist())
-        return exact(diag, ks, t)
+    def counting(diag, ks, *rows):
+        evaluated.extend(ks)
+        return exact(diag, ks, *rows)
 
-    monkeypatch.setattr(comparison, "_diagonal_gaps", counting)
+    monkeypatch.setattr(comparison, "_pair_rows", counting)
     return evaluated
 
 
@@ -787,6 +788,105 @@ def test_circle_ties_resolve_to_the_first_pair_in_triu_order():
     assert two_point_gap_scan(v, 0.0, 50.0).argmin_pair == triu_scan(v, 0.0, 50.0)[1]
 
 
+def triu_feasible(v, offset):
+    _, _, chord, arc = triu_pairs(v)
+    return bool(np.all(chord >= profile_value(arc, -offset)))
+
+
+OFFSET_CURVES = {
+    "ellipse256": lambda: normalized_ellipse(256),
+    "perturbed300": ORACLE_CURVES["perturbed300"],
+    "tiny_edge_first": lambda: tiny_edge_curve(0),
+    "tiny_edge_inside": lambda: tiny_edge_curve(5),
+}
+
+# the search interval, and two that reach offsets where e^{-t} or 2 e^t
+# overflows at t = -offset: every bound is -inf there and every gap -inf,
+# NaN or the chord
+OFFSET_BRACKETS = [(-50.0, 50.0), (-800.0, 50.0), (-750.0, 750.0)]
+
+
+@pytest.mark.parametrize("bracket", OFFSET_BRACKETS)
+@pytest.mark.parametrize("name", sorted(OFFSET_CURVES))
+def test_early_exit_bisection_matches_the_triu_bisection(name, bracket, monkeypatch):
+    v = OFFSET_CURVES[name]()
+    # without the curvature floor the offset is the pair bisection's own result
+    monkeypatch.setattr(comparison, "_FLOOR_ACTIVATION", np.inf)
+    monkeypatch.setattr(comparison, "OFFSET_BRACKET", bracket)
+    if triu_feasible(v, bracket[1]):
+        assert admissible_offset(v) == triu_bisection(v, *bracket)
+    else:
+        # at offset 750 the zero arc's profile is inf * 0
+        assert (name, bracket) == ("tiny_edge_inside", (-750.0, 750.0))
+        with pytest.raises(NoAdmissibleOffsetError, match="upper endpoint infeasible"):
+            admissible_offset(v)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize("name", ["ellipse256", "perturbed300", "perturbed512"])
+def test_early_exit_bisection_on_few_block_rows_matches_the_triu_bisection(name, rows,
+                                                                           monkeypatch):
+    # fewer rows than a feasible test leaves open, so tests evict rows
+    v = ORACLE_CURVES[name]()
+    monkeypatch.setattr(comparison, "_FLOOR_ACTIVATION", np.inf)
+    monkeypatch.setattr(comparison, "BLOCK_PAIRS", rows * v.shape[0])
+    evaluated = count_exact_diagonals(monkeypatch)
+    assert admissible_offset(v) == triu_bisection(v)
+    assert len(evaluated) > len(set(evaluated))
+
+
+def record_feasibility_tests(monkeypatch):
+    # per test of the bisection, its time and the smallest gap of each row
+    # it evaluates, in order
+    tests = []
+    bounds, gaps = comparison._gap_lower_bounds, comparison._row_gaps
+
+    def starting(diag, t):
+        tests.append((t, []))
+        return bounds(diag, t)
+
+    def evaluating(chord, z, t, out):
+        tests[-1][1].append(float(gaps(chord, z, t, out).min()))
+        return out
+
+    monkeypatch.setattr(comparison, "_gap_lower_bounds", starting)
+    monkeypatch.setattr(comparison, "_row_gaps", evaluating)
+    return tests
+
+
+def test_a_feasibility_test_ends_at_its_first_negative_gap(monkeypatch):
+    v = workload_perturbed_circle(512)
+    tests = record_feasibility_tests(monkeypatch)
+    admissible_offset(v)
+    monkeypatch.undo()
+    assert len({t for t, _ in tests}) == len(tests) >= 25
+    diag = comparison._diagonals(v)
+    infeasible = []
+    for t, lows in tests:
+        assert all(low >= 0.0 for low in lows[:-1])
+        unproven = np.count_nonzero(~(comparison._gap_lower_bounds(diag, t) >= 0.0))
+        if comparison._min_gap(diag, t)[0] >= 0.0:
+            # every diagonal that its bound leaves open, and no other
+            assert len(lows) == unproven and all(low >= 0.0 for low in lows)
+        else:
+            assert lows and not lows[-1] >= 0.0
+            infeasible.append((len(lows), unproven))
+    assert len(infeasible) >= 10
+    assert sum(rows for rows, _ in infeasible) < 0.1 * sum(open_ for _, open_ in infeasible)
+
+
+@pytest.mark.parametrize("curve, n", [(normalized_ellipse, 16), (normalized_ellipse, 64),
+                                      (workload_perturbed_circle, 64),
+                                      (workload_perturbed_circle, 128)])
+def test_rows_that_fit_the_blocks_are_computed_once_per_call(curve, n, monkeypatch):
+    v = curve(n)
+    # every diagonal fits: the blocks have n // 2 rows
+    assert len(comparison._diagonals(v).blocks[0]) == n // 2
+    evaluated = count_exact_diagonals(monkeypatch)
+    admissible_offset(v)
+    assert evaluated and len(evaluated) == len(set(evaluated))
+
+
 def test_admissible_offset_allocates_no_pair_arrays():
     # a cache of every pair's chord and sin(arc/2) peaked at 33 MiB here
     v = workload_perturbed_circle(2048)
@@ -816,6 +916,8 @@ def test_pair_scan_blocks_are_three_arrays_of_at_most_one_block(n):
     blocks = comparison._diagonals(normalized_circle(n)).blocks
     assert len(blocks) == 3
     assert all(b.base is None and b.size <= comparison.BLOCK_PAIRS for b in blocks)
+    # no more rows than the curve has diagonals
+    assert all(len(b) <= max(1, n // 2) for b in blocks)
 
 
 def test_admissible_offset_rejects_unnormalized_and_nonconvex_curves():
