@@ -18,14 +18,16 @@ g(m) = m^m / (m+1)^(m+1), so m is chosen as the smallest order with
 
     dt * g(m) <= safety * (min edge)^2 * (min kappa)^2,
 
-which reduces to the classical constraint at m = 0.  The filter is exact on
-constant fields, so circles (constant speed) are advanced without any
-smoothing error and keep their closed-form radius law to roundoff.
+which reduces to the classical constraint at m = 0.  The m passes run as
+one convolution with the 2m+1 binomial taps, which returns a constant field
+to 1e-15 relative (up to 6.5e-16 on about half of random constants), so
+circles (constant speed) keep their closed-form radius law to roundoff.
 
 One step kernel serves both formulations.  Each state's geometry, the
 start state's included (the CurveMetrics of curves._geometry, which
 compute_metrics returns), is computed once, after the step and any
-resampling.  It is the one convexity test (kappa > 0, as in
+resampling (a normalized state's before its rescale to length 2*pi, then
+scaled with it).  It is the one convexity test (kappa > 0, as in
 convexity_check: the sign of each vertex's cross product, since the
 circumcircle denominators are positive), the input of the next step and
 what snapshot observers receive.
@@ -42,9 +44,9 @@ import numpy as np
 
 from .curves import (
     BLOCK_PAIRS,
+    CurveMetrics,
     _geometry,
     _validated_edges,
-    edge_lengths,
     edge_vectors,
     resample_uniform,
     validate_vertices,
@@ -90,68 +92,57 @@ class FlowState:
 
 
 def renormalize(vertices: np.ndarray) -> np.ndarray:
-    """Scale the curve about the ORIGIN to total length 2*pi.
-
-    Scaling about the origin (not the centroid) is what makes the center of
-    an off-center curve decay under the normalized flow — that drift is a
-    measured feature, not an artifact.
-    """
-    return _rescale(*_validated_edges(vertices))
+    """Scale the curve about the ORIGIN to total length 2*pi: not about the
+    centroid, so the center of an off-center curve decays under the
+    normalized flow, a measured feature rather than an artifact."""
+    v, edge_len = _validated_edges(vertices)
+    return (2.0 * np.pi / float(np.sum(edge_len))) * v
 
 
-def _rescale(v: np.ndarray, edge_len: np.ndarray | None = None) -> np.ndarray:
-    """v scaled to length 2*pi; edge_len, when given, is edge_lengths(v)."""
-    total = float(np.sum(edge_lengths(v) if edge_len is None else edge_len))
-    return (2.0 * np.pi / total) * v
+def _renormalized(v: np.ndarray, geometry: CurveMetrics) -> tuple[np.ndarray, CurveMetrics]:
+    """renormalize(v) and geometry = _geometry(v) scaled with it (not recomputed)."""
+    edge_len, kappa, normal = geometry
+    scale = 2.0 * np.pi / float(np.sum(edge_len))
+    return scale * v, CurveMetrics(scale * edge_len, kappa / scale, normal)
 
 
 def initial_state(vertices: np.ndarray, mode: str) -> FlowState:
     """Wrap an initial curve; normalized mode rescales it to length 2*pi."""
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
-    v, edge_len = _validated_edges(vertices)
-    v = _rescale(v, edge_len) if mode == "normalized" else v.copy()
+    v = renormalize(vertices) if mode == "normalized" else validate_vertices(vertices).copy()
     return FlowState(vertices=v, time=0.0, mode=mode)
 
 
-def _smooth_in_place(w: np.ndarray, passes: int) -> np.ndarray:
-    """Apply the circular binomial filter [1/4, 1/2, 1/4] passes times to w in place.
-
-    A quarter of w goes into a ghost-padded buffer whose ends hold the
-    wrapped neighbours, so both quarter terms are slices of one product.
-    Scaling by 1/4 and 1/2 is exact and addition commutes, so each pass sums
-    (0.25 w[i-1] + 0.5 w[i]) + 0.25 w[i+1] exactly as the np.roll form does.
-    """
-    n = w.shape[0]
-    quarter = np.empty(n + 2)
-    for _ in range(passes):
-        np.multiply(w, 0.25, out=quarter[1:-1])
-        quarter[0] = quarter[n]
-        quarter[-1] = quarter[1]
-        w *= 0.5
-        w += quarter[:-2]
-        w += quarter[2:]
-    return w
+@functools.lru_cache(maxsize=64)
+def _filter_taps(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    # the wrap index of n values, and the taps C(2 order, k) / 4**order, exact doubles
+    taps = np.array([math.comb(2 * order, k) for k in range(2 * order + 1)]) / 4.0**order
+    return np.arange(-order, n + order) % n, taps
 
 
-@functools.lru_cache(maxsize=256)
-def _filter_gain(order: int) -> float:
-    # sup over modes of (diffusion symbol) * (filter symbol)^order; the
-    # binomial filter damps the sawtooth completely, pushing the worst case
-    # to an interior mode with gain m^m/(m+1)^(m+1).  Cached: the order
-    # search asks for the same few gains on every step.
-    if order == 0:
-        return 1.0
-    return order**order / float(order + 1) ** (order + 1)
+def _binomial_filter(w: np.ndarray, order: int) -> np.ndarray:
+    """order passes of the circular binomial filter [1/4, 1/2, 1/4] over w, as
+    one convolution of a wrapped copy with the binomial taps; to roundoff the
+    passes' values, and w itself at order 0."""
+    index, taps = _filter_taps(w.shape[0], order)
+    return np.convolve(w[index], taps, mode="valid")
+
+
+# sup over modes of (diffusion symbol) * (filter symbol)^m, per order m: the
+# binomial filter damps the sawtooth completely, pushing the worst case to
+# an interior mode with gain m^m/(m+1)^(m+1)
+_FILTER_GAINS = (1.0, *(m**m / float(m + 1) ** (m + 1) for m in range(1, 64)))
 
 
 def smoothing_order(
     dt: float, min_edge: float, min_curvature: float, safety: float, max_smoothing: int
 ) -> int:
-    """Smallest filter order keeping the step inside the stability budget."""
+    """Smallest filter order keeping the step inside the stability budget
+    (max_smoothing at most 63)."""
     budget = safety * min_edge * min_edge * min_curvature * min_curvature
-    for order in range(max_smoothing + 1):
-        if dt * _filter_gain(order) <= budget:
+    for order, gain in enumerate(_FILTER_GAINS[:max_smoothing + 1]):
+        if dt * gain <= budget:
             return order
     raise StepRejectedError(
         f"dt = {dt:g} exceeds the stability budget {budget:g} even at "
@@ -161,21 +152,19 @@ def smoothing_order(
 def _step(
     v: np.ndarray, geometry, mode: str, dt: float, control: StepControl, time: float
 ) -> np.ndarray:
-    """The Euler step of either formulation from a state at the given time.
-
-    geometry is _geometry(v) of a state evolve has found convex, so every
-    curvature is positive.  A rejected step carries the pre-step time.
-    """
+    """The Euler step of either formulation (normalized: before its rescale)
+    from the geometry of a state evolve has found convex, so every curvature
+    is positive.  A rejected step carries the pre-step time."""
     edge_len, kappa, normal = geometry
     try:
         order = smoothing_order(
             dt, float(edge_len.min()), float(kappa.min()), control.safety, control.max_smoothing)
     except StepRejectedError as exc:
         raise StepRejectedError(str(exc), time=time) from None
-    speed = _smooth_in_place(1.0 / kappa, order)
+    speed = _binomial_filter(1.0 / kappa, order)
     if mode == "unnormalized":
         return v + dt * speed[:, None] * normal
-    return _rescale(v + dt * (-v + speed[:, None] * normal))
+    return v + dt * (-v + speed[:, None] * normal)
 
 
 def evolve(
@@ -190,7 +179,9 @@ def evolve(
     Observers are called with (time, vertices, metrics) at the start state,
     at each multiple of snapshot_interval (when given), and at t_end; they
     must not mutate their arguments.  metrics is the step's geometry of the
-    state, equal to compute_metrics(vertices).  Each state fires at most
+    state, compute_metrics(vertices); after the start of a normalized run it
+    is the unscaled state's, rescaled, so equal to it only to roundoff
+    (curvature to about 1e-12 relative).  Each state fires at most
     once: when one step passes several snapshot times, the state after it
     stands for all of them.  Step times are start + k*dt, not accumulated,
     and a shorter final step lands exactly on t_end.  Every state, the start
@@ -212,6 +203,8 @@ def evolve(
     steps = 0
     while True:
         geometry = _geometry(v)
+        if steps and mode == "normalized":
+            v, geometry = _renormalized(v, geometry)
         if not np.all(geometry.curvature > 0.0):
             raise ConvexityLossError(f"convexity lost at t = {time:.6g}", time=time)
         done = not time < stop
@@ -232,8 +225,6 @@ def evolve(
         time = t_end if partial else t0 + steps * control.dt
         if steps % control.resample_every == 0:
             v = resample_uniform(v, v.shape[0])
-            if mode == "normalized":
-                v = _rescale(v)
 
 
 def polyline_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
@@ -252,11 +243,11 @@ def _directed_sq(p: np.ndarray, q: np.ndarray) -> float:
     """Largest squared distance from a vertex of p to the closed polyline q.
 
     The vertices of p are walked in row blocks whose four reused buffers
-    (x, y and two work arrays) hold about BLOCK_PAIRS floats in all, not
-    (n, m, 2) arrays.  Each pair's floats are those of the (n, m, 2)
-    evaluation: the projection parameter (diff . d) / |d|^2, as the sum of
-    the x and y products, clipped to [0, 1], and the squared length of diff
-    minus that multiple of d.
+    (x, y and two work arrays) hold about BLOCK_PAIRS floats in all.  Each
+    pair's floats are those of the (n, m, 2) evaluation: the projection
+    parameter (diff . d) / |d|^2, as the sum of the x and y products,
+    clipped to [0, 1], and the squared length of diff minus that multiple
+    of d.
     """
     d = edge_vectors(q)
     len2 = np.maximum(np.einsum("ij,ij->i", d, d), 1e-300)

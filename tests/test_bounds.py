@@ -16,6 +16,7 @@ from icflow.bounds import (
 )
 from icflow.comparison import admissible_offset
 from icflow.curves import (
+    _lengths,
     compute_metrics,
     make_circle,
     make_ellipse,
@@ -210,9 +211,10 @@ SNAPSHOT_CURVES = {
 
 
 def about_centroid_as_first_written(v):
-    # the Bonnesen gap and the convergence metrics with np.roll, one by one
+    # the Bonnesen gap and the convergence metrics with np.roll, one by one,
+    # with the package's edge lengths
     edges = np.roll(v, -1, axis=0) - v
-    edge_len = np.hypot(edges[:, 0], edges[:, 1])
+    edge_len = _lengths(edges)
     weights = 0.5 * (edge_len + np.roll(edge_len, 1))
     c0 = weights @ v / np.sum(weights)
     rel = v - c0

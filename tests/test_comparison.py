@@ -8,6 +8,7 @@ formulas), then rounded to double precision.
 import functools
 import os
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from icflow.comparison import (
     two_point_gap_scan,
 )
 from icflow.curves import (
+    _lengths,
     compute_metrics,
     edge_lengths,
     make_circle,
@@ -179,6 +181,89 @@ def test_numerator_is_nonnegative_on_the_unit_cell():
     assert z_at == 0.0  # the polynomial vanishes exactly on the z = 0 edge
     assert alpha_at in alpha
     assert residual_dx_numerator(0.0, 1.0) == 0.0
+
+
+class Poly:
+    """An exact polynomial in u = z^2 and alpha: {(u degree, alpha degree):
+    Fraction}.  Floats enter as their exact rationals, so numpy object arrays
+    of Poly run the package's float code as exact algebra."""
+
+    def __init__(self, terms=None):
+        self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
+
+    @staticmethod
+    def of(other):
+        return other if isinstance(other, Poly) else Poly({(0, 0): Fraction(other)})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for k, c in Poly.of(other).terms.items():
+            terms[k] = terms.get(k, 0) + c
+        return Poly(terms)
+
+    def __mul__(self, other):
+        terms = {}
+        for (i, j), c in self.terms.items():
+            for (k, m), d in Poly.of(other).terms.items():
+                terms[i + k, j + m] = terms.get((i + k, j + m), 0) + c * d
+        return Poly(terms)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -Poly.of(other)
+
+    def __rsub__(self, other):
+        return Poly.of(other) - self
+
+    def __pow__(self, k):
+        return functools.reduce(Poly.__mul__, [self] * k, Poly.of(1))
+
+    def __eq__(self, other):
+        return self.terms == Poly.of(other).terms
+
+    def in_u(self, i):
+        """The coefficient of u^i, a polynomial in alpha: {alpha degree: Fraction}."""
+        return {j: c for (k, j), c in self.terms.items() if k == i}
+
+
+def test_profile_certificate_has_an_exact_proof():
+    # Finding 5: residual_dx_numerator is A = alpha u f(u, alpha) with u = z^2,
+    # f - g = alpha^4 u^2 (1 - u) >= 0 on [0, 1], and g >= 2 for alpha >= 0
+    # because each bound of its coefficients below is a polynomial in alpha
+    # with nonnegative coefficients; so A >= 2 alpha u > 0 for u in (0, 1]
+    u, a = Poly({(1, 0): Fraction(1)}), Poly({(0, 1): Fraction(1)})
+    out = np.empty(1, dtype=object)
+    comparison._numerator_of_z2(np.array([u], dtype=object), a, out)
+    f = ((2 + 5 * a + 2 * a**2) + a * (8 + 25 * a + 16 * a**2) * u
+         + a**2 * (6 * a**2 + 3 * a - 2) * u**2 - a**4 * u**3)
+    g = ((2 + 5 * a + 2 * a**2) + a * (8 + 25 * a + 16 * a**2) * u
+         + a**2 * (a + 1) * (5 * a - 2) * u**2)
+    assert out[0] == a * u * f  # the Horner constants the code evaluates
+    assert f - g == a**4 * u**2 * (1 - u)
+    assert set(k for k, _ in g.terms) == {0, 1, 2}
+    # u^0: g0 - 2 >= 0; u^2: g2 >= -2 alpha^2, so with u^2 <= u,
+    # g >= g0 + (g1 - 2 alpha^2) u, whose u coefficient is alpha (8 + 23 alpha + 16 alpha^2)
+    for i, bound in ((0, -2), (1, -2 * a**2), (2, 2 * a**2)):
+        coefficients = (g + bound * u**i).in_u(i)
+        assert all(c >= 0 for c in coefficients.values()), i
+    assert (g - 2 * a**2 * u).in_u(1) == (a * (8 + 23 * a + 16 * a**2)).in_u(0)
+
+
+def test_residual_slope_identity_holds_symbolically():
+    # d(residual)/dx = cos(x/2) A / (q p)^2, with dz/dx = cos(x/2) / 2 and
+    # d/dz of 4 e^t arctan(e^{-t} z) = 4 / q: an identity of rational functions
+    sympy = pytest.importorskip("sympy")
+    z, w = sympy.symbols("z w", positive=True)  # w = e^{-t}
+    alpha = w**2
+    p, q = 1 + 2 * alpha - alpha * z**2, 1 + alpha * z**2
+    residual = 2 * z * (1 + 2 * alpha + alpha**2 * z**2) / p - 4 / w * sympy.atan(w * z) + 2 * z / q
+    out = np.empty(1, dtype=object)
+    comparison._numerator_of_z2(np.array([z**2], dtype=object), alpha, out)
+    assert sympy.cancel(sympy.diff(residual, z) / 2 - out[0] / (q * p) ** 2) == 0
 
 
 def test_certificate_scan_reports_clean_grid():
@@ -523,8 +608,9 @@ def test_admissible_offset_reports_infeasible_brackets(monkeypatch):
 
 
 def triu_pairs(v):
-    # the all-pairs geometry over np.triu_indices order, as first written
-    edge_len = np.hypot(*(np.roll(v, -1, axis=0) - v).T)
+    # the all-pairs geometry over np.triu_indices order, as first written but
+    # with the package's edge lengths (chords are hypot, as the scan's are)
+    edge_len = _lengths(np.roll(v, -1, axis=0) - v)
     s = np.concatenate([[0.0], np.cumsum(edge_len[:-1])])
     total = np.sum(edge_len)
     i, j = np.triu_indices(v.shape[0], k=1)

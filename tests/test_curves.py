@@ -11,8 +11,10 @@ import icflow
 from icflow.curves import (
     _centroid,
     _dual_weights,
+    _lengths,
     compute_metrics,
     convexity_check,
+    edge_lengths,
     edge_vectors,
     make_circle,
     make_ellipse,
@@ -174,8 +176,9 @@ def test_resample_changes_vertex_count():
 
 
 def resample_as_first_written(v, n):
-    # the resampler before it reused the validated edge lengths
-    edge_len = np.hypot(*(np.roll(v, -1, axis=0) - v).T)
+    # the resampler before it reused the validated edge lengths, with the
+    # package's edge lengths
+    edge_len = _lengths(np.roll(v, -1, axis=0) - v)
     s = np.concatenate([[0.0], np.cumsum(edge_len)])
     closed = np.vstack([v, v[:1]])
     targets = s[-1] * np.arange(n) / n
@@ -242,9 +245,10 @@ def test_dual_cell_weights_sum_to_total_length():
     v = make_perturbed_circle(1.0, 128, [0.05], [6], seed=2)
     m = compute_metrics(v)
     assert np.sum(_dual_weights(m.edge_lengths)) == pytest.approx(m.total_length, rel=1e-14)
-    # vertex i weighs half of edges i-1 and i, as first written with np.roll;
-    # the centroid averages with these weights, bit for bit
-    edge_len = np.hypot(*(np.roll(v, -1, axis=0) - v).T)
+    # vertex i weighs half of edges i-1 and i, as first written with np.roll
+    # (with the package's edge lengths); the centroid averages with these
+    # weights, bit for bit
+    edge_len = _lengths(np.roll(v, -1, axis=0) - v)
     weights = 0.5 * (edge_len + np.roll(edge_len, 1))
     assert np.array_equal(_dual_weights(m.edge_lengths), weights)
     assert np.array_equal(centroid(v), weights @ v / np.sum(weights))
@@ -270,3 +274,19 @@ def test_curvature_positive_on_random_convex_curves(rng):
         m = compute_metrics(v)
         assert np.all(m.curvature > 0)
         assert m.total_length == pytest.approx(np.sum(m.edge_lengths), rel=1e-15)
+
+
+def test_lengths_are_hypot_to_an_ulp_in_any_memory_layout(rng):
+    # the moduli of a complex view: a Fortran-ordered or integer vertex array
+    # gets C-ordered float edges, so the view exists
+    v = make_perturbed_circle(1.0, 200, [0.05], [3], seed=4)
+    expected = edge_lengths(v)
+    assert np.array_equal(edge_lengths(np.asfortranarray(v)), expected)
+    assert np.array_equal(edge_lengths(v[::-1])[::-1][np.r_[1:200, 0]], expected)
+    assert np.array_equal(edge_lengths(np.array([[0, 0], [3, 0], [3, 4]])), [3.0, 4.0, 5.0])
+    d = rng.standard_normal((1000, 2)) * 10.0 ** rng.uniform(-300, 300, (1000, 1))
+    hypot = np.hypot(d[:, 0], d[:, 1])
+    assert np.all(np.abs(_lengths(d) - hypot) <= 2.0 * np.spacing(hypot))
+    with np.errstate(over="ignore"):
+        edge = np.array([[1e308, 1e308], [np.inf, 1.0], [np.nan, 0.0], [5e-324, 0.0]])
+        assert np.array_equal(_lengths(edge), np.hypot(*edge.T), equal_nan=True)

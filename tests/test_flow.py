@@ -6,6 +6,7 @@ import pytest
 from icflow.curves import (
     CurveMetrics,
     _geometry,
+    _lengths,
     compute_metrics,
     make_circle,
     make_ellipse,
@@ -23,7 +24,7 @@ from icflow.experiment import CHECKS, RunSeries, config_from_dict, run_experimen
 from icflow.flow import (
     FlowState,
     StepControl,
-    _smooth_in_place,
+    _binomial_filter,
     evolve,
     initial_state,
     polyline_hausdorff,
@@ -34,7 +35,7 @@ from icflow.flow import (
 
 def smooth_periodic(values, passes):
     """The circular binomial filter [1/4, 1/2, 1/4] in its np.roll form (the
-    regression oracle of the in-place filter the step kernel runs)."""
+    regression oracle of the convolution the step kernel runs)."""
     w = np.asarray(values, dtype=float)
     for _ in range(passes):
         w = 0.25 * np.roll(w, 1) + 0.5 * w + 0.25 * np.roll(w, -1)
@@ -87,15 +88,24 @@ def test_initial_state_normalizes_and_records_length():
 
 
 def test_smooth_periodic_filter_identities(rng):
+    # 2.5 times each tap is exact, so this constant passes unchanged
     const = np.full(64, 2.5)
-    assert np.array_equal(_smooth_in_place(const.copy(), 7), const)
+    assert np.array_equal(_binomial_filter(const, 7), const)
     alternating = (-1.0) ** np.arange(64)
-    assert np.array_equal(_smooth_in_place(alternating, 1), np.zeros(64))
+    assert np.array_equal(_binomial_filter(alternating, 1), np.zeros(64))
     field = rng.standard_normal(128)
-    smoothed = _smooth_in_place(field.copy(), 5)
+    smoothed = _binomial_filter(field, 5)
     assert np.mean(smoothed) == pytest.approx(np.mean(field), abs=1e-14)
     assert np.std(smoothed) < np.std(field)
-    assert np.array_equal(_smooth_in_place(field.copy(), 0), field)
+    assert np.array_equal(_binomial_filter(field, 0), field)
+
+
+def test_binomial_filter_keeps_constants_to_roundoff(rng):
+    # the taps sum to 1 exactly, but their products with a constant round
+    for order in range(StepControl.max_smoothing + 1):
+        for c in rng.uniform(0.1, 10.0, 5):
+            out = _binomial_filter(np.full(64, c), order)
+            assert np.max(np.abs(out - c)) <= 1e-15 * c, (order, c)
 
 
 @pytest.mark.parametrize(
@@ -284,16 +294,20 @@ def test_cross_check_shrinks_under_refinement(tmp_path):
 # --- the step kernel against the first-written roll formulas --------------
 
 
-def _roll_geometry(v):
+def _hypot_lengths(d):
+    return np.hypot(d[:, 0], d[:, 1])
+
+
+def _roll_geometry(v, lengths=_hypot_lengths):
     """Edge lengths, curvature and outward normals by the np.roll formulas
-    the package first computed them with (the regression oracle of the
-    ghost-padded kernel geometry)."""
+    the package first computed them with, hypot lengths by default (the
+    regression oracle of the ghost-padded kernel geometry)."""
     edges = np.roll(v, -1, axis=0) - v
-    edge_len = np.hypot(edges[:, 0], edges[:, 1])
+    edge_len = lengths(edges)
     e_prev = np.roll(edges, 1, axis=0)
     len_prev = np.roll(edge_len, 1)
     chord = np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)
-    chord_len = np.hypot(chord[:, 0], chord[:, 1])
+    chord_len = lengths(chord)
     cross = e_prev[:, 0] * edges[:, 1] - e_prev[:, 1] * edges[:, 0]
     curvature = 2.0 * cross / (len_prev * edge_len * chord_len)
     tangent = chord / chord_len[:, None]
@@ -311,7 +325,7 @@ def _roll_geometry(v):
     ids=["circle", "ellipse", "perturbed"],
 )
 def test_kernel_geometry_is_the_roll_formulas_bit_for_bit(v):
-    expected = _roll_geometry(v)
+    expected = _roll_geometry(v, _lengths)
     for m in (_geometry(v), compute_metrics(v)):
         assert isinstance(m, CurveMetrics)
         for array, oracle in zip((m.edge_lengths, m.curvature, m.outward_normal), expected):
@@ -319,39 +333,86 @@ def test_kernel_geometry_is_the_roll_formulas_bit_for_bit(v):
         assert m.total_length == float(np.sum(expected[0]))
 
 
-def test_in_place_smoother_is_smooth_periodic_bit_for_bit(rng):
-    for order in range(21):
-        field = rng.standard_normal(97)
+@pytest.mark.parametrize("n", [16, 97])
+def test_binomial_filter_is_smooth_periodic_to_roundoff(rng, n):
+    # at n = 16 the widest kernels (41 taps) wrap around the field more than once
+    for order in range(StepControl.max_smoothing + 1):
+        field = rng.standard_normal(n)
         expected = smooth_periodic(field, order)
-        assert np.array_equal(_smooth_in_place(field.copy(), order), expected), order
+        out = _binomial_filter(field, order)
+        assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(field)), order
+
+
+def _hypot_renormalize(v):
+    return (2.0 * np.pi / float(np.sum(_roll_geometry(v)[0]))) * v
+
+
+def _hypot_resample(v):
+    """resample_uniform's interpolation along hypot edge lengths."""
+    n = v.shape[0]
+    s = np.concatenate([[0.0], np.cumsum(_roll_geometry(v)[0])])
+    closed = np.vstack([v, v[:1]])
+    targets = s[-1] * np.arange(n) / n
+    out = np.column_stack([np.interp(targets, s, closed[:, i]) for i in (0, 1)])
+    out[0] = v[0]
+    return out
 
 
 def _reference_evolve(vertices, mode, control, steps):
-    """Euler steps spelled out with the roll formulas and smooth_periodic."""
-    v = vertices
+    """The step kernel before edge lengths became complex moduli and the filter
+    one convolution, frozen as the drift gate's oracle: Euler steps spelled
+    out with the roll formulas, hypot lengths, smooth_periodic and a
+    normalized state's geometry recomputed after its rescale.  Returns the
+    vertices and each step's smoothing order."""
+    v, orders = vertices, []
     for k in range(1, steps + 1):
         edge_len, curvature, normal = _roll_geometry(v)
-        order = smoothing_order(
+        orders.append(smoothing_order(
             control.dt, float(np.min(edge_len)), float(np.min(curvature)),
-            control.safety, control.max_smoothing)
-        speed = smooth_periodic(1.0 / curvature, order)
+            control.safety, control.max_smoothing))
+        speed = smooth_periodic(1.0 / curvature, orders[-1])
         if mode == "unnormalized":
             v = v + control.dt * speed[:, None] * normal
         else:
-            v = renormalize(v + control.dt * (-v + speed[:, None] * normal))
+            v = _hypot_renormalize(v + control.dt * (-v + speed[:, None] * normal))
         if k % control.resample_every == 0:
-            v = resample_uniform(v, v.shape[0])
+            v = _hypot_resample(v)
             if mode == "normalized":
-                v = renormalize(v)
-    return v
+                v = _hypot_renormalize(v)
+    return v, orders
+
+
+def _evolve_orders(state, control, t_end, monkeypatch):
+    orders = []
+
+    def recording(*args):
+        orders.append(smoothing_order(*args))
+        return orders[-1]
+
+    monkeypatch.setattr(flow, "smoothing_order", recording)
+    return evolve(state, control, t_end).vertices, orders
 
 
 @pytest.mark.parametrize("mode", ["normalized", "unnormalized"])
-def test_evolve_matches_the_reference_stepper_bit_for_bit(mode):
+def test_evolve_matches_the_reference_stepper_to_roundoff(mode, monkeypatch):
     control = StepControl(dt=5e-4, resample_every=7)
     s = initial_state(make_perturbed_circle(1.0, 128, [0.05], [3], seed=1), mode)
-    out = evolve(s, control, 40 * control.dt)
-    assert np.array_equal(out.vertices, _reference_evolve(s.vertices, mode, control, 40))
+    out, orders = _evolve_orders(s, control, 40 * control.dt, monkeypatch)
+    expected, expected_orders = _reference_evolve(s.vertices, mode, control, 40)
+    assert orders == expected_orders
+    assert np.max(np.abs(out - expected)) <= 1e-14
+
+
+@pytest.mark.parametrize("mode", ["normalized", "unnormalized"])
+def test_flagship_drift_from_the_reference_stepper(mode, monkeypatch):
+    # the drift gate: at the flagship's mesh and step, the kernel takes the
+    # frozen stepper's smoothing order at every step and ends within 1e-12
+    control = StepControl(dt=1e-4)
+    s = initial_state(make_ellipse(2.0, 1.0, 512), mode)
+    out, orders = _evolve_orders(s, control, 0.25, monkeypatch)
+    expected, expected_orders = _reference_evolve(s.vertices, mode, control, 2500)
+    assert orders == expected_orders
+    assert polyline_hausdorff(out, expected) <= 1e-12
 
 
 def test_normalized_step_is_renormalized_raw_step_at_stretched_dt():
@@ -374,17 +435,25 @@ def test_normalized_step_is_renormalized_raw_step_at_stretched_dt():
 
 @pytest.mark.parametrize("mode", ["normalized", "unnormalized"])
 def test_observers_get_the_geometry_of_the_state_they_see(mode):
-    # the step kernel's own geometry, with the floats compute_metrics gives
+    # the step kernel's own geometry: compute_metrics' floats, or on a
+    # normalized state after the start, its unscaled geometry rescaled, equal
+    # to roundoff (curvature's cross product of near-parallel edges loses
+    # about log10(n) digits to cancellation)
     seen = []
     s = initial_state(make_perturbed_circle(1.0, 128, [0.05], [3], seed=1), mode)
     evolve(s, StepControl(dt=5e-4, resample_every=3), 0.01,
            observers=[lambda t, v, m: seen.append((v, m))], snapshot_interval=2e-3)
     assert len(seen) == 6
-    for v, m in seen:
+    tolerance = {"edge_lengths": 1e-14, "curvature": 1e-12, "outward_normal": 1e-14}
+    for k, (v, m) in enumerate(seen):
         expected = compute_metrics(v)
-        for field in ("edge_lengths", "curvature", "outward_normal"):
-            assert np.array_equal(getattr(m, field), getattr(expected, field))
-        assert m.total_length == expected.total_length
+        for field, tol in tolerance.items():
+            got, want = getattr(m, field), getattr(expected, field)
+            if mode == "unnormalized" or k == 0:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+        assert m.total_length == pytest.approx(expected.total_length, rel=1e-14, abs=0)
 
 
 def test_evolve_fires_each_state_at_most_once():
