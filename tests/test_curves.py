@@ -276,7 +276,7 @@ def test_curvature_positive_on_random_convex_curves(rng):
         assert m.total_length == pytest.approx(np.sum(m.edge_lengths), rel=1e-15)
 
 
-def test_lengths_are_hypot_to_an_ulp_in_any_memory_layout(rng):
+def test_lengths_are_hypot_to_two_ulps_in_any_memory_layout(rng):
     # the moduli of a complex view: a Fortran-ordered or integer vertex array
     # gets C-ordered float edges, so the view exists
     v = make_perturbed_circle(1.0, 200, [0.05], [3], seed=4)
