@@ -72,8 +72,8 @@ def validate_vertices(vertices: np.ndarray) -> np.ndarray:
 
 
 def _validated_edges(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """validate_vertices, also returning the edge lengths it checked."""
-    v = np.asarray(vertices, dtype=float)
+    """validate_vertices (a C-ordered array), also returning its edge lengths."""
+    v = np.asarray(vertices, dtype=float, order="C")
     if v.ndim != 2 or v.shape[1] != 2:
         raise ParameterError(f"expected an (n, 2) vertex array, got shape {v.shape}")
     check_vertex_count(v.shape[0])
@@ -203,37 +203,36 @@ def _geometry(v: np.ndarray) -> CurveMetrics:
     which equals 2 sin(turning angle) / chord and is exact (to roundoff) on
     polygons inscribed in circles — the property the flow's circle invariants
     rely on.  Signs follow orientation: positive on counterclockwise convex
-    curves.  A ghost-padded copy of the vertices supplies the wrapped
-    neighbours.  Raises DegenerateCurveError on non-finite coordinates, zero
-    edges and coincident neighbours; the flow calls this directly, without
+    curves.  The rows of the C-ordered v are read as complex128, padded with
+    the wrapped neighbours: lengths are moduli, the cross product is
+    Im(conj(e_prev) e_next), the normal -i chord / |chord|.  Raises
+    DegenerateCurveError on non-finite coordinates, zero edges and
+    coincident neighbours; the flow calls this directly, without
     validate_vertices, once per accepted state, for its step and observers
     (on a normalized state, before the state's rescale to length 2 pi).
     """
     if not np.isfinite(v).all():
         raise DegenerateCurveError("vertex coordinates contain NaN or Inf")
     n = v.shape[0]
-    padded = np.empty((n + 2, 2))
-    padded[1:-1] = v
-    padded[0] = v[-1]
-    padded[-1] = v[0]
+    z = v.view(np.complex128)[:, 0]
+    padded = np.empty(n + 2, np.complex128)
+    padded[1:-1] = z
+    padded[0] = z[-1]
+    padded[-1] = z[0]
     # back[i] = v[i] - v[i-1] (i = 0..n), so back[1:] are the edges and
     # back[:-1] the edges entering each vertex
     back = padded[1:] - padded[:-1]
-    back_len = _lengths(back)
+    back_len = np.abs(back)
     edge_len = back_len[1:]
     if edge_len.min() <= 0.0:
         raise DegenerateCurveError("curve has a zero-length edge (repeated vertices)")
     chord = padded[2:] - padded[:-2]
-    chord_len = _lengths(chord)
+    chord_len = np.abs(chord)
     if chord_len.min() <= 0.0:
         raise DegenerateCurveError("vertices i-1 and i+1 coincide; curvature undefined")
-    e_prev, edges = back[:-1], back[1:]
-    cross = e_prev[:, 0] * edges[:, 1] - e_prev[:, 1] * edges[:, 0]
+    cross = (np.conj(back[:-1]) * back[1:]).imag
     kappa = 2.0 * cross / (back_len[:-1] * edge_len * chord_len)
-    normal = np.empty((n, 2))
-    np.divide(chord[:, 1], chord_len, out=normal[:, 0])
-    np.divide(chord[:, 0], chord_len, out=normal[:, 1])
-    np.negative(normal[:, 1], out=normal[:, 1])
+    normal = (-1j * chord).view(np.float64).reshape(n, 2) / chord_len[:, None]
     return CurveMetrics(edge_len, kappa, normal)
 
 

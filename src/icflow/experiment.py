@@ -23,7 +23,6 @@ from .comparison import admissible_offset, two_point_gap_scan
 from .curves import (
     MAX_VERTICES,
     check_vertex_count,
-    compute_metrics,
     convexity_check,
     edge_lengths,
     make_circle,
@@ -40,6 +39,7 @@ from .errors import (
 )
 from .flow import (
     StepControl,
+    _renormalized,
     evolve,
     initial_state,
     polyline_hausdorff,
@@ -434,9 +434,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     With os.fork a run uses two cores (forked): a child runs the mode's
     last lane (the unnormalized formulation in both mode, which runs the
     normalized one here meanwhile) and sends each snapshot, then its
-    failure record, to the observers here.  A monitor failure kills the
-    child.  A normalized failure (of the flow or a monitor) drops the
-    unnormalized data; an unnormalized failure keeps its snapshots so far.
+    failure record, to the observers here; in normalized and unnormalized
+    mode with it each snapshot's SVG document, which this process writes
+    after grading the snapshot (and renders itself in both mode and
+    inline).  A monitor failure kills the child.  A normalized failure (of
+    the flow or a monitor) drops the unnormalized data; an unnormalized
+    failure keeps its snapshots so far.
     A traced evolve keeps it all here, with the same floats.  Each
     unnormalized snapshot, rescaled to length 2*pi, is paired with the
     normalized one of the same time, and cross_check grades the largest
@@ -477,11 +480,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     except (ConvexityLossError, NoAdmissibleOffsetError) as exc:
         failure = {"error": type(exc).__name__, "message": str(exc), "time": 0.0}
 
-    def stats_observer(time, vertices, metrics):
-        view, view_metrics = vertices, metrics
+    def monitored_view(vertices, metrics):  # the snapshot at length 2*pi
         if config.mode == "unnormalized":
-            view = renormalize(vertices)
-            view_metrics = compute_metrics(view)
+            return _renormalized(vertices, metrics)
+        return vertices, metrics
+
+    def stats_observer(time, vertices, metrics, document=None):
+        view, view_metrics = monitored_view(vertices, metrics)
         rows.append({
             "t": time,
             "length": metrics.total_length,
@@ -491,12 +496,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         })
         if config.mode == "both":
             stats_snaps.append(view.copy())
-        if config.svg_dir is not None:
-            write_svg(
-                os.path.join(config.svg_dir, f"snapshot_{len(rows) - 1:04d}.svg"),
-                view, time)
+        if config.svg_dir is not None:  # a forked child may have rendered it
+            write_svg(os.path.join(config.svg_dir, f"snapshot_{len(rows) - 1:04d}.svg"),
+                      svg_document(view, time) if document is None else document)
 
-    def raw_observer(time, vertices, metrics):
+    def raw_observer(time, vertices, metrics, document=None):
         if config.mode == "both":  # paired with the normalized snapshot of its time
             cross_distances.append(polyline_hausdorff(
                 renormalize(vertices), stats_snaps[len(raw_lengths)]))
@@ -507,11 +511,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         forked child's lane sends; a package error's failure record, or None."""
         observing = None
 
-        def observe(time, vertices, metrics):
+        def observe(time, *snapshot):
             nonlocal observing
             observing = time
             for observer in observers:
-                observer(time, vertices, metrics)
+                observer(time, *snapshot)
             observing = None
 
         try:
@@ -534,10 +538,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     def child_lane(send):
         # a both-mode parent reads only after its own lane, and a pipe holds
-        # few snapshots, so that child holds its records until its lane ends
+        # few snapshots, so that child holds its records until its lane ends;
+        # another child, idle while the parent grades, renders each SVG too
         held = []
         keep = held.append if config.mode == "both" else send
-        held.append(lane(last, lambda *snapshot: keep(snapshot)))
+        render = config.mode != "both" and config.svg_dir is not None
+        held.append(lane(last, lambda t, v, m: keep(
+            (t, v, m, svg_document(monitored_view(v, m)[0], t)) if render else (t, v, m))))
         for message in held:
             send(message)
 
@@ -658,7 +665,7 @@ def serialize_json(obj) -> str:
     return emit(obj, 0)
 
 
-def write_svg(path: str, vertices: np.ndarray, time: float) -> None:
+def svg_document(vertices: np.ndarray, time: float) -> str:
     """One snapshot as a closed path in a fixed [-2, 2]^2 viewbox.
 
     The y axis is flipped into mathematical orientation and a dashed unit
@@ -667,7 +674,7 @@ def write_svg(path: str, vertices: np.ndarray, time: float) -> None:
     coords = np.asarray(vertices).ravel().tolist()
     # one % over the whole path: the _format_float of each coordinate
     points = " L ".join(["%.17g %.17g"] * (len(coords) // 2)) % tuple(coords)
-    content = (
+    return (
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-2 -2 4 4">\n'
         f"  <!-- t = {_format_float(float(time))} -->\n"
         '  <g transform="scale(1,-1)">\n'
@@ -678,7 +685,11 @@ def write_svg(path: str, vertices: np.ndarray, time: float) -> None:
         "  </g>\n"
         "</svg>\n"
     )
-    _write_text(path, content)
+
+
+def write_svg(path: str, document: str) -> None:
+    """Write one snapshot's svg_document."""
+    _write_text(path, document)
 
 
 def _write_text(path: str, content: str) -> None:

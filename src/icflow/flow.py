@@ -27,10 +27,11 @@ One step kernel serves both formulations.  Each state's geometry, the
 start state's included (the CurveMetrics of curves._geometry, which
 compute_metrics returns), is computed once, after the step and any
 resampling (a normalized state's before its rescale to length 2*pi, then
-scaled with it).  It is the one convexity test (kappa > 0, as in
-convexity_check: the sign of each vertex's cross product, since the
-circumcircle denominators are positive), the input of the next step and
-what snapshot observers receive.
+scaled with it).  Its least curvature, taken once, is the one convexity
+test (kappa > 0, as in convexity_check: the sign of each vertex's cross
+product, since the circumcircle denominators are positive) and the order
+search's input; the geometry is the input of the next step, which updates
+complex128 views of the vertices, and what snapshot observers receive.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def renormalize(vertices: np.ndarray) -> np.ndarray:
 def _renormalized(v: np.ndarray, geometry: CurveMetrics) -> tuple[np.ndarray, CurveMetrics]:
     """renormalize(v) and geometry = _geometry(v) scaled with it (not recomputed)."""
     edge_len, kappa, normal = geometry
-    scale = 2.0 * np.pi / float(np.sum(edge_len))
+    scale = 2.0 * np.pi / float(edge_len.sum())
     return scale * v, CurveMetrics(scale * edge_len, kappa / scale, normal)
 
 
@@ -149,22 +150,23 @@ def smoothing_order(
         f"smoothing order {max_smoothing}")
 
 
-def _step(
-    v: np.ndarray, geometry, mode: str, dt: float, control: StepControl, time: float
-) -> np.ndarray:
+def _step(v: np.ndarray, geometry, kappa_min: float, mode: str, dt: float,
+          control: StepControl, time: float) -> np.ndarray:
     """The Euler step of either formulation (normalized: before its rescale)
-    from the geometry of a state evolve has found convex, so every curvature
-    is positive.  A rejected step carries the pre-step time."""
+    from the geometry of a state evolve has found convex, its least
+    curvature kappa_min > 0, on complex views of the vertices and normals.
+    A rejected step carries the pre-step time."""
     edge_len, kappa, normal = geometry
     try:
         order = smoothing_order(
-            dt, float(edge_len.min()), float(kappa.min()), control.safety, control.max_smoothing)
+            dt, float(edge_len.min()), kappa_min, control.safety, control.max_smoothing)
     except StepRejectedError as exc:
         raise StepRejectedError(str(exc), time=time) from None
     speed = _binomial_filter(1.0 / kappa, order)
+    z, push = v.view(np.complex128), normal.view(np.complex128)
     if mode == "unnormalized":
-        return v + dt * speed[:, None] * normal
-    return v + dt * (-v + speed[:, None] * normal)
+        return (z + (dt * speed)[:, None] * push).view(np.float64)
+    return (z + dt * (speed[:, None] * push - z)).view(np.float64)
 
 
 def evolve(
@@ -187,7 +189,8 @@ def evolve(
     and a shorter final step lands exactly on t_end.  Every state, the start
     state included, must have positive curvature at every vertex before any
     observer sees it; one that does not raises ConvexityLossError at its
-    time.  Flow failures propagate with the failing time attached.
+    time; that least curvature is also the step's order-search input.  Flow
+    failures propagate with the failing time attached.
     """
     if snapshot_interval is not None and not snapshot_interval > 0.0:
         raise ParameterError("snapshot_interval must be positive")
@@ -205,7 +208,8 @@ def evolve(
         geometry = _geometry(v)
         if steps and mode == "normalized":
             v, geometry = _renormalized(v, geometry)
-        if not np.all(geometry.curvature > 0.0):
+        kappa_min = float(geometry.curvature.min())  # NaN fails too
+        if not kappa_min > 0.0:
             raise ConvexityLossError(f"convexity lost at t = {time:.6g}", time=time)
         done = not time < stop
         if (steps == 0 or time >= next_snap - half_dt
@@ -220,7 +224,7 @@ def evolve(
 
         remaining = t_end - time
         partial = remaining < control.dt * (1.0 - 1e-9)
-        v = _step(v, geometry, mode, remaining if partial else control.dt, control, time)
+        v = _step(v, geometry, kappa_min, mode, remaining if partial else control.dt, control, time)
         steps += 1
         time = t_end if partial else t0 + steps * control.dt
         if steps % control.resample_every == 0:

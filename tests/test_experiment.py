@@ -24,6 +24,7 @@ from icflow.experiment import (
     load_config,
     run_experiment,
     serialize_json,
+    svg_document,
     write_svg,
 )
 
@@ -374,14 +375,15 @@ def test_svg_snapshots_are_written(tmp_path):
 
 def test_write_svg_directly(tmp_path):
     path = tmp_path / "nested" / "curve.svg"
-    write_svg(str(path), np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), 0.25)
+    write_svg(str(path), svg_document(
+        np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), 0.25))
     body = path.read_text()
     assert body.startswith("<svg ")
     assert "t = 0.25" in body
 
 
 def svg_as_first_written(vertices, time):
-    # write_svg's document as it was built with one f-string per vertex
+    # svg_document as it was built with one f-string per vertex
     fmt = "%.17g".__mod__
     points = " L ".join(f"{fmt(x)} {fmt(y)}" for x, y in np.asarray(vertices))
     return (
@@ -406,7 +408,7 @@ def test_write_svg_bytes_match_the_per_vertex_formatting(tmp_path):
     ]
     for k, (v, time) in enumerate(zip(curves, [0.1, 1e-3 * 7, 5.0])):
         path = tmp_path / f"{k}.svg"
-        write_svg(str(path), v, time)
+        write_svg(str(path), svg_document(v, time))
         assert path.read_bytes() == svg_as_first_written(v, time).encode("utf-8")
 
 
@@ -874,10 +876,10 @@ def _crash_last_lane(monkeypatch, mode, crash):
     lane = LANES[mode][-1]
     real_step = flow._step
 
-    def crashing_step(v, geometry, formulation, dt, control, time):
+    def crashing_step(v, geometry, kappa_min, formulation, dt, control, time):
         if formulation == lane and time > 0.1:
             crash()
-        return real_step(v, geometry, formulation, dt, control, time)
+        return real_step(v, geometry, kappa_min, formulation, dt, control, time)
 
     monkeypatch.setattr(flow, "_step", crashing_step)
 
@@ -930,6 +932,43 @@ def test_a_traced_single_mode_evolve_runs_in_this_process(
     assert_no_child_left()
     assert traced == [(lane, os.getpid()) for lane in LANES[mode]]
     assert written_bytes(tmp_path) == forked
+
+
+def _record_renderers(monkeypatch, log):
+    # a forked child's calls are unseen here, so each call appends its pid to a file
+    real = experiment.svg_document
+
+    def recording(vertices, time):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(vertices, time)
+
+    monkeypatch.setattr(experiment, "svg_document", recording)
+    return lambda: [int(pid) for pid in log.read_text(encoding="utf-8").split()]
+
+
+@pytest.mark.parametrize("layout", ["forked", "inline", "traced"])
+@pytest.mark.parametrize("mode", LANES)
+def test_who_renders_the_svgs(mode, layout, tmp_path, monkeypatch, no_hang):
+    # a forked single-formulation child renders every snapshot's SVG, idle
+    # while the parent grades; a both-mode child, an inline run and a traced
+    # run leave all rendering to the parent
+    if layout == "forked" and not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    if layout == "inline":
+        monkeypatch.delattr(os, "fork", raising=False)
+    if layout == "traced":
+        monkeypatch.setattr(experiment, "evolve", functools.wraps(flow.evolve)(
+            lambda *args, **kwargs: flow.evolve(*args, **kwargs)))
+    renderers = _record_renderers(monkeypatch, tmp_path / "renderers.log")
+    run_experiment(config_with_svgs(tmp_path, mode))
+    assert_no_child_left()
+    pids = renderers()
+    assert len(pids) == len(list((tmp_path / "svg").glob("*.svg"))) == 7
+    if layout == "forked" and mode != "both":
+        assert os.getpid() not in pids
+    else:
+        assert set(pids) == {os.getpid()}
 
 
 def test_cli_tbar_subcommand(capsys):
