@@ -27,11 +27,11 @@ first bounds each diagonal's gaps from below with cheap operations only
 (squared chords and arcs, no hypot, sin or arctan per pair), then
 evaluates diagonals exactly, lowest bound first, until the next bound
 exceeds the smallest gap found; its result is that of the exhaustive
-scan, ties and NaNs included.  The admissible offset's bisection needs
-only the sign of that minimum: each test proves the diagonals whose bound
-is >= 0 and evaluates the others one at a time, lowest bound first, until
-a gap is negative or NaN; the time-independent chord and z rows of the
-lowest-bound ones stay in the record's block arrays for the later tests.
+scan, ties and NaNs included.  The admissible offset needs only the sign
+of that minimum, at the curvature floor first and along a bisection only
+where the floor fails: each test proves the diagonals whose bound is >= 0
+and evaluates the others one row at a time, lowest bound first, until a
+gap is negative or NaN.
 """
 
 from __future__ import annotations
@@ -602,57 +602,6 @@ def two_point_gap_scan(vertices: np.ndarray, time: float, offset: float) -> TwoP
     return TwoPointReport(min_gap=best, argmin_pair=divmod(key, diag.n))
 
 
-def _feasibility(diag: _Diagonals):
-    """admissible_offset's test of an offset: whether every gap of diag at
-    time t = -offset is >= 0, which is _min_gap(diag, t)[0] >= 0.0, a NaN
-    gap failing both.
-
-    A diagonal whose bound is >= 0 holds no negative and no NaN gap, so it
-    is proven without evaluation.  The others are evaluated one row at a
-    time in the stable ascending-bound order of _min_gap, with its pair
-    recipe, and the test fails at the first row whose smallest gap is not
-    >= 0.  The block arrays of diag serve as a cache across tests: the
-    chord and z rows of up to rows diagonals stay in the first two, and
-    each test keeps those of its lowest-bound unproven diagonals there,
-    evaluating the others in the slot the walk used last; the third holds
-    the gap row.  So a later test computes only the profile of a kept
-    diagonal, and no other walk may use diag's blocks meanwhile.
-    """
-    chords, zs, gaps = diag.blocks
-    gap = gaps[:1]
-    held = []  # the diagonal each slot holds
-    slot_of = {}  # its inverse
-
-    def feasible(offset: float) -> bool:
-        t = -offset
-        bound = _gap_lower_bounds(diag, t)
-        # plain Python bookkeeping: array comparisons and sums here left
-        # lasting numpy dispatch-cache entries mid-search, which raised a
-        # run's peak RSS in benchmarks through heap placement
-        low = bound.tolist()
-        walk = [k + 1 for k in np.argsort(bound, kind="stable").tolist() if not low[k] >= 0.0]
-        kept = set(walk[:len(chords)])
-        stale = [slot for slot, k in enumerate(held) if k not in kept]
-        for k in walk:
-            if k in slot_of:
-                slot = slot_of[k]
-            else:
-                if len(held) < len(chords):
-                    slot = len(held)
-                    held.append(k)
-                else:  # a stale slot; past the kept ones, the walk's last slot
-                    slot = stale.pop() if stale else slot
-                    del slot_of[held[slot]]
-                    held[slot] = k
-                slot_of[k] = slot
-                _pair_rows(diag, [k], chords[slot:slot + 1], zs[slot:slot + 1], gap)
-            if not _row_gaps(chords[slot], zs[slot], t, gap[0]).min() >= 0.0:
-                return False
-        return True
-
-    return feasible
-
-
 # Curvature-floor activation: squared-curvature excess below this is treated
 # as roundoff (an exact polygonal circle measures kappa = 1 to ~1e-15).
 _FLOOR_ACTIVATION = 1e-9
@@ -681,14 +630,18 @@ def admissible_offset(vertices: np.ndarray) -> float:
     (circles) have an inactive floor and return lo, every offset being
     pair-feasible for them.
 
-    Each feasibility test decides the sign of the gap scan's minimum at
-    time 0 on one _Diagonals record (_feasibility): it proves the
-    diagonals whose bound is >= 0, evaluates the others lowest bound first
-    and ends at the first negative or NaN gap, and the chord and z rows of
-    the lowest-bound ones stay in the record's block arrays for the later
-    tests.  chord >= profile holds exactly when chord - profile >= 0, and
-    a NaN gap fails both, so every test, and with it the bisection path,
-    is that of a test over all pairs, in a few block arrays of memory.
+    The floor is decided first: after the test of hi, one test at
+    max(lo, floor) settles every curve whose floor binds.  Only if it fails
+    does the bisection run, on [lo, hi] with the path and floats of a
+    bisection alone, and return the larger of its result b and the floor.
+    Where the floor lies in [pair threshold, b), a window narrower than
+    OFFSET_TOL, the floor is returned rather than b: admissible and smaller.
+
+    Each test decides the sign of the gap scan's minimum at time 0: it
+    proves the diagonals whose bound is >= 0 and evaluates the others one
+    row at a time, lowest bound first, up to the first row whose smallest
+    gap is not >= 0 (a NaN gap fails, as it fails chord >= profile), so it
+    is the test over all pairs, in one row of each block array.
     """
     v = np.asarray(vertices, dtype=float)
     diag = _diagonals(v)
@@ -696,29 +649,37 @@ def admissible_offset(vertices: np.ndarray) -> float:
     if not np.all(kappa > 0.0):
         raise ParameterError("admissible offset is defined for convex curves only")
     kappa_max = float(np.max(kappa))
-    del kappa  # only the float stays alive across the bisection
+    del kappa  # only the float stays alive across the search
+    chord, z, gap = (block[:1] for block in diag.blocks)
+
+    def feasible(offset: float) -> bool:
+        t = -offset
+        bound = _gap_lower_bounds(diag, t)
+        # plain Python bookkeeping: array comparisons here left lasting numpy
+        # dispatch-cache entries, which raised a run's peak RSS in benchmarks
+        low = bound.tolist()
+        for k in np.argsort(bound, kind="stable").tolist():
+            if not low[k] >= 0.0:
+                _pair_rows(diag, [k + 1], chord, z, gap)
+                if not _row_gaps(chord[0], z[0], t, gap[0]).min() >= 0.0:
+                    return False
+        return True
+
     lo, hi = OFFSET_BRACKET
-    feasible = _feasibility(diag)
     if not feasible(hi):
         raise NoAdmissibleOffsetError(
             f"no admissible offset in [{lo}, {hi}]: upper endpoint infeasible")
-    if feasible(lo):
-        threshold = lo
-    else:
-        a, b = lo, hi
-        while b - a > OFFSET_TOL:
-            mid = 0.5 * (a + b)
-            if feasible(mid):
-                b = mid
-            else:
-                a = mid
-        threshold = b
-
+    floor = lo
     excess = kappa_max * kappa_max - 1.0
     if excess > _FLOOR_ACTIVATION:
-        floor = 0.5 * np.log(0.5 * excess)
+        floor = max(lo, float(0.5 * np.log(0.5 * excess)))
         if floor > hi:
             raise NoAdmissibleOffsetError(
                 f"curvature floor {floor:.6g} exceeds search interval top {hi}")
-        threshold = max(threshold, floor)
-    return float(threshold)
+    if feasible(floor):
+        return floor
+    a, b = lo, hi
+    while b - a > OFFSET_TOL:
+        mid = 0.5 * (a + b)
+        a, b = (a, mid) if feasible(mid) else (mid, b)
+    return max(b, floor)

@@ -503,7 +503,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     def raw_observer(time, vertices, metrics, document=None):
         if config.mode == "both":  # paired with the normalized snapshot of its time
             cross_distances.append(polyline_hausdorff(
-                renormalize(vertices), stats_snaps[len(raw_lengths)]))
+                _renormalized(vertices, metrics)[0], stats_snaps[len(raw_lengths)]))
         raw_lengths.append((time, metrics.total_length))
 
     def lane(formulation, *observers, stream=None):

@@ -912,7 +912,8 @@ def test_early_exit_bisection_matches_the_triu_bisection(name, bracket, monkeypa
 @pytest.mark.parametrize("name", ["ellipse256", "perturbed300", "perturbed512"])
 def test_early_exit_bisection_on_few_block_rows_matches_the_triu_bisection(name, rows,
                                                                            monkeypatch):
-    # fewer rows than a feasible test leaves open, so tests evict rows
+    # the tests walk one row of each block, whatever the blocks' size, and
+    # compute every row they evaluate afresh, so diagonals repeat
     v = ORACLE_CURVES[name]()
     monkeypatch.setattr(comparison, "_FLOOR_ACTIVATION", np.inf)
     monkeypatch.setattr(comparison, "BLOCK_PAIRS", rows * v.shape[0])
@@ -922,8 +923,8 @@ def test_early_exit_bisection_on_few_block_rows_matches_the_triu_bisection(name,
 
 
 def record_feasibility_tests(monkeypatch):
-    # per test of the bisection, its time and the smallest gap of each row
-    # it evaluates, in order
+    # per test of the offset search, its time and the smallest gap of each
+    # row it evaluates, in order
     tests = []
     bounds, gaps = comparison._gap_lower_bounds, comparison._row_gaps
 
@@ -940,8 +941,42 @@ def record_feasibility_tests(monkeypatch):
     return tests
 
 
+def curvature_floor(v):
+    kappa_max = float(np.max(compute_metrics(v).curvature))
+    return float(0.5 * np.log(0.5 * (kappa_max * kappa_max - 1.0)))
+
+
+@pytest.mark.parametrize("curve", [normalized_ellipse, workload_perturbed_circle])
+def test_a_binding_floor_takes_two_tests(curve, monkeypatch):
+    # the test of hi, then one at the floor, which passes: no bisection
+    v = curve(512)
+    floor = curvature_floor(v)
+    tests = record_feasibility_tests(monkeypatch)
+    assert admissible_offset(v) == floor
+    assert [t for t, _ in tests] == [-comparison.OFFSET_BRACKET[1], -floor]
+
+
+def mode2_circle(n=512):
+    # the mode-2 circle, amplitude 0.15, seed 1, as `icflow tbar` builds it:
+    # its pair threshold lies above its curvature floor
+    curve = make_perturbed_circle(1.0, n, [0.15], [2], seed=1)
+    return renormalize(resample_uniform(curve, n))
+
+
+def test_a_floor_that_fails_falls_back_to_the_bisection(monkeypatch):
+    v = mode2_circle()
+    floor = curvature_floor(v)
+    tests = record_feasibility_tests(monkeypatch)
+    offset = admissible_offset(v)
+    monkeypatch.undo()
+    assert offset == triu_bisection(v) == -0.17344653606414795
+    assert offset > floor
+    # hi and the floor, then the bisection's midpoints
+    assert [t for t, _ in tests[:2]] == [-comparison.OFFSET_BRACKET[1], -floor]
+
+
 def test_a_feasibility_test_ends_at_its_first_negative_gap(monkeypatch):
-    v = workload_perturbed_circle(512)
+    v = mode2_circle()
     tests = record_feasibility_tests(monkeypatch)
     admissible_offset(v)
     monkeypatch.undo()
@@ -961,18 +996,6 @@ def test_a_feasibility_test_ends_at_its_first_negative_gap(monkeypatch):
     assert sum(rows for rows, _ in infeasible) < 0.1 * sum(open_ for _, open_ in infeasible)
 
 
-@pytest.mark.parametrize("curve, n", [(normalized_ellipse, 16), (normalized_ellipse, 64),
-                                      (workload_perturbed_circle, 64),
-                                      (workload_perturbed_circle, 128)])
-def test_rows_that_fit_the_blocks_are_computed_once_per_call(curve, n, monkeypatch):
-    v = curve(n)
-    # every diagonal fits: the blocks have n // 2 rows
-    assert len(comparison._diagonals(v).blocks[0]) == n // 2
-    evaluated = count_exact_diagonals(monkeypatch)
-    admissible_offset(v)
-    assert evaluated and len(evaluated) == len(set(evaluated))
-
-
 def test_admissible_offset_allocates_no_pair_arrays():
     # a cache of every pair's chord and sin(arc/2) peaked at 33 MiB here
     v = workload_perturbed_circle(2048)
@@ -986,7 +1009,7 @@ def test_admissible_offset_allocates_no_pair_arrays():
 
 
 def test_admissible_offset_builds_one_pair_scan_record(monkeypatch):
-    # the bisection's 30 or so tests share one record's bounds and blocks
+    # every test of the offset search shares one record's bounds and blocks
     built = []
     build = comparison._diagonals
     monkeypatch.setattr(comparison, "_diagonals", lambda v: built.append(v) or build(v))

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import os
+import random
 import shutil
 import signal
 
@@ -12,7 +13,7 @@ import pytest
 
 from icflow import cli, experiment, flow
 from icflow.comparison import residual_certificate_scan
-from icflow.curves import MAX_VERTICES, make_ellipse
+from icflow.curves import MAX_VERTICES, compute_metrics, make_ellipse
 from icflow.errors import ParameterError, StepRejectedError
 from icflow.experiment import (
     CSV_HEADER,
@@ -274,6 +275,28 @@ def test_build_initial_curve_dispatch():
     wavy = build_initial_curve(config_from_dict(
         {"shape": "perturbed_circle", "amplitudes": [0.05], "modes": [3], "seed": 4, "n": 32}))
     assert wavy.shape == (32, 2)
+
+
+# the initial curves of the benchmark workloads: the flagship ellipse,
+# snapshot_dense's perturbed circle at benchmark seeds 3 and 7, which draw
+# its seed from random.Random(seed), and each of certify's ellipses
+WORKLOAD_CURVES = {
+    "flagship": {"shape": "ellipse", "a": 2.0, "b": 1.0, "n": 512},
+    **{f"snapshot_dense_seed{seed}": {
+        "shape": "perturbed_circle", "amplitudes": [0.03, 0.01], "modes": [3, 5],
+        "seed": random.Random(seed).randrange(2**32), "n": 1024} for seed in (3, 7)},
+    **{f"certify_a{a:g}": {"shape": "ellipse", "a": a, "b": 1.0, "n": 2048}
+       for a in (1.5, 2.0, 4.0)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CURVES))
+def test_every_workload_curve_takes_its_curvature_floor(name):
+    # admissible_offset settles such a curve with two tests; a workload whose
+    # offset came from the pair bisection would cost it some 30
+    curve, offset = experiment.initial_curve(config_from_dict(WORKLOAD_CURVES[name]))
+    kappa_max = float(np.max(compute_metrics(flow.renormalize(curve)).curvature))
+    assert offset == 0.5 * np.log(0.5 * (kappa_max * kappa_max - 1.0))
 
 
 def test_circle_run_completes_and_reports(tmp_path):
