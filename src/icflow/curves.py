@@ -26,8 +26,7 @@ MAX_VERTICES = 2**16
 # per array, so a block's temporaries stay within a few MB of cache.
 BLOCK_PAIRS = 1 << 15
 
-# 5-point Gauss-Legendre rule on [-1, 1], used to refine arc-length values
-# between table nodes when placing ellipse vertices.
+# 5-point Gauss-Legendre rule on [-1, 1], for _arclength_nodes' tail integrals.
 _GAUSS5_NODES = np.array(
     [-0.9061798459386640, -0.5384693101056831, 0.0, 0.5384693101056831, 0.9061798459386640]
 )
@@ -91,28 +90,15 @@ def make_circle(radius: float, n: int) -> np.ndarray:
     return make_perturbed_circle(radius, n, (), (), seed=0)
 
 
-def _ellipse_speed(u: np.ndarray, a: float, b: float) -> np.ndarray:
-    return np.sqrt((a * np.sin(u)) ** 2 + (b * np.cos(u)) ** 2)
-
-
-def make_ellipse(a: float, b: float, n: int) -> np.ndarray:
-    """n points on the ellipse (a cos u, b sin u) at uniform arc-length spacing.
-
-    The parameter values are found by inverting the cumulative arc-length
-    integral: a composite-Simpson table on a fine grid gives bracketing
-    values, a short Gauss segment plus Newton iterations polish each target
-    to roundoff.  The returned points therefore sit exactly on the ellipse
-    (no polygonal corner-cutting), and for a == b the construction reduces
-    to make_circle up to roundoff.
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise ParameterError(f"semi-axes must be positive, got a={a}, b={b}")
-    check_vertex_count(n)
-
+def _arclength_nodes(speed, n: int) -> np.ndarray:
+    """n parameters u in [0, 2 pi) at uniform arc length along a closed curve
+    of speed |c'(u)| = speed(u), elementwise, by inverting the arc length: a
+    composite-Simpson table on a fine grid brackets each target, and a short
+    Gauss segment plus Newton iterations polish it to roundoff."""
     m = max(4096, 8 * n)  # even number of Simpson intervals over [0, 2pi]
     u_grid = np.linspace(0.0, 2.0 * np.pi, m + 1)
     h = u_grid[1] - u_grid[0]
-    f = _ellipse_speed(u_grid, a, b)
+    f = speed(u_grid)
 
     # Cumulative Simpson: exact composite rule at even nodes, a one-sided
     # quadratic rule h/12 * (5 f_k + 8 f_{k+1} - f_{k+2}) filling odd nodes.
@@ -131,14 +117,20 @@ def make_ellipse(a: float, b: float, n: int) -> np.ndarray:
         lo = u_grid[idx]
         half = 0.5 * (u - lo)
         mid = 0.5 * (u + lo)
-        tail = half * (_GAUSS5_WEIGHTS @ _ellipse_speed(
-            mid[None, :] + half[None, :] * _GAUSS5_NODES[:, None], a, b))
-        u = u - (s[idx] + tail - targets) / _ellipse_speed(u, a, b)
+        tail = half * (_GAUSS5_WEIGHTS @ speed(
+            mid[None, :] + half[None, :] * _GAUSS5_NODES[:, None]))
+        u = u - (s[idx] + tail - targets) / speed(u)
+    return u
 
-    v = np.empty((n, 2))
-    v[:, 0] = a * np.cos(u)
-    v[:, 1] = b * np.sin(u)
-    return v
+
+def make_ellipse(a: float, b: float, n: int) -> np.ndarray:
+    """n points on the ellipse (a cos u, b sin u) at uniform arc-length spacing
+    (_arclength_nodes); for a == b they are make_circle's up to roundoff."""
+    if not (a > 0.0 and b > 0.0):
+        raise ParameterError(f"semi-axes must be positive, got a={a}, b={b}")
+    check_vertex_count(n)
+    u = _arclength_nodes(lambda u: np.sqrt((a * np.sin(u)) ** 2 + (b * np.cos(u)) ** 2), n)
+    return np.column_stack([a * np.cos(u), b * np.sin(u)])
 
 
 def make_perturbed_circle(
@@ -148,13 +140,11 @@ def make_perturbed_circle(
     modes: tuple[int, ...] | list[int] | np.ndarray,
     seed: int,
 ) -> np.ndarray:
-    """Circle with radial cosine perturbations: r(theta) = R (1 + sum a_j cos(k_j theta + phi_j)).
-
-    Phases phi_j are drawn from the seeded generator so repeated calls with
-    the same seed reproduce the same curve.
-    Large amplitudes are allowed and may produce non-convex curves, which is
-    intentional (they exercise the convexity gate downstream).
-    """
+    """Circle with radial cosine perturbations: r(theta) = R (1 + sum a_j cos(k_j theta + phi_j)),
+    n points at uniform arc length (_arclength_nodes of the speed hypot(r, r'),
+    or theta = 2 pi k / n with no terms).  The phases phi_j come from the
+    seeded generator, so a seed reproduces its curve.  Large amplitudes may
+    give non-convex curves, on purpose: they exercise the convexity gate."""
     if not radius > 0.0:
         raise ParameterError(f"radius must be positive, got {radius}")
     check_vertex_count(n)
@@ -166,9 +156,22 @@ def make_perturbed_circle(
     # no terms need no phases, nor numpy.random, which costs about 6 MB to load
     phases = (np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=amps.shape)
               if amps.size else amps)
-    theta = 2.0 * np.pi * np.arange(n) / n
-    r = radius * (1.0 + np.sum(
-        amps[:, None] * np.cos(ks[:, None] * theta[None, :] + phases[:, None]), axis=0))
+
+    def series(theta):
+        # r / R and its theta-derivative, one term at a time
+        rel, slope = np.ones_like(theta), np.zeros_like(theta)
+        for amp, k, phase in zip(amps, ks, phases):
+            arg = k * theta + phase
+            rel += amp * np.cos(arg)
+            slope -= (amp * k) * np.sin(arg)
+        return rel, slope
+
+    with np.errstate(over="ignore", invalid="ignore"):  # a steep series overflows
+        theta = (_arclength_nodes(lambda u: np.hypot(*series(u)), n) if amps.size
+                 else 2.0 * np.pi * np.arange(n) / n)
+    if not np.isfinite(theta).all():
+        raise ParameterError("perturbation too steep: its arc length overflows")
+    r = radius * series(theta)[0]
     if np.min(r) <= 0.0:
         raise ParameterError("perturbation amplitudes drive the radius non-positive")
     return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
@@ -237,10 +240,8 @@ def _geometry(v: np.ndarray) -> CurveMetrics:
 
 
 def compute_metrics(vertices: np.ndarray) -> CurveMetrics:
-    """Edge lengths, total length, curvature and outward normals of a polygon.
-
-    The step kernel's geometry (_geometry) of the validated vertices.
-    """
+    """Edge lengths, total length, curvature and outward normals of a polygon:
+    the step kernel's geometry (_geometry) of the validated vertices."""
     return _geometry(validate_vertices(vertices))
 
 

@@ -28,7 +28,6 @@ from .curves import (
     make_circle,
     make_ellipse,
     make_perturbed_circle,
-    resample_uniform,
 )
 from .errors import (
     ConvexityLossError,
@@ -399,12 +398,12 @@ def build_initial_curve(config: ExperimentConfig) -> np.ndarray:
 
 
 def initial_curve(config: ExperimentConfig) -> tuple[np.ndarray, float]:
-    """The config's curve resampled to n uniform vertices and the admissible
-    offset of its length-2*pi copy; ConvexityLossError at t = 0 if the curve
-    is not strictly convex, ParameterError if the copy's edges, which the
-    t = 0 derivative monitor reads, are not uniform, NoAdmissibleOffsetError
-    if no offset is admissible."""
-    curve = resample_uniform(build_initial_curve(config), config.n)
+    """The config's curve, n vertices on it at uniform arc length, and the
+    admissible offset of its length-2*pi copy; ConvexityLossError at t = 0 if
+    the curve is not strictly convex, ParameterError if the copy's edges,
+    which the t = 0 derivative monitor reads, are not uniform,
+    NoAdmissibleOffsetError if no offset is admissible."""
+    curve = build_initial_curve(config)
     if not convexity_check(curve):
         raise ConvexityLossError("initial curve is not strictly convex", time=0.0)
     unit = renormalize(curve)

@@ -24,7 +24,7 @@ from icflow.bounds import (
     snapshot_report,
 )
 from icflow.comparison import admissible_offset, profile_residual, two_point_gap_scan
-from icflow.curves import compute_metrics, make_circle, make_ellipse, resample_uniform
+from icflow.curves import compute_metrics, make_circle, make_ellipse
 from icflow.experiment import (
     CHECKS,
     DEFAULT_TOLERANCES,
@@ -268,7 +268,7 @@ def test_criterion_6_refinement_study(tmp_path):
     # common offset (the finest mesh's own), so the only thing that changes
     # between legs is the mesh spacing
     meshes = {
-        n: renormalize(resample_uniform(make_ellipse(2.0, 1.0, n), n))
+        n: renormalize(make_ellipse(2.0, 1.0, n))
         for n in (512, 1024, 2048)
     }
     ref_offset = admissible_offset(meshes[2048])

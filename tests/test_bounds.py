@@ -99,7 +99,12 @@ def test_derivative_profiles_on_the_ellipse():
 
 
 def test_derivative_profiles_reject_nonuniform_meshes():
-    v = make_perturbed_circle(1.0, 128, [0.15], [2], seed=1)
+    # the mode-2 circle (amplitude 0.15, seed 1) at theta = 2 pi k / n, whose
+    # edges are uneven; make_perturbed_circle spaces them by arc length
+    phase = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi)
+    theta = 2.0 * np.pi * np.arange(128) / 128
+    r = 1.0 + 0.15 * np.cos(2.0 * theta + phase)
+    v = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
     with pytest.raises(ParameterError, match=r"\); resample before estimating derivatives$"):
         curvature_derivative_profiles(compute_metrics(v))
     # after resampling the same curve is acceptable
@@ -204,8 +209,8 @@ def test_convergence_metrics_measure_deviation_and_center():
 
 SNAPSHOT_CURVES = {
     "ellipse": normalized_ellipse,
-    "perturbed": lambda: renormalize(resample_uniform(
-        make_perturbed_circle(1.0, 256, [0.03, 0.01], [3, 5], seed=7), 256)),
+    "perturbed": lambda: renormalize(
+        make_perturbed_circle(1.0, 256, [0.03, 0.01], [3, 5], seed=7)),
     "circle": lambda: renormalize(make_circle(1.0, 256)),
 }
 

@@ -33,7 +33,6 @@ from icflow.curves import (
     make_circle,
     make_ellipse,
     make_perturbed_circle,
-    resample_uniform,
 )
 from icflow.errors import NoAdmissibleOffsetError, ParameterError
 from icflow.flow import StepControl, evolve, initial_state, renormalize
@@ -561,8 +560,7 @@ def normalized_ellipse(n=256):
 
 def workload_perturbed_circle(n, seed=7):
     # the perturbed circle of the benchmark workloads, as `icflow tbar` builds it
-    curve = make_perturbed_circle(1.0, n, [0.03, 0.01], [3, 5], seed=seed)
-    return renormalize(resample_uniform(curve, n))
+    return renormalize(make_perturbed_circle(1.0, n, [0.03, 0.01], [3, 5], seed=seed))
 
 
 def test_two_point_gap_is_nonnegative_on_the_circle():
@@ -593,7 +591,7 @@ def test_admissible_offset_on_ellipse_matches_curvature_floor():
         kappa_max = np.max(compute_metrics(v).curvature)
         floor = 0.5 * np.log((kappa_max**2 - 1.0) / 2.0)
         assert got == pytest.approx(floor, abs=1e-12)
-    # frozen value for this mesh; the fine-mesh limit is ~0.723772
+    # frozen value for this mesh; the continuum value is 0.72408364
     assert got == pytest.approx(0.7228398699713836, abs=1e-12)
     # the returned offset actually certifies a nonnegative gap at time 0
     assert two_point_gap_scan(v, time=0.0, offset=got).min_gap > -1e-9
@@ -959,8 +957,7 @@ def test_a_binding_floor_takes_two_tests(curve, monkeypatch):
 def mode2_circle(n=512):
     # the mode-2 circle, amplitude 0.15, seed 1, as `icflow tbar` builds it:
     # its pair threshold lies above its curvature floor
-    curve = make_perturbed_circle(1.0, n, [0.15], [2], seed=1)
-    return renormalize(resample_uniform(curve, n))
+    return renormalize(make_perturbed_circle(1.0, n, [0.15], [2], seed=1))
 
 
 def test_a_floor_that_fails_falls_back_to_the_bisection(monkeypatch):
@@ -969,10 +966,74 @@ def test_a_floor_that_fails_falls_back_to_the_bisection(monkeypatch):
     tests = record_feasibility_tests(monkeypatch)
     offset = admissible_offset(v)
     monkeypatch.undo()
-    assert offset == triu_bisection(v) == -0.17344653606414795
+    assert offset == triu_bisection(v) == -0.17341002821922302
     assert offset > floor
     # hi and the floor, then the bisection's midpoints
     assert [t for t, _ in tests[:2]] == [-comparison.OFFSET_BRACKET[1], -floor]
+
+
+def seeded_radius(amplitudes, modes, seed):
+    # r / R of make_perturbed_circle(R, ...) and its first two derivatives as
+    # functions of theta, with the phases its seed draws
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=len(amplitudes))
+    terms = list(zip(amplitudes, modes, phases))
+
+    def radius(theta):
+        r = 1.0 + sum(a * np.cos(k * theta + p) for a, k, p in terms)
+        dr = -sum(a * k * np.sin(k * theta + p) for a, k, p in terms)
+        d2r = -sum(a * k * k * np.cos(k * theta + p) for a, k, p in terms)
+        return r, dr, d2r
+    return radius
+
+
+def exact_curvature_floor(radius):
+    # 1/2 log((kappa_max^2 - 1) / 2) of the curve r(theta) scaled to length
+    # 2 pi: the closed-form curvature (r^2 + 2 r'^2 - r r'') / (r^2 + r'^2)^(3/2)
+    # times L / 2 pi, its maximum taken on a fine grid, L / 2 pi the mean
+    # speed there (the trapezoidal rule, spectrally accurate on a periodic
+    # integrand)
+    r, dr, d2r = radius(2.0 * np.pi * np.arange(1 << 16) / (1 << 16))
+    speed = np.hypot(r, dr)
+    kappa_max = np.max((r * r + 2.0 * dr * dr - r * d2r) / speed**3) * np.mean(speed)
+    return float(0.5 * np.log(0.5 * (kappa_max * kappa_max - 1.0)))
+
+
+# (amplitudes, modes, seed), the exact curvature floor and the offset's
+# n -> infinity limit: the floor binds on the workloads' (3, 5) circle, the
+# pairs on the mode-2 circle, 0.175 above its floor
+EXACT_CURVES = {
+    "floor_bound": (([0.03, 0.01], [3, 5], 7), -0.332377, -0.332377),
+    "pair_bound": (([0.1], [2], 1), -0.629817, -0.455114),
+}
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("name", sorted(EXACT_CURVES))
+def test_offset_converges_on_exact_perturbed_circles(name, n):
+    (amplitudes, modes, seed), floor, limit = EXACT_CURVES[name]
+    radius = seeded_radius(amplitudes, modes, seed)
+    assert exact_curvature_floor(radius) == pytest.approx(floor, abs=1e-6)
+    v = make_perturbed_circle(1.0, n, amplitudes, modes, seed)
+    # every vertex sits on the curve: |v| = r(atan2(y, x)) to roundoff
+    on_curve = np.hypot(v[:, 0], v[:, 1]) - radius(np.arctan2(v[:, 1], v[:, 0]))[0]
+    assert np.max(np.abs(on_curve)) < 2e-15
+    unit = renormalize(v)
+    assert curvature_floor(unit) == pytest.approx(floor, abs=1e-3)
+    assert admissible_offset(unit) == pytest.approx(limit, abs=1e-3)
+
+
+def test_ellipse_offset_converges_to_its_continuum_value():
+    mpmath = pytest.importorskip("mpmath")
+    # at length 2 pi the 2:1 ellipse's largest curvature is 2 L / 2 pi, with
+    # its perimeter L = 8 E(3/4), E the complete elliptic integral
+    kappa_max = 2.0 * float(8 * mpmath.ellipe(0.75)) / (2.0 * np.pi)
+    continuum = 0.5 * np.log(0.5 * (kappa_max * kappa_max - 1.0))
+    assert continuum == pytest.approx(0.72408364, abs=1e-8)
+    offsets = [admissible_offset(normalized_ellipse(n)) for n in (256, 512, 1024)]
+    assert offsets[:2] == pytest.approx([0.72283987, 0.72377226], abs=1e-8)
+    # second order in the mesh: the gap shrinks 4x per doubling of n
+    gaps = [continuum - offset for offset in offsets]
+    assert 3.8 < gaps[0] / gaps[1] < 4.2 and 3.8 < gaps[1] / gaps[2] < 4.2
 
 
 def test_a_feasibility_test_ends_at_its_first_negative_gap(monkeypatch):

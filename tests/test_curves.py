@@ -110,6 +110,70 @@ def test_ellipse_with_equal_axes_is_a_circle():
     assert np.max(np.abs(make_ellipse(1.5, 1.5, 64) - make_circle(1.5, 64))) < 1e-9
 
 
+GAUSS5_NODES = [-0.9061798459386640, -0.5384693101056831, 0.0, 0.5384693101056831,
+                0.9061798459386640]
+GAUSS5_WEIGHTS = [0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
+                  0.4786286704993665, 0.2369268850561891]
+
+
+def ellipse_as_first_written(a, b, n):
+    # the ellipse's own arc-length inversion, before the perturbed circle
+    # shared it: a Simpson table, a Gauss tail and three Newton steps
+    def speed(u):
+        return np.sqrt((a * np.sin(u)) ** 2 + (b * np.cos(u)) ** 2)
+
+    nodes, weights = np.array(GAUSS5_NODES), np.array(GAUSS5_WEIGHTS)
+    m = max(4096, 8 * n)
+    u_grid = np.linspace(0.0, 2.0 * np.pi, m + 1)
+    h = u_grid[1] - u_grid[0]
+    f = speed(u_grid)
+    s = np.zeros(m + 1)
+    pair = (h / 3.0) * (f[:-2:2] + 4.0 * f[1:-1:2] + f[2::2])
+    s[2::2] = np.cumsum(pair)
+    s[1::2] = s[0:-1:2] + (h / 12.0) * (5.0 * f[0:-1:2] + 8.0 * f[1::2] - f[2::2])
+    targets = s[-1] * np.arange(n) / n
+    u = np.interp(targets, s, u_grid)
+    for _ in range(3):
+        idx = np.clip(np.searchsorted(u_grid, u, side="right") - 1, 0, m)
+        lo = u_grid[idx]
+        half = 0.5 * (u - lo)
+        mid = 0.5 * (u + lo)
+        tail = half * (weights @ speed(mid[None, :] + half[None, :] * nodes[:, None]))
+        u = u - (s[idx] + tail - targets) / speed(u)
+    v = np.empty((n, 2))
+    v[:, 0] = a * np.cos(u)
+    v[:, 1] = b * np.sin(u)
+    return v
+
+
+@pytest.mark.parametrize("a,b", [(2.0, 1.0), (1.5, 0.7), (1.0, 1.0), (4.0, 1.0), (1e-3, 3e-3)])
+@pytest.mark.parametrize("n", [16, 17, 512, 2048])
+def test_ellipse_is_its_first_inversion_bit_for_bit(a, b, n):
+    assert np.array_equal(make_ellipse(a, b, n), ellipse_as_first_written(a, b, n))
+
+
+def theta_uniform_circle(n, amplitudes, modes, seed):
+    # the perturbed circle's points at theta = 2 pi k / n, not at uniform arc
+    # length: a mesh with uneven edges
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=len(amplitudes))
+    theta = 2.0 * np.pi * np.arange(n) / n
+    r = 1.0 + sum(a * np.cos(k * theta + p) for a, k, p in zip(amplitudes, modes, phases))
+    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+
+
+@pytest.mark.parametrize("amplitudes,modes,seed", [([0.1], [2], 1), ([0.03, 0.01], [3, 5], 7),
+                                                   ([0.08], [4], 3)])
+def test_perturbed_circle_spaces_its_points_evenly(amplitudes, modes, seed):
+    # the theta-uniform points' edges differ by about the amplitudes; chords
+    # at uniform arc length differ by the curvature's spread times h^2 / 24
+    v = make_perturbed_circle(1.0, 256, amplitudes, modes, seed)
+    m = compute_metrics(v)
+    spread = (np.max(m.edge_lengths) - np.min(m.edge_lengths)) / np.mean(m.edge_lengths)
+    assert spread < 1e-3
+    uneven = compute_metrics(theta_uniform_circle(256, amplitudes, modes, seed)).edge_lengths
+    assert (np.max(uneven) - np.min(uneven)) / np.mean(uneven) > 0.05
+
+
 def test_perturbed_circle_is_reproducible_per_seed():
     v1 = make_perturbed_circle(1.0, 128, [0.05], [3], seed=7)
     v2 = make_perturbed_circle(1.0, 128, [0.05], [3], seed=7)
@@ -121,6 +185,15 @@ def test_perturbed_circle_is_reproducible_per_seed():
 def test_perturbed_circle_rejects_vanishing_radius():
     with pytest.raises(ParameterError):
         make_perturbed_circle(1.0, 64, [1.5], [2], seed=0)
+
+
+@pytest.mark.parametrize("amplitude,mode", [(1e100, 10**234), (0.01, 10**308)],
+                         ids=["amplitude-times-mode", "mode-times-theta"])
+def test_perturbed_circle_rejects_a_series_too_steep_to_place(amplitude, mode):
+    # r' overflows the float range, so the arc length has no value; any
+    # RuntimeWarning on the way fails the test
+    with pytest.raises(ParameterError, match="too steep"):
+        make_perturbed_circle(1.0, 64, [amplitude], [mode], seed=0)
 
 
 def test_perturbed_circle_rejects_mismatched_lists():
@@ -156,7 +229,7 @@ def test_resample_is_identity_on_uniform_meshes():
 
 
 def test_resample_uniformizes_without_moving_the_curve():
-    v = make_perturbed_circle(1.0, 256, [0.08], [4], seed=3)
+    v = theta_uniform_circle(256, [0.08], [4], seed=3)
     out = resample_uniform(v, 256)
     m = compute_metrics(out)
     spread = (np.max(m.edge_lengths) - np.min(m.edge_lengths)) / np.mean(m.edge_lengths)
