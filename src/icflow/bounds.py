@@ -25,14 +25,14 @@ from math import pi
 
 import numpy as np
 
-from .curves import CurveMetrics, _centroid, _dual_weights, edge_vectors, validate_vertices
+from .curves import (CurveMetrics, _centroid, _dual_weights, arc_spread, edge_vectors,
+                     validate_vertices)
 from .errors import ParameterError
 
 # Finite-difference magnitudes below this are indistinguishable from
 # roundoff in the curvature estimator.
 DERIVATIVE_FLOOR = 1e-12
-# Relative edge-length spread beyond which a mesh no longer counts as
-# uniform for derivative estimation.
+# Largest arc_spread of a mesh uniform enough for derivative estimation.
 _UNIFORM_SPREAD = 2e-2
 
 
@@ -94,15 +94,13 @@ def decay_slope(times, values, t_min: float, t_max: float, floor: float) -> floa
     return float(np.polyfit(t[mask], np.log(v[mask]), 1)[0])
 
 
-def uniform_spacing(edge_lengths: np.ndarray, remedy: str) -> float:
-    """Mean edge length of a mesh uniform enough for derivative estimation;
-    ParameterError naming the remedy where an edge differs from the mean by
-    more than _UNIFORM_SPREAD of it."""
-    h = float(np.mean(edge_lengths))
-    spread = float(np.max(np.abs(edge_lengths - h))) / h
-    if spread > _UNIFORM_SPREAD:
+def uniform_spacing(metrics: CurveMetrics, remedy: str) -> float:
+    """Mean edge length of a convex mesh; ParameterError naming the remedy
+    where its arc_spread exceeds _UNIFORM_SPREAD (too uneven to difference)."""
+    spread = arc_spread(metrics)
+    if not spread <= _UNIFORM_SPREAD:
         raise ParameterError(f"mesh is not uniform (relative spread {spread:.3g}); {remedy}")
-    return h
+    return float(np.mean(metrics.edge_lengths))
 
 
 def curvature_derivative_profiles(metrics: CurveMetrics) -> tuple[float, float]:
@@ -112,7 +110,7 @@ def curvature_derivative_profiles(metrics: CurveMetrics) -> tuple[float, float]:
     applies the same stencil twice.  Non-uniform meshes are rejected — the
     stencil would silently degrade to first order there.
     """
-    h = uniform_spacing(metrics.edge_lengths, "resample before estimating derivatives")
+    h = uniform_spacing(metrics, "resample before estimating derivatives")
     kappa = metrics.curvature
     dk = (np.roll(kappa, -1) - np.roll(kappa, 1)) / (2.0 * h)
     d2k = (np.roll(dk, -1) - np.roll(dk, 1)) / (2.0 * h)

@@ -251,6 +251,14 @@ def _dual_weights(edge_len: np.ndarray) -> np.ndarray:
     return 0.5 * (edge_len + np.roll(edge_len, 1))
 
 
+def arc_spread(geometry: CurveMetrics) -> float:
+    """max |arc / mean - 1| over a convex polygon's edges, each arc (2/k) asin(min(1, k l/2))
+    from its chord l and its two vertices' mean curvature k: the package's mesh measure."""
+    pair = geometry.curvature + np.concatenate((geometry.curvature[1:], geometry.curvature[:1]))
+    arc = np.arcsin(np.minimum(1.0, 0.25 * pair * geometry.edge_lengths)) / pair  # arc / 4
+    return float(np.max(np.abs(arc / arc.mean() - 1.0)))
+
+
 def resample_uniform(vertices: np.ndarray, n: int) -> np.ndarray:
     """Redistribute n vertices at equal arc-length spacing along the polygon.
 

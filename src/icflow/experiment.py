@@ -23,8 +23,8 @@ from .comparison import admissible_offset, two_point_gap_scan
 from .curves import (
     MAX_VERTICES,
     check_vertex_count,
+    compute_metrics,
     convexity_check,
-    edge_lengths,
     make_circle,
     make_ellipse,
     make_perturbed_circle,
@@ -400,14 +400,14 @@ def build_initial_curve(config: ExperimentConfig) -> np.ndarray:
 def initial_curve(config: ExperimentConfig) -> tuple[np.ndarray, float]:
     """The config's curve, n vertices on it at uniform arc length, and the
     admissible offset of its length-2*pi copy; ConvexityLossError at t = 0 if
-    the curve is not strictly convex, ParameterError if the copy's edges,
-    which the t = 0 derivative monitor reads, are not uniform,
-    NoAdmissibleOffsetError if no offset is admissible."""
+    the curve is not strictly convex, ParameterError if the copy's mesh is
+    too uneven for the t = 0 derivative monitor, NoAdmissibleOffsetError if
+    no offset is admissible."""
     curve = build_initial_curve(config)
     if not convexity_check(curve):
         raise ConvexityLossError("initial curve is not strictly convex", time=0.0)
     unit = renormalize(curve)
-    bounds.uniform_spacing(edge_lengths(unit), "raise n to resolve the initial curve")
+    bounds.uniform_spacing(compute_metrics(unit), "raise n to resolve the initial curve")
     return curve, admissible_offset(unit)
 
 

@@ -23,6 +23,11 @@ one convolution with the 2m+1 binomial taps, which returns a constant field
 to 1e-15 relative (up to 6.5e-16 on about half of random constants), so
 circles (constant speed) keep their closed-form radius law to roundoff.
 
+With V = 1/kappa the arc element obeys d/dt ds = kappa V ds = ds: a uniform
+mesh stays uniform but for the filtered speed's error, large at high filter
+orders.  So every resample_every steps, and before a snapshot after the start,
+evolve resamples once where curves.arc_spread > bounds._UNIFORM_SPREAD / 2.
+
 One step kernel serves both formulations.  Each state's geometry, the
 start state's included (the CurveMetrics of curves._geometry, which
 compute_metrics returns), is computed once, after the step and any
@@ -43,11 +48,13 @@ from typing import ClassVar
 
 import numpy as np
 
+from .bounds import _UNIFORM_SPREAD
 from .curves import (
     BLOCK_PAIRS,
     CurveMetrics,
     _geometry,
     _validated_edges,
+    arc_spread,
     edge_vectors,
     resample_uniform,
     validate_vertices,
@@ -63,10 +70,9 @@ _TIME_SLACK = 1e-12
 class StepControl:
     """Time-step parameters shared by both flow formulations.
 
-    dt: Euler step; resample_every: accepted steps between arc-length
-    resamplings; safety: fraction of the stability budget a step may use.
-    max_smoothing, a constant, caps the speed-filter order (a step needing
-    more is rejected as unstable).
+    dt: Euler step; resample_every: accepted steps between mesh checks; safety:
+    fraction of the stability budget a step may use.  max_smoothing, a
+    constant, caps the speed-filter order (a step needing more is rejected).
     """
 
     dt: float
@@ -176,7 +182,7 @@ def evolve(
     observers=(),
     snapshot_interval: float | None = None,
 ) -> FlowState:
-    """Integrate to t_end, resampling on schedule and firing snapshot observers.
+    """Integrate to t_end, resampling where needed and firing snapshot observers.
 
     Observers are called with (time, vertices, metrics) at the start state,
     at each multiple of snapshot_interval (when given), and at t_end; they
@@ -203,7 +209,7 @@ def evolve(
     next_snap = t0 + snapshot_interval if snapshot_interval else np.inf
     half_dt = 0.5 * control.dt
     stop = t_end - _TIME_SLACK * max(1.0, abs(t_end))
-    steps = 0
+    steps = checked = 0
     while True:
         geometry = _geometry(v)
         if steps and mode == "normalized":
@@ -212,8 +218,14 @@ def evolve(
         if not kappa_min > 0.0:
             raise ConvexityLossError(f"convexity lost at t = {time:.6g}", time=time)
         done = not time < stop
-        if (steps == 0 or time >= next_snap - half_dt
-                or (done and time > last_fired + _TIME_SLACK)):
+        observe = (steps == 0 or time >= next_snap - half_dt
+                   or (done and time > last_fired + _TIME_SLACK))
+        # once per check: even chords can leave a coarse mesh's arcs uneven
+        if (steps > checked and (observe or steps % control.resample_every == 0)
+                and arc_spread(geometry) > 0.5 * _UNIFORM_SPREAD):
+            v, checked = resample_uniform(v, v.shape[0]), steps
+            continue
+        if observe:
             for obs in observers:
                 obs(time, v, geometry)
             last_fired = time
@@ -227,8 +239,6 @@ def evolve(
         v = _step(v, geometry, kappa_min, mode, remaining if partial else control.dt, control, time)
         steps += 1
         time = t_end if partial else t0 + steps * control.dt
-        if steps % control.resample_every == 0:
-            v = resample_uniform(v, v.shape[0])
 
 
 def polyline_hausdorff(a: np.ndarray, b: np.ndarray) -> float:

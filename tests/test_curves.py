@@ -12,6 +12,7 @@ from icflow.curves import (
     _centroid,
     _dual_weights,
     _lengths,
+    arc_spread,
     compute_metrics,
     convexity_check,
     edge_lengths,
@@ -172,6 +173,17 @@ def test_perturbed_circle_spaces_its_points_evenly(amplitudes, modes, seed):
     assert spread < 1e-3
     uneven = compute_metrics(theta_uniform_circle(256, amplitudes, modes, seed)).edge_lengths
     assert (np.max(uneven) - np.min(uneven)) / np.mean(uneven) > 0.05
+
+
+def test_arc_spread_grades_the_arcs_not_the_chords():
+    # on the curve at uniform arc length the chords fall short of their arcs
+    # by (kappa h)^2 / 24, so they spread at O(h^2), the estimated arcs at O(h^4)
+    assert arc_spread(compute_metrics(make_circle(1.0, 64))) < 1e-13
+    for n, bound in ((64, 1e-3), (256, 1e-5)):
+        m = compute_metrics(make_ellipse(2.0, 1.0, n))
+        chords = np.max(np.abs(m.edge_lengths / np.mean(m.edge_lengths) - 1.0))
+        assert arc_spread(m) < bound < chords
+    assert arc_spread(compute_metrics(theta_uniform_circle(256, [0.08], [4], seed=3))) > 0.05
 
 
 def test_perturbed_circle_is_reproducible_per_seed():

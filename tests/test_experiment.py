@@ -11,7 +11,7 @@ import signal
 import numpy as np
 import pytest
 
-from icflow import bounds, cli, experiment, flow
+from icflow import bounds, cli, curves, experiment, flow
 from icflow.comparison import residual_certificate_scan
 from icflow.curves import MAX_VERTICES, compute_metrics, make_ellipse
 from icflow.errors import ParameterError, StepRejectedError
@@ -306,6 +306,19 @@ def test_the_initial_curve_seeds_no_mesh_mode(n):
     assert nyquist_amplitude(compute_metrics(flow.renormalize(curve)).curvature) < 1e-12
 
 
+@pytest.mark.parametrize("n", [256, 512])
+def test_the_flow_seeds_no_mesh_mode(n):
+    # the arc element of V = 1/kappa grows at one rate, so the mesh stays
+    # even and no chord resample writes a sawtooth the filter cannot damp
+    config = config_from_dict({**MESH_MODE_FIXTURE, "n": n})
+    amplitudes = {}
+    flow.evolve(flow.initial_state(experiment.initial_curve(config)[0], config.mode),
+                flow.StepControl(dt=config.dt), 4.0, snapshot_interval=0.25,
+                observers=[lambda t, v, m: amplitudes.update({t: nyquist_amplitude(m.curvature)})])
+    late = [a for t, a in amplitudes.items() if t >= 1.0 - 1e-9]
+    assert len(late) == 13 and max(late) < 1e-10
+
+
 def test_late_derivative_decay_has_the_continuum_rate(tmp_path):
     # max|Dkappa| decays like e^{-4t} in the continuum; a frozen mesh mode
     # would hold its late slope near -2
@@ -391,6 +404,32 @@ def test_an_initial_mesh_too_uneven_for_the_derivative_monitors_exits_2(tmp_path
     assert not out.exists()
     assert cli.main(["tbar", *flags]) == 2
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("a,n", [(2, 16), (2, 17), (4, 64), (4, 73)])
+def test_coarse_meshes_on_the_curve_run(tmp_path, a, n):
+    # their chords spread by more than 2% (the curvature's (kappa h)^2 / 24),
+    # their estimated arcs by less
+    flags = ["--shape", "ellipse", "--a", str(a), "--b", "1", "--n", str(n)]
+    assert cli.main(["tbar", *flags]) == 0
+    out = tmp_path / "r.csv"
+    assert cli.main(["run", *flags, "--t-end", "1", "--dt", "1e-3", "--out", str(out)]) == 0
+
+
+def test_a_coarse_run_at_a_large_step_resamples_when_its_mesh_spreads(tmp_path, monkeypatch):
+    # at filter orders this high the filtered speed spreads the arcs; the run
+    # once exited 3, its derivative monitor refusing a 3.8% spread at t = 0.1
+    flags = {"shape": "ellipse", "a": 1, "b": 2.15, "n": 61, "dt": 0.01, "resample_every": 50}
+    config = config_from_dict({**flags, "out": str(tmp_path / "r.csv")})
+    assert run_experiment(config).exit_code in (0, 1)
+    resamples, spreads = [], []
+    monkeypatch.setattr(flow, "resample_uniform",
+                        lambda v, n: resamples.append(n) or curves.resample_uniform(v, n))
+    flow.evolve(flow.initial_state(experiment.initial_curve(config)[0], config.mode),
+                flow.StepControl(dt=config.dt, resample_every=config.resample_every),
+                config.t_end, snapshot_interval=config.snapshot_interval,
+                observers=[lambda t, v, m: spreads.append(curves.arc_spread(m))])
+    assert resamples and len(spreads) == 51 and max(spreads) <= 0.01
 
 
 def test_unnormalized_run_reports_raw_length(tmp_path):

@@ -8,6 +8,7 @@ from icflow.curves import (
     CurveMetrics,
     _geometry,
     _lengths,
+    arc_spread,
     compute_metrics,
     make_circle,
     make_ellipse,
@@ -359,25 +360,15 @@ def _hypot_renormalize(v):
     return (2.0 * np.pi / float(np.sum(_hypot_edge_lengths(v)))) * v
 
 
-def _hypot_resample(v):
-    """resample_uniform's interpolation along hypot edge lengths."""
-    n = v.shape[0]
-    s = np.concatenate([[0.0], np.cumsum(_hypot_edge_lengths(v))])
-    closed = np.vstack([v, v[:1]])
-    targets = s[-1] * np.arange(n) / n
-    out = np.column_stack([np.interp(targets, s, closed[:, i]) for i in (0, 1)])
-    out[0] = v[0]
-    return out
-
-
 def _reference_evolve(vertices, mode, control, steps):
     """The step kernel before edge lengths became complex moduli and the filter
     one convolution, frozen as the drift gate's oracle: Euler steps spelled
     out with the roll formulas, hypot lengths, smooth_periodic and a
-    normalized state's geometry recomputed after its rescale.  Returns the
-    vertices and each step's smoothing order."""
+    normalized state's geometry recomputed after its rescale, with no
+    resample (the kernel runs none on these meshes, whose arcs stay even).
+    Returns the vertices and each step's smoothing order."""
     v, orders = vertices, []
-    for k in range(1, steps + 1):
+    for _ in range(steps):
         edge_len, curvature, normal = _roll_geometry(v)
         orders.append(smoothing_order(
             control.dt, float(np.min(edge_len)), float(np.min(curvature)),
@@ -387,22 +378,24 @@ def _reference_evolve(vertices, mode, control, steps):
             v = v + control.dt * speed[:, None] * normal
         else:
             v = _hypot_renormalize(v + control.dt * (-v + speed[:, None] * normal))
-        if k % control.resample_every == 0:
-            v = _hypot_resample(v)
-            if mode == "normalized":
-                v = _hypot_renormalize(v)
     return v, orders
 
 
 def _evolve_orders(state, control, t_end, monkeypatch):
-    orders = []
+    """The kernel's end state and smoothing orders; asserts that it resampled
+    nothing."""
+    orders, resamples = [], []
 
     def recording(*args):
         orders.append(smoothing_order(*args))
         return orders[-1]
 
     monkeypatch.setattr(flow, "smoothing_order", recording)
-    return evolve(state, control, t_end).vertices, orders
+    monkeypatch.setattr(flow, "resample_uniform",
+                        lambda v, n: resamples.append(n) or resample_uniform(v, n))
+    out = evolve(state, control, t_end).vertices
+    assert not resamples
+    return out, orders
 
 
 @pytest.mark.parametrize("mode", ["normalized", "unnormalized"])
@@ -441,6 +434,8 @@ def test_flagship_drift_from_the_reference_stepper(mode, flagship_drift):
     out, orders, expected, expected_orders = flagship_drift(mode)
     assert orders == expected_orders
     assert polyline_hausdorff(out, expected) <= 1e-12
+    # unresampled, the flow keeps the mesh even
+    assert max(arc_spread(compute_metrics(v)) for v in (out, expected)) < 1e-3
 
 
 @pytest.mark.parametrize("mode", ["normalized", "unnormalized"])
