@@ -195,8 +195,11 @@ class CurveMetrics(NamedTuple):
         return float(np.sum(self.edge_lengths))
 
 
-def _geometry(v: np.ndarray) -> CurveMetrics:
-    """The CurveMetrics (edge lengths, curvature, normals) of a float (n, 2) polygon.
+def _kernel_terms(v: np.ndarray):
+    """The step kernel's terms of a float (n, 2) polygon: its edge lengths,
+    their least value (a float), the curvature, and each vertex's chord
+    v_{i+1} - v_{i-1} turned by -pi/2 (complex, along the outward normal)
+    with its length.
 
     The curvature at vertex i is taken from the circumcircle through
     v_{i-1}, v_i, v_{i+1}:
@@ -206,37 +209,39 @@ def _geometry(v: np.ndarray) -> CurveMetrics:
     which equals 2 sin(turning angle) / chord and is exact (to roundoff) on
     polygons inscribed in circles — the property the flow's circle invariants
     rely on.  Signs follow orientation: positive on counterclockwise convex
-    curves.  The rows of the C-ordered v are read as complex128, padded with
-    the wrapped neighbours: lengths are moduli, the cross product is
-    Im(conj(e_prev) e_next), the normal -i chord / |chord|.  Raises
-    DegenerateCurveError on non-finite coordinates, zero edges and
-    coincident neighbours; the flow calls this directly, without
-    validate_vertices, once per accepted state, for its step and observers
-    (on a normalized state, before the state's rescale to length 2 pi).
+    curves.  The rows of the C-ordered v are read as complex128, turned
+    (exactly: -i (x + iy) = y - ix) and padded with the wrapped neighbours:
+    lengths are moduli, the cross product Im(conj(e_prev) e_next).  Raises
+    DegenerateCurveError on non-finite coordinates, zero edges and coincident
+    neighbours, before any division.
     """
     if not np.isfinite(v).all():
         raise DegenerateCurveError("vertex coordinates contain NaN or Inf")
-    n = v.shape[0]
-    z = v.view(np.complex128)[:, 0]
-    padded = np.empty(n + 2, np.complex128)
-    padded[1:-1] = z
-    padded[0] = z[-1]
-    padded[-1] = z[0]
-    # back[i] = v[i] - v[i-1] (i = 0..n), so back[1:] are the edges and
-    # back[:-1] the edges entering each vertex
-    back = padded[1:] - padded[:-1]
+    turned = np.empty(v.shape[0] + 2, np.complex128)
+    np.multiply(v.view(np.complex128)[:, 0], -1j, out=turned[1:-1])
+    turned[0] = turned[-2]
+    turned[-1] = turned[1]
+    # back[i] = v[i] - v[i-1] (i = 0..n), turned, so back[1:] are the edges
+    # and back[:-1] the edges entering each vertex
+    back = turned[1:] - turned[:-1]
     back_len = np.abs(back)
     edge_len = back_len[1:]
-    if edge_len.min() <= 0.0:
+    edge_min = float(edge_len.min())
+    if not edge_min > 0.0:
         raise DegenerateCurveError("curve has a zero-length edge (repeated vertices)")
-    chord = padded[2:] - padded[:-2]
+    chord = turned[2:] - turned[:-2]
     chord_len = np.abs(chord)
     if chord_len.min() <= 0.0:
         raise DegenerateCurveError("vertices i-1 and i+1 coincide; curvature undefined")
-    cross = (np.conj(back[:-1]) * back[1:]).imag
-    kappa = 2.0 * cross / (back_len[:-1] * edge_len * chord_len)
-    normal = (-1j * chord).view(np.float64).reshape(n, 2) / chord_len[:, None]
-    return CurveMetrics(edge_len, kappa, normal)
+    kappa = 2.0 * (np.conj(back[:-1]) * back[1:]).imag / (back_len[:-1] * edge_len * chord_len)
+    return edge_len, edge_min, kappa, chord, chord_len
+
+
+def _geometry(v: np.ndarray) -> CurveMetrics:
+    """The CurveMetrics of a float (n, 2) polygon: _kernel_terms' edge lengths,
+    curvature, and turned chords over their lengths (the normals)."""
+    edge_len, _, kappa, chord, chord_len = _kernel_terms(v)
+    return CurveMetrics(edge_len, kappa, chord.view(np.float64).reshape(-1, 2) / chord_len[:, None])
 
 
 def compute_metrics(vertices: np.ndarray) -> CurveMetrics:
@@ -251,16 +256,24 @@ def _dual_weights(edge_len: np.ndarray) -> np.ndarray:
     return 0.5 * (edge_len + np.roll(edge_len, 1))
 
 
+def _mesh_arcs(edge_len: np.ndarray, kappa: np.ndarray) -> tuple[np.ndarray, float]:
+    """Each edge's estimated arc (2/k) asin(min(1, k l/2)), from its chord l
+    and its two vertices' mean curvature k, over 4; and their spread."""
+    pair = kappa + np.concatenate((kappa[1:], kappa[:1]))
+    arcs = np.arcsin(np.minimum(1.0, 0.25 * pair * edge_len)) / pair
+    return arcs, float(np.max(np.abs(arcs / arcs.mean() - 1.0)))
+
+
 def arc_spread(geometry: CurveMetrics) -> float:
-    """max |arc / mean - 1| over a convex polygon's edges, each arc (2/k) asin(min(1, k l/2))
-    from its chord l and its two vertices' mean curvature k: the package's mesh measure."""
-    pair = geometry.curvature + np.concatenate((geometry.curvature[1:], geometry.curvature[:1]))
-    arc = np.arcsin(np.minimum(1.0, 0.25 * pair * geometry.edge_lengths)) / pair  # arc / 4
-    return float(np.max(np.abs(arc / arc.mean() - 1.0)))
+    """max |arc / mean - 1| over a convex polygon's edges, each arc _mesh_arcs'
+    estimate: the package's mesh measure."""
+    return _mesh_arcs(geometry.edge_lengths, geometry.curvature)[1]
 
 
-def resample_uniform(vertices: np.ndarray, n: int) -> np.ndarray:
-    """Redistribute n vertices at equal arc-length spacing along the polygon.
+def resample_uniform(vertices: np.ndarray, n: int, arcs: np.ndarray | None = None) -> np.ndarray:
+    """Redistribute n vertices at equal spacing along the polygon, spacing
+    measured in arcs, one weight per edge proportional to its length along
+    the curve (by default the chords themselves).
 
     Linear interpolation along the existing edges; the first output vertex
     coincides with the first input vertex.  Points move onto chords of the
@@ -270,7 +283,7 @@ def resample_uniform(vertices: np.ndarray, n: int) -> np.ndarray:
     """
     v, edge_len = _validated_edges(vertices)
     check_vertex_count(n)
-    s = np.concatenate([[0.0], np.cumsum(edge_len)])
+    s = np.concatenate([[0.0], np.cumsum(edge_len if arcs is None else arcs)])
     closed = np.vstack([v, v[:1]])
     targets = s[-1] * np.arange(n) / n
     out = np.empty((n, 2))

@@ -4,8 +4,8 @@ Two formulations share one clock:
 
 * unnormalized: each vertex moves outward by dt / kappa along the normal,
   so total length grows like e^t;
-* normalized: vertices move by dt * (-position + normal / kappa) and the
-  curve is rescaled about the origin to total length 2*pi after every step.
+* normalized: vertices move by dt * (-position + normal / kappa), and the
+  curve is taken about the origin to total length 2*pi where it is seen.
 
 Both steppers are plain explicit Euler on a smoothed speed field.  The raw
 pointwise update is unconditionally unstable whenever dt exceeds the
@@ -26,17 +26,19 @@ circles (constant speed) keep their closed-form radius law to roundoff.
 With V = 1/kappa the arc element obeys d/dt ds = kappa V ds = ds: a uniform
 mesh stays uniform but for the filtered speed's error, large at high filter
 orders.  So every resample_every steps, and before a snapshot after the start,
-evolve resamples once where curves.arc_spread > bounds._UNIFORM_SPREAD / 2.
+evolve resamples once, at even estimated arcs, where curves.arc_spread >
+bounds._UNIFORM_SPREAD / 2.
 
-One step kernel serves both formulations.  Each state's geometry, the
-start state's included (the CurveMetrics of curves._geometry, which
-compute_metrics returns), is computed once, after the step and any
-resampling (a normalized state's before its rescale to length 2*pi, then
-scaled with it).  Its least curvature, taken once, is the one convexity
-test (kappa > 0, as in convexity_check: the sign of each vertex's cross
-product, since the circumcircle denominators are positive) and the order
-search's input; the geometry is the input of the next step, which updates
-complex128 views of the vertices, and what snapshot observers receive.
+One lean kernel steps both formulations.  Per state it computes only what
+the step and its checks read (curves._kernel_terms): edge lengths, whose
+one minimum serves the degeneracy test and the order budget, curvature, whose
+minimum is the convexity test and the budget's other input, and chords.  The
+CurveMetrics with its normals is built only for a state an observer sees.
+The normalized step is homogeneous of degree 1 in the curve's scale, and the
+budget, the mesh measure and the convexity sign are scale-free, so that
+lane steps unrescaled (the continuum flow keeps its length: d/dt L =
+L - int kappa h ds = 0) and is rescaled to 2*pi only where it is observed
+or returned: the same scheme up to roundoff.
 """
 
 from __future__ import annotations
@@ -53,8 +55,9 @@ from .curves import (
     BLOCK_PAIRS,
     CurveMetrics,
     _geometry,
+    _kernel_terms,
+    _mesh_arcs,
     _validated_edges,
-    arc_spread,
     edge_vectors,
     resample_uniform,
     validate_vertices,
@@ -133,7 +136,7 @@ def _binomial_filter(w: np.ndarray, order: int) -> np.ndarray:
     one convolution of a wrapped copy with the binomial taps; to roundoff the
     passes' values, and w itself at order 0."""
     index, taps = _filter_taps(w.shape[0], order)
-    return np.convolve(w[index], taps, mode="valid")
+    return np.correlate(w[index], taps, "valid")  # the taps are symmetric
 
 
 # sup over modes of (diffusion symbol) * (filter symbol)^m, per order m: the
@@ -156,23 +159,24 @@ def smoothing_order(
         f"smoothing order {max_smoothing}")
 
 
-def _step(v: np.ndarray, geometry, kappa_min: float, mode: str, dt: float,
+def _step(v: np.ndarray, terms, kappa_min: float, mode: str, dt: float,
           control: StepControl, time: float) -> np.ndarray:
-    """The Euler step of either formulation (normalized: before its rescale)
-    from the geometry of a state evolve has found convex, its least
-    curvature kappa_min > 0, on complex views of the vertices and normals.
-    A rejected step carries the pre-step time."""
-    edge_len, kappa, normal = geometry
+    """The Euler step of either formulation (normalized: unrescaled) from the
+    _kernel_terms of a state evolve has found convex, its least curvature
+    kappa_min > 0: each vertex moves by dt S(1/kappa) / |chord| times its
+    turned chord (the outward normal times |chord|), a normalized one also
+    by -dt times itself.  A rejected step carries the pre-step time."""
+    _, edge_min, kappa, chord, chord_len = terms
     try:
-        order = smoothing_order(
-            dt, float(edge_len.min()), kappa_min, control.safety, control.max_smoothing)
+        order = smoothing_order(dt, edge_min, kappa_min, control.safety, control.max_smoothing)
     except StepRejectedError as exc:
         raise StepRejectedError(str(exc), time=time) from None
-    speed = _binomial_filter(1.0 / kappa, order)
-    z, push = v.view(np.complex128), normal.view(np.complex128)
-    if mode == "unnormalized":
-        return (z + (dt * speed)[:, None] * push).view(np.float64)
-    return (z + dt * (speed[:, None] * push - z)).view(np.float64)
+    push = chord * (_binomial_filter(dt / kappa, order) / chord_len)
+    z = v.view(np.complex128)[:, 0]
+    if mode == "normalized":
+        push -= dt * z
+    push += z
+    return push.view(np.float64).reshape(-1, 2)
 
 
 def evolve(
@@ -186,17 +190,15 @@ def evolve(
 
     Observers are called with (time, vertices, metrics) at the start state,
     at each multiple of snapshot_interval (when given), and at t_end; they
-    must not mutate their arguments.  metrics is the step's geometry of the
-    state, compute_metrics(vertices); after the start of a normalized run it
-    is the unscaled state's, rescaled, so equal to it only to roundoff
-    (curvature to about 1e-12 relative).  Each state fires at most
+    must not mutate their arguments.  metrics is compute_metrics(vertices),
+    and a normalized state after the start is rescaled to length 2*pi where
+    it is observed or returned, and only there.  Each state fires at most
     once: when one step passes several snapshot times, the state after it
     stands for all of them.  Step times are start + k*dt, not accumulated,
-    and a shorter final step lands exactly on t_end.  Every state, the start
-    state included, must have positive curvature at every vertex before any
-    observer sees it; one that does not raises ConvexityLossError at its
-    time; that least curvature is also the step's order-search input.  Flow
-    failures propagate with the failing time attached.
+    and a shorter final step lands exactly on t_end.  Every state, the
+    start state included, must have positive curvature at every vertex
+    before any observer sees it; one that does not raises ConvexityLossError
+    at its time.  Flow failures propagate with the failing time attached.
     """
     if snapshot_interval is not None and not snapshot_interval > 0.0:
         raise ParameterError("snapshot_interval must be positive")
@@ -211,32 +213,35 @@ def evolve(
     stop = t_end - _TIME_SLACK * max(1.0, abs(t_end))
     steps = checked = 0
     while True:
-        geometry = _geometry(v)
-        if steps and mode == "normalized":
-            v, geometry = _renormalized(v, geometry)
-        kappa_min = float(geometry.curvature.min())  # NaN fails too
+        terms = _kernel_terms(v)
+        edge_len, kappa = terms[0], terms[2]
+        kappa_min = float(kappa.min())  # NaN fails too
         if not kappa_min > 0.0:
             raise ConvexityLossError(f"convexity lost at t = {time:.6g}", time=time)
         done = not time < stop
         observe = (steps == 0 or time >= next_snap - half_dt
                    or (done and time > last_fired + _TIME_SLACK))
         # once per check: even chords can leave a coarse mesh's arcs uneven
-        if (steps > checked and (observe or steps % control.resample_every == 0)
-                and arc_spread(geometry) > 0.5 * _UNIFORM_SPREAD):
-            v, checked = resample_uniform(v, v.shape[0]), steps
-            continue
+        if steps > checked and (observe or steps % control.resample_every == 0):
+            arcs, spread = _mesh_arcs(edge_len, kappa)
+            if spread > 0.5 * _UNIFORM_SPREAD:
+                v, checked = resample_uniform(v, v.shape[0], arcs), steps
+                continue
+        rescale = (observe or done) and steps and mode == "normalized"
+        seen = (2.0 * np.pi / float(edge_len.sum())) * v if rescale else v
         if observe:
+            geometry = _geometry(seen)
             for obs in observers:
-                obs(time, v, geometry)
+                obs(time, seen, geometry)
             last_fired = time
             while next_snap - half_dt <= time:
                 next_snap += snapshot_interval
         if done:
-            return replace(state, vertices=v, time=time)
+            return replace(state, vertices=seen, time=time)
 
         remaining = t_end - time
         partial = remaining < control.dt * (1.0 - 1e-9)
-        v = _step(v, geometry, kappa_min, mode, remaining if partial else control.dt, control, time)
+        v = _step(v, terms, kappa_min, mode, remaining if partial else control.dt, control, time)
         steps += 1
         time = t_end if partial else t0 + steps * control.dt
 
@@ -256,34 +261,35 @@ def polyline_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
 def _directed_sq(p: np.ndarray, q: np.ndarray) -> float:
     """Largest squared distance from a vertex of p to the closed polyline q.
 
-    The vertices of p are walked in row blocks whose four reused buffers
-    (x, y and two work arrays) hold about BLOCK_PAIRS floats in all.  Each
-    pair's floats are those of the (n, m, 2) evaluation: the projection
-    parameter (diff . d) / |d|^2, as the sum of the x and y products,
-    clipped to [0, 1], and the squared length of diff minus that multiple
-    of d.
+    A vertex's squared distance to the five segments of q around its
+    aligned index (i m // n) bounds its row's minimum from above.  Rows are
+    then scanned whole, in descending order of that bound and in doubling
+    batches of at most about BLOCK_PAIRS / 4 pairs, until the next bound is
+    not above the largest row minimum found: no row left can exceed it, so
+    the result is the exhaustive scan's float.
     """
+    n, m = p.shape[0], q.shape[0]
     d = edge_vectors(q)
-    len2 = np.maximum(np.einsum("ij,ij->i", d, d), 1e-300)
-    qx, qy = np.ascontiguousarray(q.T)
-    dx, dy = np.ascontiguousarray(d.T)
-    rows = max(1, BLOCK_PAIRS // (4 * q.shape[0]))
-    buffers = np.empty((4, rows, q.shape[0]))
-    worst = 0.0
-    for row0 in range(0, p.shape[0], rows):
-        x, y, frac, tmp = buffers[:, :p.shape[0] - row0]
-        block = p[row0:row0 + rows]
-        np.subtract(block[:, 0:1], qx, out=x)
-        np.subtract(block[:, 1:2], qy, out=y)
-        np.multiply(x, dx, out=frac)
-        np.multiply(y, dy, out=tmp)
-        frac += tmp
-        frac /= len2
-        np.clip(frac, 0.0, 1.0, out=frac)
-        x -= np.multiply(frac, dx, out=tmp)
-        y -= np.multiply(frac, dy, out=tmp)
-        x *= x
-        y *= y
-        x += y
-        worst = max(worst, float(x.min(axis=1).max()))
+    segments = (*q.T, *d.T, np.maximum(np.einsum("ij,ij->i", d, d), 1e-300))
+    near = (np.arange(n)[:, None] * m // n + np.arange(-2, 3)) % m
+    bound = _pair_sq(p, *(column[near] for column in segments)).min(axis=1)
+    order = np.argsort(bound)[::-1]
+    worst, start, batch = 0.0, 0, 1
+    cap = max(1, BLOCK_PAIRS // (4 * m))
+    while start < n and bound[order[start]] > worst:
+        rows = p[order[start:start + batch]]
+        worst = max(worst, float(_pair_sq(rows, *segments).min(axis=1).max()))
+        start, batch = start + batch, min(2 * batch, cap)
     return worst
+
+
+def _pair_sq(p: np.ndarray, qx, qy, dx, dy, len2) -> np.ndarray:
+    """Squared distance from each vertex of p (a row) to the segments q + [0, 1] d
+    (columns, broadcast against the rows), as the (n, m, 2) evaluation takes it:
+    diff minus d times (diff . d) / |d|^2 clipped to [0, 1], squared."""
+    x = p[:, 0:1] - qx
+    y = p[:, 1:2] - qy
+    frac = np.clip((x * dx + y * dy) / len2, 0.0, 1.0)
+    x -= frac * dx
+    y -= frac * dy
+    return x * x + y * y

@@ -424,12 +424,23 @@ def test_a_coarse_run_at_a_large_step_resamples_when_its_mesh_spreads(tmp_path, 
     assert run_experiment(config).exit_code in (0, 1)
     resamples, spreads = [], []
     monkeypatch.setattr(flow, "resample_uniform",
-                        lambda v, n: resamples.append(n) or curves.resample_uniform(v, n))
+                        lambda v, n, arcs: resamples.append(n) or curves.resample_uniform(v, n, arcs))
     flow.evolve(flow.initial_state(experiment.initial_curve(config)[0], config.mode),
                 flow.StepControl(dt=config.dt, resample_every=config.resample_every),
                 config.t_end, snapshot_interval=config.snapshot_interval,
                 observers=[lambda t, v, m: spreads.append(curves.arc_spread(m))])
     assert resamples and len(spreads) == 51 and max(spreads) <= 0.01
+
+
+def test_a_far_too_coarse_mesh_resamples_to_even_arcs(tmp_path):
+    # a 12:1 ellipse on 56 vertices: its filtered speed spreads the arcs to
+    # 3.5% within 50 steps, and a resample onto even chords left them 4.4%
+    # apart, so the derivative monitor refused the snapshot at t = 0.0081
+    # and the run exited 3
+    flags = ["--shape", "ellipse", "--a", "11.89300328499995", "--b", "1", "--n", "56",
+             "--dt", "1e-4", "--t-end", "0.0186", "--snapshot-interval", "0.0081",
+             "--resample-every", "50", "--out", str(tmp_path / "r.csv")]
+    assert cli.main(["run", *flags]) in (0, 1)
 
 
 def test_unnormalized_run_reports_raw_length(tmp_path):

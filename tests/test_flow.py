@@ -7,6 +7,7 @@ from icflow.bounds import derivative_noise_floors, snapshot_report
 from icflow.curves import (
     CurveMetrics,
     _geometry,
+    _kernel_terms,
     _lengths,
     arc_spread,
     compute_metrics,
@@ -251,10 +252,12 @@ def dense_polyline_hausdorff(a, b):
 
 @pytest.mark.parametrize("block_pairs", [None, 1, 450, 1800])
 def test_blocked_hausdorff_is_the_dense_evaluation_bit_for_bit(block_pairs, monkeypatch):
-    # the four block buffers hold about block_pairs floats together: by
-    # default a 200-vertex curve is scanned 40 rows at a time, so 517 rows
-    # end in a partial block; 1800 gives 2-row blocks against the 200-vertex
-    # curve and 1-row blocks against the others, as 450 does against all
+    # whole rows are scanned in doubling batches of at most block_pairs / 4
+    # pairs: by default up to 40 rows against a 200-vertex curve; 1800 caps
+    # them at 2 rows against it and 1 row against the others, as 450 does
+    # against all.  The window bound settles the unequal counts and the
+    # bumped farthest vertex in one row; the index-rolled curve takes every
+    # row, and the perturbed 517-gon against the ellipse 103 rows
     if block_pairs is not None:
         monkeypatch.setattr(flow, "BLOCK_PAIRS", block_pairs)
     a = make_ellipse(2.0, 1.0, 200)
@@ -392,7 +395,7 @@ def _evolve_orders(state, control, t_end, monkeypatch):
 
     monkeypatch.setattr(flow, "smoothing_order", recording)
     monkeypatch.setattr(flow, "resample_uniform",
-                        lambda v, n: resamples.append(n) or resample_uniform(v, n))
+                        lambda v, n, arcs: resamples.append(n) or resample_uniform(v, n, arcs))
     out = evolve(state, control, t_end).vertices
     assert not resamples
     return out, orders
@@ -456,6 +459,44 @@ def test_flagship_report_drift_from_the_reference_stepper(mode, flagship_drift):
     assert got["center_norm"] == pytest.approx(want["center_norm"], rel=1e-9, abs=1e-14)
     for field in set(want) - {"dkappa_max", "d2kappa_max", "gn_ratio", "center_norm"}:
         assert got[field] == pytest.approx(want[field], rel=1e-9, abs=0), field
+
+
+@pytest.mark.parametrize("scale", [1e-3, 7.5, 1e3])
+@pytest.mark.parametrize("mode", ["normalized", "unnormalized"])
+def test_the_step_is_homogeneous_of_degree_one_in_scale(mode, scale, monkeypatch):
+    # the identity the normalized lane's deferred rescale rests on: a step
+    # of the scaled curve is the scaled step, at the same smoothing order
+    orders = []
+    monkeypatch.setattr(flow, "smoothing_order",
+                        lambda *args: orders.append(smoothing_order(*args)) or orders[-1])
+    control = StepControl(dt=1e-3)
+    v = make_perturbed_circle(1.0, 256, [0.05], [3], seed=1)
+    stepped = []
+    for w in (v, scale * v):
+        terms = _kernel_terms(w)
+        stepped.append(flow._step(w, terms, float(terms[2].min()), mode, control.dt, control, 0.0))
+    assert orders[0] == orders[1] > 0
+    assert np.max(np.abs(stepped[1] / scale - stepped[0])) <= 1e-14 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("a,n,dt,t_end", [(2.0, 128, 1e-3, 0.5), (11.89300328499995, 56, 1e-4, 0.05)],
+                         ids=["ellipse", "coarse-resampled"])
+def test_the_normalized_lane_is_seen_and_returned_at_length_two_pi(a, n, dt, t_end, monkeypatch):
+    # it steps unrescaled, and is rescaled where it is observed or returned;
+    # the coarse 12:1 ellipse resamples on the way
+    resamples = []
+    monkeypatch.setattr(flow, "resample_uniform",
+                        lambda v, n, arcs: resamples.append(n) or resample_uniform(v, n, arcs))
+    s = initial_state(make_ellipse(a, 1.0, n), "normalized")
+    control = StepControl(dt=dt, resample_every=50)
+    seen = []
+    out = evolve(s, control, t_end, observers=[lambda t, v, m: seen.append((v, m))],
+                 snapshot_interval=t_end / 5)
+    assert len(seen) == 6 and bool(resamples) == (n == 56)
+    for _, m in seen:
+        assert m.total_length == pytest.approx(2 * np.pi, rel=1e-13, abs=0)
+    for v in (out.vertices, evolve(s, control, t_end).vertices):
+        assert compute_metrics(v).total_length == pytest.approx(2 * np.pi, rel=1e-13, abs=0)
 
 
 def test_normalized_step_is_renormalized_raw_step_at_stretched_dt():
