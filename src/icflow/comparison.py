@@ -24,7 +24,9 @@ The gap scan walks the n(n-1)/2 pairs as cyclic diagonals in cache-sized
 blocks, so memory stays at a few blocks rather than O(n^2) arrays, and
 each pair's value is the float a plain np.triu_indices scan gives.  It
 first bounds each diagonal's gaps from below with cheap operations only
-(squared chords and arcs, no hypot, sin or arctan per pair), then
+(squared chords and arcs, no hypot, sin or arctan per pair; a run's next
+scan bounds the chords from the last full pass by the triangle inequality
+and refreshes only the diagonals that could hold the minimum), then
 evaluates diagonals exactly, lowest bound first, until the next bound
 exceeds the smallest gap found; its result is that of the exhaustive
 scan, ties and NaNs included.  The admissible offset needs only the sign
@@ -37,12 +39,12 @@ gap is negative or NaN.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .curves import BLOCK_PAIRS, _geometry, _validated_edges
+from .curves import BLOCK_PAIRS, _geometry, _validated_edges, validate_vertices
 from .errors import NoAdmissibleOffsetError, ParameterError
 from .forked import forked
 
@@ -399,7 +401,7 @@ def numerator_grid_min(z_values, alphas) -> tuple[float, tuple[float, float]]:
     return value, (float(z[zi]), float(a[ai]))
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Diagonals:
     """One curve's pair scan: a validated polygon of length 2 pi laid out
     for walking its cyclic diagonals, the time-independent half of their gap
@@ -409,13 +411,14 @@ class _Diagonals:
     of n pairs.  On the k = n/2 row of an even n each pair appears twice, as
     (i, j) and (j, i), with the same float both times, so minima and maxima
     over the rows are those over the n(n-1)/2 pairs.  base holds the
-    coordinate and arc-length arrays (x, y, s); row k of each rolled window
-    view is the same array rotated by k, so a run of diagonals is a slice
-    and needs no index arrays.  chord_lo[k - 1] is a float at or below every
-    chord on diagonal k, z_hi[k - 1] one at or above every z = sin(arc/2) on
-    it.  blocks holds three (rows, n) arrays of at most BLOCK_PAIRS floats
-    and at most n // 2 rows each (one row where n is larger); a walk takes
-    their leading rows.
+    coordinate and arc-length arrays (x, y, s), its own copies as row 0 of
+    each rolled window view; row k is the same array rotated by k, so a
+    run of diagonals is a slice and needs no index arrays.  chord_lo[k - 1]
+    is a float at or below every chord on diagonal k, z_hi[k - 1] one at or
+    above every z = sin(arc/2) on it.  blocks holds three (rows, n) arrays
+    of at most BLOCK_PAIRS floats and at most n // 2 rows each (one row
+    where n is larger); a walk takes their leading rows.  reference is the
+    full pass chord_lo was bounded from, None where it is one (_diagonals).
     """
 
     n: int
@@ -425,6 +428,7 @@ class _Diagonals:
     chord_lo: np.ndarray
     z_hi: np.ndarray
     blocks: tuple
+    reference: _Diagonals | None = None
 
 
 # Relative slacks of the gap bound: 2**-48 covers a few roundings of hypot,
@@ -436,17 +440,31 @@ _TINY_SQUARE = 2.0 ** -1000
 # An arc on diagonal k sums k edges: with u = 2^-53, T = total and s and T
 # each within 2 n u T, it is at most (1 + u)(k max_edge + 8 n u T).
 _ARC_SLACK = 2.0 ** -50
+# A scan refreshes at most this share of the diagonals' chord floors.
+_REFRESH_SHARE = 0.3
 
 
-def _diagonals(vertices: np.ndarray) -> _Diagonals:
+def _runs(ks) -> list:
+    """(r0, r1, rows) of each run ks[r0:r1] of consecutive diagonals in ks,
+    ascending ints, with rows its slice of the rolled window views."""
+    cuts = [0, *(r for r in range(1, len(ks)) if ks[r] != ks[r - 1] + 1), len(ks)]
+    return [(r0, r1, slice(ks[r0], ks[r0] + r1 - r0)) for r0, r1 in zip(cuts[:-1], cuts[1:])]
+
+
+def _diagonals(vertices: np.ndarray, reference: _Diagonals | None = None,
+               t: float = 0.0) -> _Diagonals:
     """The pair-scan record of vertices, which must be a valid polygon of
     length 2 pi.
 
-    One pass over the blocks records, per diagonal, the smallest squared
-    chord dx^2 + dy^2, with no hypot and no arc per pair.  The chord floor
-    is sqrt(min c2) shrunk by _CHORD_SLACK (0 where the squares may be
-    subnormal); the z ceiling is _z_ceiling of k max_edge grown by
-    _ARC_SLACK, at or above every arc on diagonal k.
+    The z ceiling is _z_ceiling of k max_edge grown by _ARC_SLACK, at or
+    above every arc on diagonal k; a chord floor is sqrt(min dx^2 + dy^2)
+    shrunk by _CHORD_SLACK (0 where the squares may be subnormal), with no
+    hypot or arc per pair.  reference, a full pass of the same n, lends its
+    blocks, and with delta the largest move of a vertex from it, no chord
+    on diagonal k is below reference.chord_lo[k - 1] - 2 delta (triangle
+    inequality), rounded down.  Only the diagonals whose bound from these
+    is not above diagonal 1's exact minimum gap at t can hold the minimum:
+    they get fresh floors if at most _REFRESH_SHARE of all, else all do.
     """
     v, edge_len = _validated_edges(vertices)
     n, total = v.shape[0], float(np.sum(edge_len))
@@ -454,24 +472,40 @@ def _diagonals(vertices: np.ndarray) -> _Diagonals:
         raise ParameterError(
             f"curve length {total:.12g} is not 2*pi; renormalize before comparing")
     s = np.concatenate([[0.0], np.cumsum(edge_len[:-1])])
-    base = (v[:, 0], v[:, 1], s)
-    rolled = tuple(sliding_window_view(np.concatenate([a, a]), n) for a in base)
-    blocks = tuple(np.empty((max(1, min(BLOCK_PAIRS // n, n // 2)), n)) for _ in range(3))
-    (x, y, _), (xr, yr, _), (a, b, _) = base, rolled, blocks
+    rolled = tuple(sliding_window_view(np.concatenate([a, a]), n) for a in (v[:, 0], v[:, 1], s))
+    reuse = reference is not None and reference.n == n
+    blocks = reference.blocks if reuse else tuple(
+        np.empty((max(1, min(BLOCK_PAIRS // n, n // 2)), n)) for _ in range(3))
     k = np.arange(1, n // 2 + 1)
-    c2 = np.empty(k.size)
-    for k0 in range(1, k.size + 1, len(a)):
-        k1 = min(k0 + len(a), k.size + 1)
-        dx, dy = a[:k1 - k0], b[:k1 - k0]
-        np.subtract(xr[k0:k1], x, out=dx)
-        dx *= dx
-        np.subtract(yr[k0:k1], y, out=dy)
-        dy *= dy
-        dx += dy
-        np.min(dx, axis=1, out=c2[k0 - 1:k1 - 1])
-    chord_lo = np.where(c2 < _TINY_SQUARE, 0.0, np.sqrt(c2) * (1.0 - _CHORD_SLACK))
     arc_hi = k * float(np.max(edge_len)) * (1.0 + _ARC_SLACK) + 2.0 * n * total * _ARC_SLACK
-    return _Diagonals(n, total, base, rolled, chord_lo, _z_ceiling(arc_hi), blocks)
+    diag = _Diagonals(n, total, tuple(r[0] for r in rolled), rolled, np.empty(k.size),
+                      _z_ceiling(arc_hi), blocks)
+    (x, y, _), (xr, yr, _), (a, b, _) = diag.base, rolled, blocks
+    ks = k.tolist()
+    if reuse:
+        delta = float(np.max(np.hypot(x - reference.base[0], y - reference.base[1])))
+        lo = reference.chord_lo * (1.0 - _CHORD_SLACK) - 2.0 * delta * (1.0 + _CHORD_SLACK)
+        np.multiply(lo, 1.0 - _CHORD_SLACK, out=diag.chord_lo)  # <= 0 where lo is
+        chord, z, gaps = (block[:1] for block in blocks)
+        _pair_rows(diag, [1], chord, z, gaps)
+        upper = _row_gaps(chord, z, t, gaps).min()
+        refresh = np.flatnonzero(~(_gap_lower_bounds(diag, t) > upper)) + 1
+        if refresh.size <= _REFRESH_SHARE * len(ks):
+            ks, diag.reference = refresh.tolist(), reference
+    c2 = np.empty(len(ks))
+    for k0 in range(0, len(ks), len(a)):
+        chunk = ks[k0:k0 + len(a)]
+        for r0, r1, rows in _runs(chunk):
+            dx, dy = a[r0:r1], b[r0:r1]
+            np.subtract(xr[rows], x, out=dx)
+            dx *= dx
+            np.subtract(yr[rows], y, out=dy)
+            dy *= dy
+            dx += dy
+        np.min(a[:len(chunk)], axis=1, out=c2[k0:k0 + len(chunk)])
+    diag.chord_lo[np.subtract(ks, 1)] = np.where(
+        c2 < _TINY_SQUARE, 0.0, np.sqrt(c2) * (1.0 - _CHORD_SLACK))
+    return diag
 
 
 def _z_ceiling(arc):
@@ -515,9 +549,7 @@ def _pair_rows(diag: _Diagonals, ks: list, chord, z, back) -> None:
     1e-6.
     """
     (xr, yr, sr), (x, y, s) = diag.rolled, diag.base
-    cuts = [0, *(r for r in range(1, len(ks)) if ks[r] != ks[r - 1] + 1), len(ks)]
-    for r0, r1 in zip(cuts[:-1], cuts[1:]):
-        rows = slice(ks[r0], ks[r0] + r1 - r0)
+    for r0, r1, rows in _runs(ks):
         np.subtract(xr[rows], x, out=chord[r0:r1])
         np.subtract(yr[rows], y, out=z[r0:r1])
         np.hypot(chord[r0:r1], z[r0:r1], out=chord[r0:r1])
@@ -536,10 +568,11 @@ def _row_gaps(chord, z, t: float, out) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwoPointReport:
-    """Result of a two-point gap scan at one snapshot."""
+    """Result of a two-point gap scan at one snapshot; reference serves the run's next scan."""
 
     min_gap: float
     argmin_pair: tuple[int, int]
+    reference: _Diagonals | None = field(default=None, compare=False, repr=False)
 
 
 def _min_gap(diag: _Diagonals, t: float) -> tuple:
@@ -581,7 +614,8 @@ def _min_gap(diag: _Diagonals, t: float) -> tuple:
     return float(best), best_key
 
 
-def two_point_gap_scan(vertices: np.ndarray, time: float, offset: float) -> TwoPointReport:
+def two_point_gap_scan(vertices: np.ndarray, time: float, offset: float,
+                       previous: TwoPointReport | None = None) -> TwoPointReport:
     """Exact minimum of chord - profile(arc, time - offset) over all pairs.
 
     A cheap pass bounds the gaps of each cyclic diagonal from below, and
@@ -590,16 +624,18 @@ def two_point_gap_scan(vertices: np.ndarray, time: float, offset: float) -> TwoP
     same float as in a scan over np.triu_indices order, and among exact
     minima the pair (i, j), i < j, that comes first in that order is
     reported (the first NaN if any gap is NaN), so the result is that of an
-    exhaustive scan.  Typically a few diagonals are evaluated.  Where
+    exhaustive scan.  Typically a few diagonals are evaluated, and the
+    chord floors cost the most; given previous, the run's last report, a
+    scan refreshes only those that could matter (_diagonals).  Where
     nothing can be pruned the bound pass is extra work: for time - offset
     > 709.08, where every gap is -inf or NaN, and where the bounds are weak
     (meshes far from uniform in arc length).  On small meshes the bound
     pass and the chunk loop are a fixed cost, which can make a scan slower
     than the exhaustive one.
     """
-    diag = _diagonals(vertices)
+    diag = _diagonals(vertices, None if previous is None else previous.reference, time - offset)
     best, key = _min_gap(diag, time - offset)
-    return TwoPointReport(min_gap=best, argmin_pair=divmod(key, diag.n))
+    return TwoPointReport(best, divmod(key, diag.n), diag.reference or diag)
 
 
 # Curvature-floor activation: squared-curvature excess below this is treated
@@ -643,7 +679,7 @@ def admissible_offset(vertices: np.ndarray) -> float:
     gap is not >= 0 (a NaN gap fails, as it fails chord >= profile), so it
     is the test over all pairs, in one row of each block array.
     """
-    v = np.asarray(vertices, dtype=float)
+    v = validate_vertices(vertices)  # C-ordered, as _geometry needs
     diag = _diagonals(v)
     kappa = _geometry(v).curvature
     if not np.all(kappa > 0.0):

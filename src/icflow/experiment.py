@@ -462,6 +462,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     cross_distances: list[float] = []
     offset: float | None = None
     failure: dict | None = None
+    scan = None  # the last two-point scan, whose chord floors the next one reuses
 
     files = (config.out, config.summary_path())
     try:
@@ -485,11 +486,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         return vertices, metrics
 
     def stats_observer(time, vertices, metrics, document=None):
+        nonlocal scan
         view, view_metrics = monitored_view(vertices, metrics)
+        scan = two_point_gap_scan(view, time, offset, scan)
         rows.append({
             "t": time,
             "length": metrics.total_length,
-            "min_Z": two_point_gap_scan(view, time, offset).min_gap,
+            "min_Z": scan.min_gap,
             "tbar": offset,
             **bounds.snapshot_report(time, view, view_metrics, offset),
         })
@@ -556,6 +559,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 failure = lane("normalized", stats_observer)
             if failure is None:  # else a child is killed and its data dropped
                 failure = lane(last, *observers, stream=stream)
+    scan = None  # the writers below need no block arrays
 
     checks = _evaluate_checks(
         enabled, tolerances, RunSeries(rows, raw_lengths, cross_distances, config.n))

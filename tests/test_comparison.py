@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from icflow import comparison
+from icflow import comparison, flow
 from icflow.comparison import (
     admissible_offset,
     numerator_grid_min,
@@ -1106,6 +1106,131 @@ def test_overflowing_profile_reports_the_first_nan_pair_like_argmin():
     report = two_point_gap_scan(normalized_ellipse(), time=800.0, offset=0.0)
     assert np.isnan(report.min_gap)
     assert report.argmin_pair == (0, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def dense_run():
+    # every snapshot of a dense unnormalized run, rescaled to length 2 pi as
+    # the run monitor sees it, and the run's offset
+    views = []
+    start = make_perturbed_circle(1.0, 256, [0.03, 0.01], [3, 5], seed=5)
+    evolve(initial_state(start, "unnormalized"), StepControl(dt=5e-5), 0.1,
+           observers=[lambda t, v, m: views.append((t, renormalize(v)))],
+           snapshot_interval=1e-3)
+    return tuple(views), admissible_offset(views[0][1])
+
+
+def chained_scans(snapshots, offset, previous=None):
+    # each scan handed the report of the one before, as a run's monitor
+    # hands them, and each the stateless scan's result
+    reports = []
+    for time, v in snapshots:
+        previous = two_point_gap_scan(v, time, offset, previous)
+        fresh = two_point_gap_scan(v, time, offset)
+        assert (repr(previous.min_gap), previous.argmin_pair) == (
+            repr(fresh.min_gap), fresh.argmin_pair)
+        reports.append(previous)
+    return reports
+
+
+def took_full_pass(report, previous):
+    # a full chord-floor pass becomes the reference the next scan reuses
+    return report.reference is not previous.reference
+
+
+def test_reused_scans_match_the_stateless_scan_on_a_dense_run():
+    views, offset = dense_run()
+    reports = chained_scans(views, offset)
+    assert len(reports) == 101
+    full = sum(map(took_full_pass, reports[1:], reports[:-1]))
+    assert 1 <= full <= 10
+    # the run's scans share one set of block arrays
+    assert len({id(r.reference.blocks) for r in reports}) == 1
+
+
+def pushed_circle(n=64, eps=1e-3):
+    # the circle with two antipodal vertices pushed in by eps: the diameter
+    # between them shrinks by about 2 eps, twice the largest vertex move
+    v = make_circle(1.0, n)
+    v[[0, n // 2]] *= 1.0 - eps
+    return renormalize(v)
+
+
+@pytest.mark.parametrize("t", [-50.0, 0.0])
+def test_reused_chord_floors_lie_at_or_below_every_chord_of_their_diagonal(t):
+    reference = comparison._diagonals(normalized_circle(64))
+    v = pushed_circle()
+    diag = comparison._diagonals(v, reference, t)
+    assert diag.reference is reference  # the floors of the long diagonals are stale
+    i, j, chord, _ = triu_pairs(v)
+    lows = np.full(32, np.inf)
+    np.minimum.at(lows, np.minimum(j - i, 64 - (j - i)) - 1, chord)
+    assert np.all(diag.chord_lo <= lows)
+    assert lows[-1] < diag.chord_lo[-1] + 1e-6  # within the slack of 2 delta
+
+
+def test_a_reused_scan_evaluates_what_the_stateless_scan_does(monkeypatch):
+    # the refreshed floors are the diagonals' own, so the exact walk is the
+    # stateless one; only diagonal 1, the upper bound, is evaluated twice
+    views, offset = dense_run()
+    evaluated = count_exact_diagonals(monkeypatch)
+    previous = None
+    for time, v in views:
+        evaluated.clear()
+        two_point_gap_scan(v, time, offset)
+        stateless = len(evaluated)
+        evaluated.clear()
+        previous = two_point_gap_scan(v, time, offset, previous)
+        assert len(evaluated) <= stateless + 1
+
+
+def test_reused_scans_match_the_stateless_scan_across_resamples(monkeypatch):
+    # the 1:2.15 ellipse at n = 61 and dt = 0.01 resamples between snapshots
+    resampled = []
+    resample = flow.resample_uniform
+    monkeypatch.setattr(flow, "resample_uniform",
+                        lambda *args: resampled.append(args[0]) or resample(*args))
+    views = []
+    evolve(initial_state(make_ellipse(1.0, 2.15, 61), "normalized"),
+           StepControl(dt=0.01, resample_every=50), 5.0,
+           observers=[lambda t, v, m: views.append((t, v.copy()))], snapshot_interval=0.1)
+    assert len(resampled) >= 2 and len(views) == 51
+    chained_scans(views, admissible_offset(views[0][1]))
+
+
+def test_a_reference_of_another_n_is_ignored():
+    previous = two_point_gap_scan(normalized_ellipse(256), 0.0, 0.2)
+    [report] = chained_scans([(0.0, normalized_ellipse(257))], 0.2, previous)
+    assert took_full_pass(report, previous)
+    assert report.reference.blocks is not previous.reference.blocks
+
+
+@pytest.mark.parametrize("time", [709.5, 742.0, 800.0])
+def test_a_reused_scan_past_the_overflow_takes_the_full_pass(time):
+    # every gap is -inf or NaN: no bound can prune, even on the same curve
+    v = normalized_ellipse(256)
+    previous = two_point_gap_scan(v, 0.0, 0.0)
+    [report] = chained_scans([(time, v)], 0.0, previous)
+    assert took_full_pass(report, previous)
+
+
+def test_a_far_reference_takes_the_full_pass():
+    # the circle's chord floors bound the ellipse's only less 2 delta
+    previous = two_point_gap_scan(normalized_circle(256), 0.0, 0.2)
+    [report] = chained_scans([(0.0, normalized_ellipse(256))], 0.2, previous)
+    assert took_full_pass(report, previous)
+
+
+def test_a_three_argument_scan_carries_its_own_full_pass():
+    v = normalized_ellipse(256)
+    report = two_point_gap_scan(v, 0.0, 0.2)
+    assert report.reference.reference is None and report.reference.n == 256
+    assert report == comparison.TwoPointReport(report.min_gap, report.argmin_pair)
+
+
+def test_admissible_offset_takes_a_fortran_ordered_curve():
+    v = renormalize(make_ellipse(2.0, 1.0, 64))
+    assert admissible_offset(np.asfortranarray(v)) == admissible_offset(v) == 0.7047154585016385
 
 
 def loop_derivative_cross_check():

@@ -917,6 +917,27 @@ def test_a_crash_of_the_normalized_lane_reaps_the_child(tmp_path, monkeypatch, n
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("mode", ["normalized", "unnormalized", "both"])
+def test_each_scan_of_a_run_is_handed_the_last_one(mode, tmp_path, monkeypatch, no_hang):
+    # the stats monitor passes the previous report positionally, and each
+    # min_Z is the stateless scan's
+    real_scan = experiment.two_point_gap_scan
+    calls = []
+
+    def recording(view, time, offset, *previous):
+        calls.append((previous, real_scan(view, time, offset),
+                      real_scan(view, time, offset, *previous)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(experiment, "two_point_gap_scan", recording)
+    rows = run_experiment(dataclasses.replace(both_mode_config(tmp_path), mode=mode)).rows
+    assert len(calls) == len(rows) == 7
+    handed = [None, *(report for _, _, report in calls[:-1])]
+    assert all(len(previous) == 1 and previous[0] is last
+               for (previous, _, _), last in zip(calls, handed))
+    assert [repr(row["min_Z"]) for row in rows] == [repr(fresh.min_gap) for _, fresh, _ in calls]
+
+
 def config_with_svgs(tmp_path, mode):
     return dataclasses.replace(
         both_mode_config(tmp_path), mode=mode, svg_dir=str(tmp_path / "svg"))
