@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Three subcommands: ``run`` executes a configured experiment, ``verify-profile``
-scans the comparison-profile certificates on a grid, and ``tbar`` prints the
+checks the floats of the comparison profile's closed forms on a grid (the
+identities they rest on are proved by the tests), and ``tbar`` prints the
 admissible offset for a shape.  Exit codes: 0 pass, 1 check failure, 2
 usage/config error, 3 runtime flow error.
 """
@@ -15,12 +16,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .comparison import (
-    derivative_cross_check,
-    numerator_grid_min,
-    profile_residual,
-    residual_certificate_scan,
-)
+from .comparison import numerator_grid_min, profile_residual, residual_certificate_scan
 from .errors import DegenerateCurveError, FlowError, NoAdmissibleOffsetError, ParameterError
 from .experiment import (
     RUN_MODES,
@@ -33,11 +29,6 @@ from .experiment import (
 
 CERTIFICATE_TOL = 1e-8  # permitted dip of any certified minimum below zero
 LIMIT_TOL = 1e-5  # |residual| cap at the left edge of its domain
-DERIVATIVE_TOL = 1e-5  # closed-form vs finite-difference agreement for f
-# Cap on the slope's |fd - closed| / max(1, |closed|): central-difference
-# truncation peaks at 0.195 (h e^{-t})^2 at h = comparison.FD_STEP = 1e-5,
-# 9.4e-3 at t = -10.
-SLOPE_FD_TOL = 1e-2
 MAX_GRID_POINTS = 10**7  # per verify-profile grid axis
 
 
@@ -175,27 +166,20 @@ def _handle_verify_profile(args: argparse.Namespace) -> int:
 
     limit_worst = max(
         abs(float(profile_residual(1e-6, s))) for s in (-3.0, 0.0, 3.0))
-    mismatch, mismatch_at = derivative_cross_check()
 
     at = " at (x, t) = (%.17g, %.17g)"
     # printed label, violation label, value, where it sits, and the interval
     # the value must lie in; a value passes only when it is also finite, so
-    # that NaN, an overflowed +inf and the inf of an empty minimum all fail
+    # that NaN and an overflowed +inf fail
     table = (
         ("residual min", "residual", certificate.min_residual,
          at % certificate.min_residual_at, -CERTIFICATE_TOL, math.inf),
-        ("residual slope min (fd)", "fd slope", certificate.min_slope_fd,
-         at % certificate.min_slope_fd_at, -CERTIFICATE_TOL, math.inf),
         ("residual slope min", "closed-form slope", certificate.min_slope_closed,
          at % certificate.min_slope_closed_at, -CERTIFICATE_TOL, math.inf),
-        ("slope fd mismatch", "slope fd mismatch", certificate.max_slope_mismatch, "",
-         -math.inf, SLOPE_FD_TOL),
         ("A-polynomial min", "A-polynomial", numerator_min,
          " at (z, alpha) = (%.17g, %.17g)" % numerator_at, -CERTIFICATE_TOL, math.inf),
         ("limit residual max", "limit residual", limit_worst,
          " over t in {-3, 0, 3} at x = 1e-06", -math.inf, LIMIT_TOL),
-        ("derivative mismatch", "derivative mismatch", mismatch,
-         " (%s at x = %.17g, t = %.17g)" % mismatch_at, -math.inf, DERIVATIVE_TOL),
     )
     violations = []
     for label, name, value, where, lowest, highest in table:

@@ -7,14 +7,14 @@ The profile
 is a lower barrier for chord lengths: on a suitably offset time scale, the
 chord between any two points of the evolving curve stays above the profile
 evaluated at their (shorter) arc distance.  This module evaluates the
-profile, its derivatives, the residual of the barrier operator
+profile and the residual of the barrier operator
 
     residual = (profile_x^2 - 1)/profile_xx - profile - profile_t
 
-together with the positivity certificates for the residual and its x-slope
-and a closed-form versus finite-difference check of the derivatives,
-computes the admissible time offset for a concrete curve, and scans the
-two-point gap
+in a simplified closed form, together with the grid minima of the residual
+and of its closed-form x-slope (the tests prove both closed forms
+symbolically), computes the admissible time offset for a concrete curve,
+and scans the two-point gap
 
     gap(i, j) = chord(i, j) - profile(arc(i, j), t - offset)
 
@@ -48,14 +48,7 @@ from .curves import BLOCK_PAIRS, _geometry, _validated_edges, validate_vertices
 from .errors import NoAdmissibleOffsetError, ParameterError
 from .forked import forked
 
-# Below this argument the direct arctan(w) - w/(1+w^2) suffers cancellation;
-# switch to the leading terms of its power series.
-_SMALL_ARG = 1e-2
-
 _DOMAIN_SLACK = 1e-12
-
-FD_STEP = 1e-5  # the certificate scan's central-difference step (cli.SLOPE_FD_TOL)
-CROSS_CHECK_STEP = 1e-4  # derivative_cross_check's central-difference step
 
 
 def _as_domain(x, lo: float, hi: float, label: str) -> np.ndarray:
@@ -85,48 +78,6 @@ def profile_value(x, t):
     xa = _as_domain(x, 0.0, 2.0 * np.pi, "x")
     ta = np.asarray(t, dtype=float)
     return _maybe_scalar(np.asarray(_profile_of_z(np.sin(0.5 * xa), ta)), x, t)
-
-
-def profile_dx(x, t):
-    """d(profile)/dx = cos(x/2) / (1 + e^{-2t} sin^2(x/2))."""
-    xa = _as_domain(x, 0.0, 2.0 * np.pi, "x")
-    ta = np.asarray(t, dtype=float)
-    z2 = np.sin(0.5 * xa) ** 2
-    alpha = np.exp(-2.0 * ta)
-    out = np.cos(0.5 * xa) / (1.0 + alpha * z2)
-    return _maybe_scalar(np.asarray(out), x, t)
-
-
-def profile_dxx(x, t):
-    """Second x-derivative of the profile; strictly negative on (0, pi)."""
-    xa = _as_domain(x, 0.0, 2.0 * np.pi, "x")
-    ta = np.asarray(t, dtype=float)
-    z = np.sin(0.5 * xa)
-    c2 = np.cos(0.5 * xa) ** 2
-    q = 1.0 + np.exp(-2.0 * ta) * z * z
-    out = -0.5 * z / q - np.exp(-2.0 * ta) * c2 * z / (q * q)
-    return _maybe_scalar(np.asarray(out), x, t)
-
-
-def profile_dt(x, t):
-    """Time derivative 2 e^t g(e^{-t} sin(x/2)) with g(w) = arctan w - w/(1+w^2).
-
-    g is evaluated by its series 2w^3/3 - 4w^5/5 + 6w^7/7 for small w, where
-    the direct difference would cancel catastrophically.  Non-negative for
-    x in [0, 2pi]: the profile only rises with t.
-    """
-    xa = _as_domain(x, 0.0, 2.0 * np.pi, "x")
-    ta = np.asarray(t, dtype=float)
-    z = np.sin(0.5 * xa)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = np.exp(-ta) * z
-        small = np.abs(w) < _SMALL_ARG
-        ws = np.where(small, w, 0.0)
-        series = ws**3 * (2.0 / 3.0 + ws * ws * (-4.0 / 5.0 + ws * ws * (6.0 / 7.0)))
-        wb = np.where(small, 1.0, w)
-        direct = np.arctan(wb) - wb / (1.0 + wb * wb)
-        out = 2.0 * np.exp(ta) * np.where(small, series, direct)
-    return _maybe_scalar(np.asarray(out), x, t)
 
 
 def _work_arrays(count: int, *operands) -> list:
@@ -170,7 +121,7 @@ def _residual_dx_of_z(z2, c, alpha, work):
     c = cos(x/2) and alpha = e^{-2t}, with A residual_dx_numerator's
     polynomial and q, p as in _residual_of_z, in the three arrays of work,
     the result in the first.  A holds alpha^5: it overflows below about
-    t = -70.9 (the fd mismatch verdict fails below -10.03)."""
+    t = -70.9, where the slope reads inf or NaN."""
     r, a, b = work
     with np.errstate(over="ignore", invalid="ignore"):
         _numerator_of_z2(z2, alpha, r)
@@ -246,23 +197,20 @@ def residual_dx_numerator(z, alpha):
 
 @dataclass(frozen=True)
 class ProfileCertificate:
-    """Grid minima backing the positivity claims about the residual.
+    """Grid minima of the residual and of its closed-form x-slope, and
+    where they sit as (x, t).
 
-    min_residual / min_slope_closed are minima of the closed forms over the
-    full grid; min_slope_fd is the minimum of central finite differences of
-    the residual (where the x +/- FD_STEP stencil stays inside (0, pi]);
-    max_slope_mismatch is the worst disagreement between the finite
-    difference and the closed-form slope, |fd - closed| / max(1, |closed|),
-    which checks the slope's A-polynomial against the residual itself.
+    The grid checks the floats of the closed forms: that they stay finite
+    and nonnegative.  The sign claims are theorems, which the tests prove
+    exactly: the residual's closed form is the barrier operator of the
+    profile, the slope's is its x-derivative, and the slope's numerator is
+    positive (README, "What the certificates prove").
     """
 
     min_residual: float
     min_residual_at: tuple[float, float]
-    min_slope_fd: float
-    min_slope_fd_at: tuple[float, float]
     min_slope_closed: float
     min_slope_closed_at: tuple[float, float]
-    max_slope_mismatch: float
 
 
 def _fold_argmin(best, values: np.ndarray, start: int):
@@ -279,19 +227,17 @@ def _fold_argmin(best, values: np.ndarray, start: int):
 
 
 def residual_certificate_scan(x_values: np.ndarray, t_values: np.ndarray) -> ProfileCertificate:
-    """Scan the residual and its x-slope over an (x, t) grid.
+    """Scan the residual and its closed-form x-slope over an (x, t) grid.
 
     The t-independent factors sin(x/2), cos(x/2) and sin^2(x/2) are
-    computed once, for x and for the stencil points x +/- FD_STEP; the
-    grid is then evaluated in blocks of t-rows (about BLOCK_PAIRS values
-    each, at least one row) in five reused block arrays, so memory stays at
-    a few blocks and no block allocates its temporaries.  Every value
-    is the float that profile_residual and _residual_dx_of_z give at
-    that (x, t).  Each minimum and its location follow np.argmin over the
-    grid in (t, x) order: the first exact minimum, or the first NaN if any
-    value is NaN, and max_slope_mismatch is NaN if any mismatch is.  An
-    overflowed value reads +inf or NaN, and an empty stencil's fd minimum
-    +inf at (nan, nan): verify-profile passes only finite values.  Raises
+    computed once; the grid is then evaluated in blocks of t-rows (about
+    BLOCK_PAIRS values each, at least one row) in three reused block
+    arrays, so memory stays at a few blocks and no block allocates its
+    temporaries.  Every value is the float that profile_residual and
+    _residual_dx_of_z give at that (x, t).  Each minimum and its location
+    follow np.argmin over the grid in (t, x) order: the first exact
+    minimum, or the first NaN if any value is NaN.  An overflowed value
+    reads +inf or NaN: verify-profile passes only finite values.  Raises
     if any x lies outside (0, pi].
 
     With os.fork and at least two blocks, the scan uses two cores (forked):
@@ -305,46 +251,22 @@ def residual_certificate_scan(x_values: np.ndarray, t_values: np.ndarray) -> Pro
         raise ParameterError("empty certification grid")
     if np.any(x <= 0.0) or np.any(x > np.pi + _DOMAIN_SLACK):
         raise ParameterError("residual grid requires x in (0, pi]")
-    h = FD_STEP
-    stencil = (x - h > 0.0) & (x + h <= np.pi + _DOMAIN_SLACK)
-    xs = x[stencil]
-
     z, c = np.sin(0.5 * x), np.cos(0.5 * x)
     z2 = z * z
-    z_plus, z_minus = np.sin(0.5 * (xs + h)), np.sin(0.5 * (xs - h))
-    z2_plus, z2_minus = z_plus * z_plus, z_minus * z_minus
     rows = max(1, BLOCK_PAIRS // x.size)
 
     def scan(r0, r1):
-        """The minima (value, flat index) of the residual, the fd slope, the
-        closed-form slope and the negated mismatch over the blocks of rows
-        r0:r1: the largest mismatch, or a NaN, is the smallest negation."""
-        best = [(np.inf, -1)] * 4
-        # five block arrays, whose leading entries every block reuses; once
-        # the slope is in the first, the other four hold the stencil values
-        buffers = [np.empty(min(rows, t.size) * x.size) for _ in range(5)]
+        """The minima (value, flat index) of the residual and of the
+        closed-form slope over the blocks of rows r0:r1."""
+        best = [(np.inf, -1)] * 2
+        # three block arrays, whose leading entries every block reuses
+        buffers = [np.empty(min(rows, t.size) * x.size) for _ in range(3)]
         for row0 in range(r0, r1, rows):
             tb = t[row0:row0 + rows, None]
             alpha = _alpha(tb)
-            work = [buf[:tb.size * x.size].reshape(tb.size, x.size) for buf in buffers[:3]]
+            work = [buf[:tb.size * x.size].reshape(tb.size, x.size) for buf in buffers]
             best[0] = _fold_argmin(best[0], _residual_of_z(z, z2, alpha, tb, work), row0 * x.size)
-            closed = _residual_dx_of_z(z2, c, alpha, work)
-            best[2] = _fold_argmin(best[2], closed, row0 * x.size)
-            if xs.size:
-                plus, minus, a, b = (
-                    buf[:tb.size * xs.size].reshape(tb.size, xs.size) for buf in buffers[1:])
-                fd = _residual_of_z(z_plus, z2_plus, alpha, tb, (plus, a, b))
-                # inf - inf where the residual overflows: the NaN is a violation
-                with np.errstate(invalid="ignore"):
-                    np.subtract(fd, _residual_of_z(z_minus, z2_minus, alpha, tb, (minus, a, b)),
-                                out=fd)
-                    np.divide(fd, 2.0 * h, out=fd)
-                    best[1] = _fold_argmin(best[1], fd, row0 * xs.size)
-                    np.compress(stencil, closed, axis=1, out=minus)
-                    np.subtract(fd, minus, out=fd)
-                    np.maximum(np.abs(minus, out=minus), 1.0, out=minus)
-                    np.divide(np.abs(fd, out=fd), np.negative(minus, out=minus), out=fd)
-                best[3] = _fold_argmin(best[3], fd, 0)
+            best[1] = _fold_argmin(best[1], _residual_dx_of_z(z2, c, alpha, work), row0 * x.size)
         return best
 
     split = rows * ((t.size + rows - 1) // rows // 2)  # a block boundary, 0 below two blocks
@@ -356,40 +278,11 @@ def residual_certificate_scan(x_values: np.ndarray, t_values: np.ndarray) -> Pro
     else:
         found = scan(0, t.size)
 
-    def located(best, grid):
-        ti, xi = divmod(best[1], grid.size or 1)
-        return best[0], (np.nan, np.nan) if ti < 0 else (float(grid[xi]), float(t[ti]))
+    def located(best):
+        ti, xi = divmod(best[1], x.size)
+        return best[0], (float(x[xi]), float(t[ti]))
 
-    return ProfileCertificate(
-        *located(found[0], x), *located(found[1], xs), *located(found[2], x),
-        # 0 - min(v, 0) keeps a NaN, and reads 0 for an empty stencil's inf
-        max_slope_mismatch=0.0 - min(found[3][0], 0.0),
-    )
-
-
-def derivative_cross_check():
-    """Worst disagreement between closed-form and central-difference
-    derivatives of the profile (step CROSS_CHECK_STEP), over a grid away
-    from the domain edges.
-
-    Returns the worst gap and where it sits, as (name, x, t) with name one
-    of "dx", "dxx", "dt".  The gaps are searched in (t, name, x) order by
-    one np.argmax: the first largest gap, or the first NaN if any is NaN.
-    """
-    step = CROSS_CHECK_STEP
-    x = np.linspace(0.05, 2.0 * np.pi - 0.05, 61)
-    t = np.linspace(-2.0, 2.0, 17)[:, None]
-    plus = profile_value(x + step, t)
-    minus = profile_value(x - step, t)
-    mid = profile_value(x, t)
-    gaps = np.abs(np.stack([
-        (plus - minus) / (2.0 * step) - profile_dx(x, t),
-        (plus - 2.0 * mid + minus) / step ** 2 - profile_dxx(x, t),
-        (profile_value(x, t + step) - profile_value(x, t - step)) / (2.0 * step)
-        - profile_dt(x, t),
-    ], axis=1))
-    ti, name, xi = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
-    return float(gaps[ti, name, xi]), (("dx", "dxx", "dt")[name], float(x[xi]), float(t[ti, 0]))
+    return ProfileCertificate(*located(found[0]), *located(found[1]))
 
 
 def numerator_grid_min(z_values, alphas) -> tuple[float, tuple[float, float]]:
@@ -638,8 +531,10 @@ def two_point_gap_scan(vertices: np.ndarray, time: float, offset: float,
     return TwoPointReport(best, divmod(key, diag.n), diag.reference or diag)
 
 
-# Curvature-floor activation: squared-curvature excess below this is treated
-# as roundoff (an exact polygonal circle measures kappa = 1 to ~1e-15).
+# Curvature-floor activation: squared-curvature excess below this, or below
+# the estimator's roundoff 20 eps (n / 2 pi)^2 where that is larger, is
+# treated as roundoff.  A regular n-gon has kappa = sin(pi/n)/(pi/n) < 1, but
+# measures kappa_max - 1 = +1.2e-8 at n = 32768.
 _FLOOR_ACTIVATION = 1e-9
 # admissible_offset's search interval and its bisection tolerance
 OFFSET_BRACKET = (-50.0, 50.0)
@@ -663,8 +558,8 @@ def admissible_offset(vertices: np.ndarray) -> float:
     Without the floor a discrete scan systematically underestimates the
     offset on curves with curvature above 1 and the downstream sup-bound
     monitor starts from a violated state.  Curves with max curvature <= 1
-    (circles) have an inactive floor and return lo, every offset being
-    pair-feasible for them.
+    up to roundoff (_FLOOR_ACTIVATION; circles at any n) have an inactive
+    floor and return lo, every offset being pair-feasible for them.
 
     The floor is decided first: after the test of hi, one test at
     max(lo, floor) settles every curve whose floor binds.  Only if it fails
@@ -707,7 +602,8 @@ def admissible_offset(vertices: np.ndarray) -> float:
             f"no admissible offset in [{lo}, {hi}]: upper endpoint infeasible")
     floor = lo
     excess = kappa_max * kappa_max - 1.0
-    if excess > _FLOOR_ACTIVATION:
+    roundoff = 20.0 * float(np.finfo(float).eps) * (v.shape[0] / (2.0 * np.pi)) ** 2
+    if excess > max(_FLOOR_ACTIVATION, roundoff):
         floor = max(lo, float(0.5 * np.log(0.5 * excess)))
         if floor > hi:
             raise NoAdmissibleOffsetError(

@@ -17,9 +17,6 @@ from icflow import comparison, flow
 from icflow.comparison import (
     admissible_offset,
     numerator_grid_min,
-    profile_dt,
-    profile_dx,
-    profile_dxx,
     profile_residual,
     profile_value,
     residual_certificate_scan,
@@ -46,14 +43,6 @@ PROFILE_VALUES = [
     (np.pi, -25.0, 4.3630262419252657e-11),
 ]
 
-PROFILE_DT_VALUES = [
-    (0.002, 3.0, 3.3050012398899866e-12),
-    (1.3, 0.4, 0.11051636546010161),
-    # straddle the series/direct switch at w = 1e-2
-    (0.0199, 0.0, 1.3132121410985413e-06),
-    (0.0201, 0.0, 1.3532011427662094e-06),
-]
-
 RESIDUAL_VALUES = [
     (0.5, -1.0, 0.086821104336009917),
     (np.pi, 0.0, 1.8584073464102068),
@@ -64,16 +53,6 @@ RESIDUAL_VALUES = [
 @pytest.mark.parametrize("x,t,expected", PROFILE_VALUES)
 def test_profile_value_matches_reference(x, t, expected):
     assert profile_value(x, t) == pytest.approx(expected, rel=1e-14)
-
-
-@pytest.mark.parametrize("x,t,expected", PROFILE_DT_VALUES)
-def test_profile_dt_matches_reference(x, t, expected):
-    assert profile_dt(x, t) == pytest.approx(expected, rel=1e-13)
-
-
-def test_profile_first_and_second_derivatives_match_reference():
-    assert profile_dx(2.0, 0.3) == pytest.approx(0.38909889223218208, rel=1e-14)
-    assert profile_dxx(2.0, 0.3) == pytest.approx(-0.37290975542668178, rel=1e-14)
 
 
 @pytest.mark.parametrize("x,t,expected", RESIDUAL_VALUES)
@@ -100,42 +79,6 @@ def test_profile_approaches_chord_profile_for_large_time():
     x = np.linspace(0.2, np.pi, 40)
     gap = np.abs(profile_value(x, 30.0) - 2 * np.sin(x / 2))
     assert np.max(gap) < 1e-12
-
-
-def test_profile_derivatives_agree_with_finite_differences():
-    xs = np.linspace(0.3, np.pi - 0.1, 9)
-    ts = np.linspace(-1.5, 1.5, 7)
-    h = 1e-6  # first derivatives: truncation and roundoff both ~1e-10
-    h2 = 1e-4  # second derivative: roundoff scales like eps/h^2
-    worst_first = 0.0
-    worst_second = 0.0
-    for x in xs:
-        for t in ts:
-            fd_x = (profile_value(x + h, t) - profile_value(x - h, t)) / (2 * h)
-            fd_xx = (
-                profile_value(x + h2, t)
-                - 2 * profile_value(x, t)
-                + profile_value(x - h2, t)
-            ) / h2**2
-            fd_t = (profile_value(x, t + h) - profile_value(x, t - h)) / (2 * h)
-            worst_first = max(worst_first, abs(fd_x - profile_dx(x, t)))
-            worst_first = max(worst_first, abs(fd_t - profile_dt(x, t)))
-            worst_second = max(worst_second, abs(fd_xx - profile_dxx(x, t)))
-    assert worst_first < 1e-7
-    assert worst_second < 1e-6
-
-
-def test_residual_is_the_barrier_operator_of_the_derivatives():
-    # the residual the certificate scans, against the operator applied to
-    # the derivatives that derivative_cross_check certifies; relative to
-    # max(1, |operator|) as the slope mismatch is, since the residual falls
-    # to 0 at x = 0 and the operator's terms there cancel to ~1e-14
-    x = np.linspace(0.05, np.pi, 80)
-    t = np.linspace(-5.0, 5.0, 41)[:, None]
-    operator = ((profile_dx(x, t) ** 2 - 1.0) / profile_dxx(x, t)
-                - profile_value(x, t) - profile_dt(x, t))
-    error = np.abs(profile_residual(x, t) - operator) / np.maximum(1.0, np.abs(operator))
-    assert np.max(error) < 1e-12
 
 
 def test_profile_is_accurate_at_strongly_negative_t():
@@ -252,10 +195,73 @@ def test_profile_certificate_has_an_exact_proof():
     assert (g - 2 * a**2 * u).in_u(1) == (a * (8 + 23 * a + 16 * a**2)).in_u(0)
 
 
+def test_residual_is_the_barrier_operator_symbolically():
+    # the formula of _residual_of_z, which profile_residual evaluates float
+    # for float (test_residual_and_slope_keep_their_first_written_formulas),
+    # is (f_x^2 - 1)/f_xx - f - f_t of the profile f: with z = sin(x/2),
+    # c = cos(x/2) and w = e^{-t} the arctan terms cancel, and the numerator
+    # of the difference vanishes modulo c^2 + z^2 - 1
+    import sympy
+
+    x, t = sympy.symbols("x t", real=True)
+    f = 2 * sympy.exp(t) * sympy.atan(sympy.exp(-t) * sympy.sin(x / 2))
+    operator = (sympy.diff(f, x) ** 2 - 1) / sympy.diff(f, x, 2) - f - sympy.diff(f, t)
+    z, c, w = sympy.symbols("z c w", positive=True)
+    alpha = w**2
+    p, q = 1 + 2 * alpha - alpha * z**2, 1 + alpha * z**2
+    formula = 2 * z * (1 + 2 * alpha + alpha**2 * z**2) / p - 2 * f + 2 * z / q
+    difference = (operator - formula).subs(
+        {sympy.sin(x / 2): z, sympy.cos(x / 2): c, sympy.exp(-t): w, sympy.exp(t): 1 / w})
+    assert difference.free_symbols == {z, c, w} and not difference.has(sympy.atan)
+    numerator, _ = sympy.fraction(sympy.together(difference))
+    assert sympy.rem(sympy.expand(numerator), c**2 + z**2 - 1, c) == 0
+
+
+# (x, t) points from the left endpoint to pi, where the residual's terms
+# range from e^{-t} large (t = -12) to nearly cancelling (t = 20)
+OPERATOR_POINTS = [(1e-3, 0.0), (0.05, -5.0), (0.5, -1.0), (1.0, 0.0), (2.0, 0.3),
+                   (3.0, 2.0), (np.pi, -3.0), (1.5, 8.0), (0.3, -12.0), (2.5, 20.0)]
+
+
+def barrier_operator_at_50_digits(x, t):
+    # (f_x^2 - 1)/f_xx - f - f_t of the profile as mpmath differentiates
+    # it, and the operator's x-derivative, with no package formula reused
+    import mpmath
+
+    with mpmath.workdps(50):
+        def f(xv, tv):
+            return 2 * mpmath.exp(tv) * mpmath.atan(mpmath.exp(-tv) * mpmath.sin(xv / 2))
+
+        def operator(xv):
+            fx = mpmath.diff(lambda s: f(s, t), xv)
+            fxx = mpmath.diff(lambda s: f(s, t), xv, 2)
+            ft = mpmath.diff(lambda s: f(xv, s), t)
+            return (fx**2 - 1) / fxx - f(xv, t) - ft
+
+        x, t = mpmath.mpf(x), mpmath.mpf(t)
+        return float(operator(x)), float(mpmath.diff(operator, x))
+
+
+def assert_within_terms(value, reference):
+    # the residual cancels terms of size max(1, |residual|) to about an ulp
+    assert abs(value - reference) <= 1e-14 * max(1.0, abs(reference))
+
+
+@pytest.mark.parametrize("x,t", OPERATOR_POINTS)
+def test_residual_is_the_barrier_operator_at_50_digits(x, t):
+    assert_within_terms(float(profile_residual(x, t)), barrier_operator_at_50_digits(x, t)[0])
+
+
+@pytest.mark.parametrize("x,t", OPERATOR_POINTS)
+def test_closed_form_slope_is_the_operators_x_derivative_at_50_digits(x, t):
+    assert_within_terms(float(residual_slope(x, t)), barrier_operator_at_50_digits(x, t)[1])
+
+
 def test_residual_slope_identity_holds_symbolically():
     # d(residual)/dx = cos(x/2) A / (q p)^2, with dz/dx = cos(x/2) / 2 and
     # d/dz of 4 e^t arctan(e^{-t} z) = 4 / q: an identity of rational functions
-    sympy = pytest.importorskip("sympy")
+    import sympy
+
     z, w = sympy.symbols("z w", positive=True)  # w = e^{-t}
     alpha = w**2
     p, q = 1 + 2 * alpha - alpha * z**2, 1 + alpha * z**2
@@ -270,9 +276,7 @@ def test_certificate_scan_reports_clean_grid():
     t = np.linspace(-3.0, 3.0, 25)
     cert = residual_certificate_scan(x, t)
     assert cert.min_residual >= -1e-10
-    assert cert.min_slope_fd >= -1e-8
     assert cert.min_slope_closed >= -1e-10
-    assert cert.max_slope_mismatch < 1e-6
     x_at, t_at = cert.min_residual_at
     assert 0.05 <= x_at <= np.pi
     assert -3.0 <= t_at <= 3.0
@@ -337,12 +341,9 @@ def test_residual_and_slope_keep_their_first_written_formulas():
 
 
 def loop_certificate_scan(x, t):
-    # the per-t scan as first written: five profile evaluations per t, and
-    # a row whose argmin is NaN never replaces the running minimum
-    h = comparison.FD_STEP
-    xs = x[(x - h > 0.0) & (x + h <= np.pi + 1e-12)]
-    res_min, fd_min, closed_min = ([np.inf, (np.nan, np.nan)] for _ in range(3))
-    mismatch = 0.0
+    # the per-t scan as first written, and a row whose argmin is NaN never
+    # replaces the running minimum
+    res_min, closed_min = ([np.inf, (np.nan, np.nan)] for _ in range(2))
 
     def fold(best, values, grid, tv):
         i = int(np.argmin(values))
@@ -352,38 +353,30 @@ def loop_certificate_scan(x, t):
     for tv in t:
         fold(res_min, profile_residual(x, tv), x, tv)
         fold(closed_min, residual_slope(x, tv), x, tv)
-        if xs.size:
-            fd = (profile_residual(xs + h, tv) - profile_residual(xs - h, tv)) / (2.0 * h)
-            fold(fd_min, fd, xs, tv)
-            closed = residual_slope(xs, tv)
-            mismatch = max(mismatch, float(np.max(
-                np.abs(fd - closed) / np.maximum(np.abs(closed), 1.0))))
-    return comparison.ProfileCertificate(*res_min, *fd_min, *closed_min, mismatch)
+    return comparison.ProfileCertificate(*res_min, *closed_min)
 
 
 SCAN_GRIDS = {
     # 23 t-rows, so blocks of 7, 10 and 64 rows end in a partial block; x
-    # holds pi exactly and a point closer to 0 than FD_STEP, so the stencil
-    # drops both ends
+    # holds pi exactly and a point near 0
     "ragged_pi": (np.concatenate([[4e-6], np.linspace(0.05, np.pi, 96)]),
-                  np.linspace(-3.0, 3.0, 23), 1e-5),
-    # FD_STEP wider than the x range: the stencil is empty
-    "empty_stencil": (np.linspace(0.1, 3.0, 50), np.linspace(-1.0, 1.0, 9), 10.0),
+                  np.linspace(-3.0, 3.0, 23)),
     # e^{-t} sin(x/2) passes 1e8, where arctan is within an ulp of pi/2
-    "large_arg": (np.arange(0.5, 1.0 + 1e-12, 0.01), np.arange(-30.0, 30.0 + 1e-9, 0.7), 1e-5),
+    "large_arg": (np.arange(0.5, 1.0 + 1e-12, 0.01), np.arange(-30.0, 30.0 + 1e-9, 0.7)),
     # exact ties: far out in t the residual rounds to the same few values
-    "ties": (np.linspace(0.2, np.pi, 60), np.linspace(35.0, 45.0, 11), 1e-5),
+    "ties": (np.linspace(0.2, np.pi, 60), np.linspace(35.0, 45.0, 11)),
     # more x points than a block holds: one t-row per block
     "one_row": (np.linspace(1e-3, np.pi, comparison.BLOCK_PAIRS + 7),
-                np.array([-1.0, 0.0, 2.5]), 1e-5),
+                np.array([-1.0, 0.0, 2.5])),
+    # one x, pi itself, where the slope is 0 and the residual 5 - pi at t = 0
+    "one_column": (np.array([np.pi]), np.linspace(-1.0, 1.0, 9)),
 }
 
 
 @pytest.mark.parametrize("rows", [None, 1, 7, 10, 64])
 @pytest.mark.parametrize("name", sorted(SCAN_GRIDS))
 def test_blocked_certificate_scan_is_bit_identical_to_the_per_t_loop(name, rows, monkeypatch):
-    x, t, h = SCAN_GRIDS[name]
-    monkeypatch.setattr(comparison, "FD_STEP", h)
+    x, t = SCAN_GRIDS[name]
     if rows is not None:
         monkeypatch.setattr(comparison, "BLOCK_PAIRS", rows * x.size)
     assert residual_certificate_scan(x, t) == loop_certificate_scan(x, t)
@@ -399,34 +392,22 @@ def test_certificate_scan_reports_the_first_nan_like_argmin(rows, monkeypatch):
     t = np.array([0.0, -400.0, 1.0])
     cert = residual_certificate_scan(x, t)
     for value, at in [(cert.min_residual, cert.min_residual_at),
-                      (cert.min_slope_fd, cert.min_slope_fd_at),
                       (cert.min_slope_closed, cert.min_slope_closed_at)]:
         assert np.isnan(value)
         assert at == (0.05, -400.0)
-    assert np.isnan(cert.max_slope_mismatch)
     assert not np.isnan(loop_certificate_scan(x, t).min_residual)
 
 
 def argmin_certificate_scan(x, t):
-    # the certificate as np.argmin and np.max over whole (t, x) arrays, NaN
-    # rules included
-    h = comparison.FD_STEP
-    xs = x[(x - h > 0.0) & (x + h <= np.pi + 1e-12)]
+    # the certificate as np.argmin over whole (t, x) arrays, NaN rule included
     tc = t[:, None]
-    with np.errstate(all="ignore"):
-        fd = (profile_residual(xs + h, tc) - profile_residual(xs - h, tc)) / (2.0 * h)
-        closed = residual_slope(xs, tc)
-        mismatch = np.abs(fd - closed) / np.maximum(np.abs(closed), 1.0)
 
-    def first_min(values, grid):
-        if not values.size:  # an empty stencil
-            return np.inf, (np.nan, np.nan)
-        ti, xi = divmod(int(np.argmin(values)), grid.size)
-        return float(values[ti, xi]), (float(grid[xi]), float(t[ti]))
+    def first_min(values):
+        ti, xi = divmod(int(np.argmin(values)), x.size)
+        return float(values[ti, xi]), (float(x[xi]), float(t[ti]))
 
     return comparison.ProfileCertificate(
-        *first_min(profile_residual(x, tc), x), *first_min(fd, xs),
-        *first_min(residual_slope(x, tc), x), float(np.max(mismatch, initial=0.0)))
+        *first_min(profile_residual(x, tc)), *first_min(residual_slope(x, tc)))
 
 
 def count_forks(monkeypatch):
@@ -456,8 +437,7 @@ def forked_and_inline_scans(x, t, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(SCAN_GRIDS))
 def test_forked_scan_is_bit_identical_to_one_process_and_the_loop(name, monkeypatch):
-    x, t, h = SCAN_GRIDS[name]
-    monkeypatch.setattr(comparison, "FD_STEP", h)
+    x, t = SCAN_GRIDS[name]
     if name != "one_row":  # whose x alone fills a block
         # about four blocks, so that the split falls mid-grid
         monkeypatch.setattr(comparison, "BLOCK_PAIRS", max(1, t.size // 4) * x.size)
@@ -582,6 +562,15 @@ def test_two_point_gap_goes_negative_for_premature_offset():
 
 def test_admissible_offset_saturates_at_lower_bracket_on_circle():
     assert admissible_offset(normalized_circle()) == -50.0
+
+
+def test_a_fine_circle_gets_no_floor_from_curvature_roundoff():
+    # the exact curvature sin(pi/n)/(pi/n) is below 1, but the estimator
+    # measured kappa_max - 1 = +1.2e-8 here, past _FLOOR_ACTIVATION, and
+    # the floor put the offset at -9.13
+    v = normalized_circle(32768)
+    assert np.max(compute_metrics(v).curvature) ** 2 - 1.0 > comparison._FLOOR_ACTIVATION
+    assert admissible_offset(v) == -50.0
 
 
 def test_admissible_offset_on_ellipse_matches_curvature_floor():
@@ -1231,66 +1220,3 @@ def test_a_three_argument_scan_carries_its_own_full_pass():
 def test_admissible_offset_takes_a_fortran_ordered_curve():
     v = renormalize(make_ellipse(2.0, 1.0, 64))
     assert admissible_offset(np.asfortranarray(v)) == admissible_offset(v) == 0.7047154585016385
-
-
-def loop_derivative_cross_check():
-    # the per-t loop that derivative_cross_check replaced, as the reference
-    step = comparison.CROSS_CHECK_STEP
-    x = np.linspace(0.05, 2.0 * np.pi - 0.05, 61)
-    worst, where = 0.0, ("dx", 0.0, 0.0)
-    for t in np.linspace(-2.0, 2.0, 17):
-        plus, minus = profile_value(x + step, t), profile_value(x - step, t)
-        candidates = (
-            ("dx", (plus - minus) / (2.0 * step), comparison.profile_dx(x, t)),
-            ("dxx", (plus - 2.0 * profile_value(x, t) + minus) / step ** 2,
-             comparison.profile_dxx(x, t)),
-            ("dt", (profile_value(x, t + step) - profile_value(x, t - step)) / (2.0 * step),
-             comparison.profile_dt(x, t)),
-        )
-        for name, approx, exact in candidates:
-            gaps = np.abs(approx - exact)
-            k = int(np.argmax(gaps))
-            if not (gaps[k] <= worst or np.isnan(worst)):
-                worst, where = float(gaps[k]), (name, float(x[k]), float(t))
-    return worst, where
-
-
-def _closed_form_patched(name, value, column, t_min):
-    # the closed form `name` with `value` at x[column] for every t >= t_min
-    closed_form = getattr(comparison, name)
-
-    def patched(x, t):
-        out = np.array(closed_form(x, t))
-        hit = np.broadcast_to(np.asarray(t) >= t_min, out.shape)[..., column]
-        out[..., column] = np.where(hit, value, out[..., column])
-        return out
-    return name, patched
-
-
-@pytest.mark.parametrize("patches", [
-    [],
-    [_closed_form_patched("profile_dxx", np.nan, 5, 0.5)],
-    # inf gaps tie; the first in (t, name, x) order wins, here dt's at t = 0
-    [_closed_form_patched("profile_dt", -np.inf, 7, 0.0),
-     _closed_form_patched("profile_dx", np.inf, 3, 1.0)],
-], ids=["plain", "nan", "inf_ties"])
-def test_derivative_cross_check_matches_the_per_t_loop(patches, monkeypatch):
-    for name, patched in patches:
-        monkeypatch.setattr(comparison, name, patched)
-    assert repr(comparison.derivative_cross_check()) == repr(loop_derivative_cross_check())
-
-
-def test_derivative_cross_check_reports_a_nan_gap(monkeypatch):
-    # np.argmax finds a NaN gap, and the comparison with the worst gap so far
-    # once dropped it; the closed form receives every t as a column
-    closed_form = comparison.profile_dxx
-
-    def nan_at_the_sixth_x(x, t):
-        out = np.array(closed_form(x, t))
-        out[..., 5] = np.nan
-        return out
-
-    monkeypatch.setattr(comparison, "profile_dxx", nan_at_the_sixth_x)
-    worst, where = comparison.derivative_cross_check()
-    assert np.isnan(worst)
-    assert where == ("dxx", np.linspace(0.05, 2.0 * np.pi - 0.05, 61)[5], -2.0)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from icflow import bounds, cli, curves, experiment, flow
-from icflow.comparison import residual_certificate_scan
 from icflow.curves import MAX_VERTICES, compute_metrics, make_ellipse
 from icflow.errors import ParameterError, StepRejectedError
 from icflow.experiment import (
@@ -581,52 +580,54 @@ def test_cli_verify_profile_fails_on_an_overflowed_grid(t, capsys):
     assert "all profile certificates hold" not in out
 
 
+def violations(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith("violation:")]
+
+
 @pytest.mark.parametrize("flags,violation", [
     # every residual overflows to +inf, which once lay in [-tol, inf]
     (["--t-min", "-300", "--t-max", "-300"], "residual inf at (x, t) = (0.001, -300)"),
-    # no x admits the fd stencil, and its empty minimum once exited 0
-    (["--x-min", "3.1415926", "--x-max", "3.1415926", "--t-min", "0", "--t-max", "0"],
-     "fd slope inf at (x, t) = (nan, nan)"),
-], ids=["overflow", "empty_stencil"])
+    # the slope's numerator holds e^{-10t} and overflows below about t = -70.9
+    (["--t-min", "-72", "--t-max", "-72"], "closed-form slope nan at (x, t) = (0.001, -72)"),
+], ids=["overflow", "slope_overflow"])
 def test_cli_verify_profile_fails_on_a_value_that_is_not_finite(flags, violation, capsys):
     assert cli.main(["verify-profile", *flags]) == 1
     out = capsys.readouterr().out
-    assert "violation: " + violation in out.splitlines()
+    assert "violation: " + violation in violations(out)
     assert "all profile certificates hold" not in out
 
 
-@pytest.mark.parametrize("name,value,violation", [
-    ("numerator_grid_min", (np.nan, (0.5, 1.0)), "A-polynomial nan at (z, alpha) = (0.5, 1)"),
-    ("derivative_cross_check", (np.nan, ("dx", 0.5, 0.0)),
-     "derivative mismatch nan (dx at x = 0.5, t = 0)"),
-])
-def test_cli_verify_profile_fails_on_a_nan_verdict(name, value, violation, monkeypatch, capsys):
-    # NaN once passed these two verdicts' < and >, and the run exited 0
-    monkeypatch.setattr(cli, name, lambda *args: value)
-    assert cli.main(["verify-profile", "--x-step", "0.01", "--t-step", "0.5"]) == 1
+def test_cli_verify_profile_certifies_a_one_point_grid(capsys):
+    flags = ["--x-min", "3.1415926", "--x-max", "3.1415926", "--t-min", "0", "--t-max", "0"]
+    assert cli.main(["verify-profile", *flags]) == 0
     out = capsys.readouterr().out
-    assert out.splitlines()[7:] == ["violation: " + violation]
+    assert "residual min            = 1.8584073464102033 at (x, t) = " \
+           "(3.1415926000000001, 0)" in out.splitlines()
+    assert out.splitlines()[-1] == "all profile certificates hold"
 
 
-@pytest.mark.parametrize("mismatch", [np.nan, 10.0 * cli.SLOPE_FD_TOL])
-def test_cli_verify_profile_judges_the_slope_fd_mismatch(mismatch, monkeypatch, capsys):
-    # this row was once printed without a verdict, so NaN or 5.0 passed
+def _scan_with(**fields):
     real_scan = cli.residual_certificate_scan
-    monkeypatch.setattr(cli, "residual_certificate_scan", lambda x, t: dataclasses.replace(
-        real_scan(x, t), max_slope_mismatch=mismatch))
+    return "residual_certificate_scan", lambda x, t: dataclasses.replace(
+        real_scan(x, t), **fields)
+
+
+@pytest.mark.parametrize("patch,violation", [
+    (_scan_with(min_residual=np.nan, min_residual_at=(0.5, 0.0)),
+     "residual nan at (x, t) = (0.5, 0)"),
+    (_scan_with(min_slope_closed=np.nan, min_slope_closed_at=(0.5, 0.0)),
+     "closed-form slope nan at (x, t) = (0.5, 0)"),
+    (("numerator_grid_min", lambda *args: (np.nan, (0.5, 1.0))),
+     "A-polynomial nan at (z, alpha) = (0.5, 1)"),
+    (("profile_residual", lambda x, t: np.nan),
+     "limit residual nan over t in {-3, 0, 3} at x = 1e-06"),
+], ids=["residual", "slope", "numerator", "limit"])
+def test_cli_verify_profile_fails_on_a_nan_verdict(patch, violation, monkeypatch, capsys):
+    # NaN once passed the A-polynomial's <, and the run exited 0; each row
+    # fails on NaN alone, and the others still pass
+    monkeypatch.setattr(cli, *patch)
     assert cli.main(["verify-profile", "--x-step", "0.01", "--t-step", "0.5"]) == 1
-    out = capsys.readouterr().out
-    assert out.splitlines()[7:] == ["violation: slope fd mismatch %.6g" % mismatch]
-
-
-def test_slope_fd_tolerance_caps_the_truncation_error_down_to_t_minus_10():
-    # the worst |fd - closed| / max(1, |closed|) over x at one t is
-    # 0.195 (h e^{-t})^2, central-difference truncation at fd step h = 1e-5
-    x = np.geomspace(1.5e-5, 3.0, 4000)
-    for t in (-6.0, -10.0, -10.4):
-        worst = residual_certificate_scan(x, np.array([t])).max_slope_mismatch
-        assert worst == pytest.approx(0.195 * (1e-5 * np.exp(-t)) ** 2, rel=2e-2)
-        assert (worst <= cli.SLOPE_FD_TOL) == (t >= -10.0)
+    assert violations(capsys.readouterr().out) == ["violation: " + violation]
 
 
 @pytest.mark.parametrize("flag", ["--t-step", "--x-step"])
