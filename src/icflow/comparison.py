@@ -286,12 +286,21 @@ def residual_certificate_scan(x_values: np.ndarray, t_values: np.ndarray) -> Pro
 
 
 def numerator_grid_min(z_values, alphas) -> tuple[float, tuple[float, float]]:
-    """Minimum of residual_dx_numerator over a (z, alpha) product grid."""
-    z = np.asarray(z_values, dtype=float)
+    """Minimum of residual_dx_numerator over a (z, alpha) product grid and its
+    (z, alpha): np.argmin's over the (alpha, z) grid, by _fold_argmin over blocks
+    of alpha-rows (about BLOCK_PAIRS values, at least one row) in one block array."""
+    z = _as_domain(z_values, 0.0, 1.0, "z")
     a = np.asarray(alphas, dtype=float)
-    value, flat = _fold_argmin((np.inf, -1), residual_dx_numerator(z[None, :], a[:, None]), 0)
-    ai, zi = divmod(flat, z.size)
-    return value, (float(z[zi]), float(a[ai]))
+    if not (z.size and a.size) or np.any(a <= 0.0):
+        raise ParameterError("alpha must be positive, on a non-empty grid")
+    z2, rows = z * z, max(1, BLOCK_PAIRS // z.size)
+    block, best = np.empty(min(rows, a.size) * z.size), (np.inf, -1)
+    for row0 in range(0, a.size, rows):
+        alpha = a[row0:row0 + rows, None]
+        out = block[:alpha.size * z.size].reshape(alpha.size, z.size)
+        best = _fold_argmin(best, _numerator_of_z2(z2, alpha, out), row0 * z.size)
+    ai, zi = divmod(best[1], z.size)
+    return best[0], (float(z[zi]), float(a[ai]))
 
 
 @dataclass

@@ -142,9 +142,9 @@ def make_perturbed_circle(
 ) -> np.ndarray:
     """Circle with radial cosine perturbations: r(theta) = R (1 + sum a_j cos(k_j theta + phi_j)),
     n points at uniform arc length (_arclength_nodes of the speed hypot(r, r'),
-    or theta = 2 pi k / n with no terms).  The phases phi_j come from the
-    seeded generator, so a seed reproduces its curve.  Large amplitudes may
-    give non-convex curves, on purpose: they exercise the convexity gate."""
+    or theta = 2 pi k / n with no terms).  Its phases phi_j are rng.uniform's PCG64
+    draws, np.random.default_rng(seed).uniform(0, 2 pi)'s, so a seed reproduces its
+    curve.  Large amplitudes may give non-convex curves: they exercise the convexity gate."""
     if not radius > 0.0:
         raise ParameterError(f"radius must be positive, got {radius}")
     check_vertex_count(n)
@@ -153,9 +153,8 @@ def make_perturbed_circle(
     if amps.shape != ks.shape:
         raise ParameterError(
             f"amplitudes and modes must pair up, got {amps.shape} vs {ks.shape}")
-    # no terms need no phases, nor numpy.random, which costs about 6 MB to load
-    phases = (np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=amps.shape)
-              if amps.size else amps)
+    from .rng import uniform  # imported here: no ellipse loads it
+    phases = uniform(seed, 0.0, 2.0 * np.pi, amps.size) if amps.size else ()
 
     def series(theta):
         # r / R and its theta-derivative, one term at a time

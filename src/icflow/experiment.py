@@ -309,6 +309,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(modes, (list, tuple)) or any(
             not isinstance(k, int) or _finite_float(k) is None for k in modes):
         raise ParameterError(f"modes must be a list of integers, got {modes!r}")
+    if merged["shape"] == "perturbed_circle" and len(amplitudes) != len(modes):
+        raise ParameterError(f"amplitudes and modes must pair up, got {amplitudes} vs {modes}")
     merged["amplitudes"] = tuple(float(x) for x in amplitudes)
     merged["modes"] = tuple(modes)
     size = {"circle": merged["radius"], "ellipse": max(merged["a"], merged["b"]),

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from icflow import comparison, flow
+from icflow.cli import _inclusive_grid
 from icflow.comparison import (
     admissible_offset,
     numerator_grid_min,
@@ -123,6 +124,61 @@ def test_numerator_is_nonnegative_on_the_unit_cell():
     assert z_at == 0.0  # the polynomial vanishes exactly on the z = 0 edge
     assert alpha_at in alpha
     assert residual_dx_numerator(0.0, 1.0) == 0.0
+
+
+def one_shot_numerator_min(z, alpha):
+    """numerator_grid_min's answer from the whole grid at once."""
+    grid = residual_dx_numerator(z[None, :], alpha[:, None])
+    ai, zi = divmod(int(np.argmin(grid)), z.size)
+    return float(grid[ai, zi]), (float(z[zi]), float(alpha[ai]))
+
+
+# verify-profile's A-polynomial grid: 601 alpha-rows of 1001 z values
+DEFAULT_NUMERATOR_GRID = (np.linspace(0.0, 1.0, 1001), 10.0 ** _inclusive_grid(-3.0, 3.0, 0.01))
+
+NUMERATOR_GRIDS = {
+    # ties at z = 0 on every row, reported on the first, alpha = 0.001
+    "default": (*DEFAULT_NUMERATOR_GRID, None),
+    # 97 rows, which blocks of 5 or 7 rows do not divide
+    "ragged_5": (np.linspace(0.0, 1.0, 53), np.geomspace(1e-3, 1e3, 97), 5),
+    "ragged_7": (np.linspace(0.1, 1.0, 53), np.geomspace(1e-3, 1e3, 97), 7),
+    # alpha^5 overflows from about 1e61.6 on, so the first NaN sits in a
+    # later block than the finite minimum
+    "overflow": (np.linspace(0.0, 1.0, 101), np.geomspace(1e-3, 1e80, 211), 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMERATOR_GRIDS))
+def test_blocked_numerator_grid_min_is_the_one_shot_minimum(name, monkeypatch):
+    z, alpha, rows = NUMERATOR_GRIDS[name]
+    if rows is not None:
+        monkeypatch.setattr(comparison, "BLOCK_PAIRS", rows * z.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocked, one_shot = numerator_grid_min(z, alpha), one_shot_numerator_min(z, alpha)
+    assert repr(blocked) == repr(one_shot)
+    if name == "default":
+        assert blocked == (0.0, (0.0, 0.001))
+    if name == "overflow":
+        assert np.isnan(blocked[0]) and blocked[1][1] > 1e61
+
+
+def test_numerator_grid_min_allocates_one_block():
+    # the whole default grid at once took temporaries of 4.8 MB each
+    tracemalloc.start()
+    try:
+        numerator_grid_min(*DEFAULT_NUMERATOR_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("z,alpha,message", [
+    ([], [1.0], "non-empty grid"), ([0.5], [], "non-empty grid"),
+    ([1.5], [1.0], "z must lie"), ([0.5], [0.0], "alpha must be positive")])
+def test_numerator_grid_min_checks_its_grid(z, alpha, message):
+    with pytest.raises(ParameterError, match=message):
+        numerator_grid_min(np.array(z), np.array(alpha))
 
 
 class Poly:

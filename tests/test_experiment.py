@@ -7,6 +7,8 @@ import os
 import random
 import shutil
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -709,6 +711,49 @@ def test_cli_rejects_a_negative_seed(command, tmp_path, capsys):
     assert captured.err == "error: seed must be non-negative, got -1\n"
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_config_pairs_the_perturbation_lists_of_a_perturbed_circle():
+    lists = {"amplitudes": [0.05, 0.02], "modes": [3]}
+    with pytest.raises(ParameterError, match="amplitudes and modes must pair up"):
+        config_from_dict({"shape": "perturbed_circle", **lists})
+    # other shapes ignore the lists
+    assert config_from_dict({"shape": "ellipse", **lists}).modes == (3,)
+
+
+def test_cli_rejects_unpaired_perturbation_lists_before_making_directories(
+        tmp_path, capsys, monkeypatch):
+    # run_experiment once made sub/ and frames/ before the curve refused the lists
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--shape", "perturbed_circle", "--amplitudes", "0.05,0.02",
+                     "--modes", "3", "--n", "64", "--out", "sub/x.csv",
+                     "--svg-dir", "frames"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: amplitudes and modes must pair up, got (0.05, 0.02) vs (3,)\n")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_calls_leave_numpy_random_unloaded(tmp_path):
+    # numpy.random, which the phase draw once loaded, brings secrets, hmac
+    # and OpenSSL's _hashlib: about 6 MB
+    code = """
+import sys
+from icflow import cli
+curve = ["--shape", "perturbed_circle", "--amplitudes", "0.03,0.01", "--modes", "3,5",
+         "--seed", "7", "--n", "64"]
+assert cli.main(["tbar", *curve]) == 0
+assert cli.main(["run", *curve, "--t-end", "0.01", "--out", "run.csv"]) in (0, 1)  # too short to converge
+assert cli.main(["verify-profile"]) == 0
+print(sorted({"numpy.random", "secrets", "hmac", "_hashlib"} & set(sys.modules)))
+"""
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out.splitlines()[-1] == "[]"
+    assert (tmp_path / "run.csv").exists()
 
 
 def test_config_bounds_the_curve_scale():
