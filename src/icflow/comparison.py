@@ -20,6 +20,11 @@ and scans the two-point gap
 
 over all vertex pairs of a snapshot.
 
+The certificate scan bounds cells of its grid from below, the residual
+through its rise with z = sin(x/2), and evaluates only the cells whose
+bound is not above the running minimum (about 1% of the default grid); its
+result is that of the exhaustive scan, ties and NaNs included.
+
 The gap scan walks the n(n-1)/2 pairs as cyclic diagonals in cache-sized
 blocks, so memory stays at a few blocks rather than O(n^2) arrays, and
 each pair's value is the float a plain np.triu_indices scan gives.  It
@@ -38,7 +43,6 @@ gap is negative or NaN.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +50,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .curves import BLOCK_PAIRS, _geometry, _validated_edges, validate_vertices
 from .errors import NoAdmissibleOffsetError, ParameterError
-from .forked import forked
 
 _DOMAIN_SLACK = 1e-12
 
@@ -135,15 +138,21 @@ def _residual_dx_of_z(z2, c, alpha, work):
     return r
 
 
+def _numerator_coefficients(alpha) -> tuple:
+    """The Horner constants of residual_dx_numerator's polynomial, from its
+    u^4 coefficient -alpha^5 down to its u coefficient."""
+    return (-(alpha**5), alpha**3 * (-2.0 + alpha * (3.0 + 6.0 * alpha)),
+            alpha * alpha * (8.0 + alpha * (25.0 + 16.0 * alpha)),
+            alpha * (2.0 + alpha * (5.0 + 2.0 * alpha)))
+
+
 def _numerator_of_z2(z2, alpha, out):
     """residual_dx_numerator's polynomial, Horner in z2 = z^2, into out."""
-    np.multiply(z2, -(alpha**5), out=out)
-    out += alpha**3 * (-2.0 + alpha * (3.0 + 6.0 * alpha))
-    out *= z2
-    out += alpha * alpha * (8.0 + alpha * (25.0 + 16.0 * alpha))
-    out *= z2
-    out += alpha * (2.0 + alpha * (5.0 + 2.0 * alpha))
-    out *= z2
+    top, *rest = _numerator_coefficients(alpha)
+    np.multiply(z2, top, out=out)
+    for coefficient in rest:
+        out += coefficient
+        out *= z2
     return out
 
 
@@ -213,37 +222,104 @@ class ProfileCertificate:
     min_slope_closed_at: tuple[float, float]
 
 
-def _fold_argmin(best, values: np.ndarray, start: int):
-    """Fold values, the grid entries from flat index start on in (t, x)
-    order, into the running (value, flat index) minimum: np.argmin's over
-    the grid, the first NaN, else the first exact minimum.  Index -1 marks
-    no minimum yet, which the first values always replace, an inf included.
+def _fold_argmin(best, values: np.ndarray, flat, ordered: bool = False):
+    """Fold values, 2-D, into the running (value, flat index) minimum best
+    by np.argmin's rule over the whole grid, whatever order values come in:
+    the first NaN, else the first exact minimum (inf included, and -0.0 or
+    0.0 as it sits there).  flat maps row and column index arrays of values
+    to grid flat indices; ordered says that values' C order is the grid's,
+    so np.argmin finds the first hit.  best is None before the first values.
     """
-    i = int(np.argmin(values))
-    value = values.flat[i]
-    if best[1] < 0 or not np.isnan(best[0]) and (np.isnan(value) or value < best[0]):
-        return float(value), start + i
-    return best
+    low = values.min()
+    if not (best is None or np.isnan(low) or not np.isnan(best[0]) and low <= best[0]):
+        return best
+    if ordered:
+        rows, cols = np.unravel_index([int(np.argmin(values))], values.shape)
+    else:
+        rows, cols = np.nonzero(np.isnan(values) if np.isnan(low) else values == low)
+    keys = flat(rows, cols)
+    first = int(np.argmin(keys))
+    if best is not None and best[1] < keys[first] and (
+            np.isnan(low) and np.isnan(best[0]) or low == best[0]):
+        return best
+    return float(values[rows[first], cols[first]]), int(keys[first])
+
+
+# The certificate scan's cells: one t-row times one segment of at most
+# _CELL_COLUMNS grid columns, consecutive in ascending z = sin(x/2).
+_CELL_COLUMNS = 128
+# Relative slack of the cell bounds: a residual's float lies within about
+# 2^-48 T(z) of a function that rises with z, and the slope's Horner value
+# within a few roundings of one that bounds it (README, "What the
+# certificates prove"), so 2^-44 leaves a factor of 16 or more.
+_CELL_SLACK = 2.0 ** -44
+# Covers what underflow to subnormals can cost a residual, at most a few
+# 2^-1074 grown by 2 e^|t| <= 2^103.
+_UNDERFLOW_SLACK = 2.0 ** -960
+# The cell bounds hold for |t| up to this: alpha^5 = e^{-10t} and e^{+-t}
+# stay normal floats.  Rows beyond it, NaN t included, are evaluated whole.
+_SAFE_T = 70.0
+
+
+def _residual_floor(rep, alpha, span, scratch):
+    """Per cell, a float at or below the residual's float at every column of
+    the cell, in rep's array: rep - gamma (z_rep + z_max)(8 + 2 alpha) less
+    the underflow slack, from the residual rep at the cell's least z and
+    span = gamma (z_rep + z_max) of its segment (gamma = _CELL_SLACK)."""
+    np.multiply(2.0 * alpha + 8.0, span, out=scratch)
+    rep -= scratch
+    rep -= _UNDERFLOW_SLACK
+    return rep
+
+
+def _slope_floor(alpha, u_lo, u_hi, c_lo, work):
+    """Per cell, a float at or below the closed-form slope's float at every
+    column of the cell, in work's first array: c_min A_lo / (q(u_max)
+    p(u_min))^2, A_lo = u_min h_lo (1 - gamma), with h_lo the Horner value
+    of A / u, each partial at whichever u end lowers it.  u_lo, u_hi, c_lo:
+    the segments' least and largest u = z^2 and least cos(x/2), -inf where
+    negative.  Every step but h's rounds as in _residual_dx_of_z."""
+    h, u, v = work
+    top, a3, a2, a1 = _numerator_coefficients(alpha)
+    np.multiply(top, u_hi, out=h)  # top < 0
+    h += a3
+    for coefficient in (a2, a1):
+        np.copyto(u, u_lo)
+        np.copyto(u, u_hi, where=h < 0.0)
+        h *= u
+        h += coefficient
+    h *= 1.0 - _CELL_SLACK
+    h *= u_lo
+    h *= c_lo
+    np.multiply(alpha, u_lo, out=u)
+    np.subtract(1.0 + 2.0 * alpha, u, out=u)  # p at u_min
+    np.multiply(alpha, u_hi, out=v)
+    np.add(1.0, v, out=v)  # q at u_max
+    u *= v
+    u *= u
+    h /= u
+    return h
 
 
 def residual_certificate_scan(x_values: np.ndarray, t_values: np.ndarray) -> ProfileCertificate:
     """Scan the residual and its closed-form x-slope over an (x, t) grid.
 
-    The t-independent factors sin(x/2), cos(x/2) and sin^2(x/2) are
-    computed once; the grid is then evaluated in blocks of t-rows (about
-    BLOCK_PAIRS values each, at least one row) in three reused block
-    arrays, so memory stays at a few blocks and no block allocates its
-    temporaries.  Every value is the float that profile_residual and
+    Every value the scan reads is the float that profile_residual and
     _residual_dx_of_z give at that (x, t).  Each minimum and its location
     follow np.argmin over the grid in (t, x) order: the first exact
     minimum, or the first NaN if any value is NaN.  An overflowed value
-    reads +inf or NaN: verify-profile passes only finite values.  Raises
-    if any x lies outside (0, pi].
+    reads +inf or NaN: verify-profile passes only finite values.  Raises if
+    any x lies outside (0, pi].
 
-    With os.fork and at least two blocks, the scan uses two cores (forked):
-    a child scans the blocks from the middle one on, in block arrays of its
-    own, and sends its minima, which are folded after those of the blocks
-    before it by the same rules, so the result is that of one process.
+    A cell is a t-row times a segment of _CELL_COLUMNS columns in
+    ascending z.  Both closed forms are evaluated at each cell's least z,
+    which starts the running minima; then, lowest bound first, in chunks of
+    1, 2, 4, ... cells, every cell whose floor (_residual_floor,
+    _slope_floor) is not strictly above the running minimum.  A finite
+    floor rules out a NaN in its cell.  Rows with |t| beyond _SAFE_T, or
+    NaN, are evaluated whole.  Everything runs in blocks of about
+    BLOCK_PAIRS / 4 values (at least one row, or one cell) in three reused
+    block arrays.
     """
     x = np.asarray(x_values, dtype=float)
     t = np.asarray(t_values, dtype=float)
@@ -253,36 +329,72 @@ def residual_certificate_scan(x_values: np.ndarray, t_values: np.ndarray) -> Pro
         raise ParameterError("residual grid requires x in (0, pi]")
     z, c = np.sin(0.5 * x), np.cos(0.5 * x)
     z2 = z * z
-    rows = max(1, BLOCK_PAIRS // x.size)
+    nx = x.size
+    width = min(_CELL_COLUMNS, nx)
+    segments = -(-nx // width)
+    order = np.argsort(z, kind="stable")  # a NaN z sorts last
+    columns = np.concatenate([order, np.full(segments * width - nx, order[-1])])
+    columns = columns.reshape(segments, width)
+    rep, top = columns[:, 0], columns[:, -1]
+    u_lo, u_hi, c_lo = z2[rep], z2[top], np.min(c[columns], axis=1)
+    c_lo[~(c_lo >= 0.0)] = -np.inf
+    span = _CELL_SLACK * (z[rep] + z[top])
+    safe = np.abs(t) <= _SAFE_T
+    whole, cut = np.flatnonzero(~safe), np.flatnonzero(safe)
+    block = BLOCK_PAIRS // 4
+    buffers = [np.empty(min(max(block, nx), t.size * segments * width)) for _ in range(3)]
 
-    def scan(r0, r1):
-        """The minima (value, flat index) of the residual and of the
-        closed-form slope over the blocks of rows r0:r1."""
-        best = [(np.inf, -1)] * 2
-        # three block arrays, whose leading entries every block reuses
-        buffers = [np.empty(min(rows, t.size) * x.size) for _ in range(3)]
-        for row0 in range(r0, r1, rows):
-            tb = t[row0:row0 + rows, None]
-            alpha = _alpha(tb)
-            work = [buf[:tb.size * x.size].reshape(tb.size, x.size) for buf in buffers]
-            best[0] = _fold_argmin(best[0], _residual_of_z(z, z2, alpha, tb, work), row0 * x.size)
-            best[1] = _fold_argmin(best[1], _residual_dx_of_z(z2, c, alpha, work), row0 * x.size)
-        return best
+    def work(rows, cols):
+        return [buf[:rows * cols].reshape(rows, cols) for buf in buffers]
 
-    split = rows * ((t.size + rows - 1) // rows // 2)  # a block boundary, 0 below two blocks
-    if split and hasattr(os, "fork"):
-        with forked("certificate scan", lambda send: send(scan(split, t.size))) as stream:
-            found = scan(0, split)
-            [tail] = list(stream)  # to its end, so that the child is reaped
-        found = [_fold_argmin(best, np.array(value), i) for best, (value, i) in zip(found, tail)]
-    else:
-        found = scan(0, t.size)
+    forms = (  # (closed form at columns zs, its cell floor)
+        (lambda zs, us, cs, alpha, tc, w: _residual_of_z(zs, us, alpha, tc, w),
+         lambda rep_values, alpha, w: _residual_floor(rep_values, alpha, span, w[1])),
+        (lambda zs, us, cs, alpha, tc, w: _residual_dx_of_z(us, cs, alpha, w),
+         lambda rep_values, alpha, w: _slope_floor(alpha, u_lo, u_hi, c_lo, w)),
+    )
+    cap = max(1, block // width)  # cells per chunk
+    found = []
+    for evaluate, floor in forms:
+        best = None
+        rows_per = max(1, block // nx)
+        for k in range(0, whole.size, rows_per):
+            rows = whole[k:k + rows_per]
+            tc = t[rows, None]
+            values = evaluate(z, z2, c, _alpha(tc), tc, work(rows.size, nx))
+            best = _fold_argmin(best, values, lambda i, j: rows[i] * nx + j, ordered=True)
+        rows_per = max(1, block // segments)
+        for k in range(0, cut.size, rows_per):
+            rows = cut[k:k + rows_per]
+            tc = t[rows, None]
+            alpha = _alpha(tc)
+            w = work(rows.size, segments)
+            values = evaluate(z[rep], u_lo, c[rep], alpha, tc, w)
+            best = _fold_argmin(best, values, lambda i, j: rows[i] * nx + rep[j])
+            with np.errstate(invalid="ignore"):  # -inf * 0 where x past pi meets z = 0
+                bound = floor(values, alpha, w).ravel()
+            cells = np.flatnonzero(~(bound > _floor_target(best)))
+            lows = bound[cells]
+            lows[np.isnan(lows)] = -np.inf  # NaN bounds sort first, with -inf
+            ranked = np.argsort(lows, kind="stable")
+            cells, lows = cells[ranked], lows[ranked]
+            pos, size = 0, 1
+            while pos < cells.size and not lows[pos] > _floor_target(best):
+                r, s = np.divmod(cells[pos:pos + size], segments)
+                pos, size = pos + size, min(2 * size, cap)
+                at, tr = columns[s], t[rows[r], None]
+                values = evaluate(z[at], z2[at], c[at], _alpha(tr), tr, work(r.size, width))
+                best = _fold_argmin(best, values, lambda i, j: rows[r[i]] * nx + at[i, j])
+        ti, xi = divmod(best[1], nx)
+        found += [best[0], (float(x[xi]), float(t[ti]))]
+    return ProfileCertificate(*found)
 
-    def located(best):
-        ti, xi = divmod(best[1], x.size)
-        return best[0], (float(x[xi]), float(t[ti]))
 
-    return ProfileCertificate(*located(found[0]), *located(found[1]))
+def _floor_target(best) -> float:
+    """The value a cell's bound must exceed for the cell to be skipped: the
+    running minimum, or -inf where that is NaN, which only a cell whose
+    bound is not finite can match."""
+    return -np.inf if np.isnan(best[0]) else best[0]
 
 
 def numerator_grid_min(z_values, alphas) -> tuple[float, tuple[float, float]]:
@@ -294,11 +406,12 @@ def numerator_grid_min(z_values, alphas) -> tuple[float, tuple[float, float]]:
     if not (z.size and a.size) or np.any(a <= 0.0):
         raise ParameterError("alpha must be positive, on a non-empty grid")
     z2, rows = z * z, max(1, BLOCK_PAIRS // z.size)
-    block, best = np.empty(min(rows, a.size) * z.size), (np.inf, -1)
+    block, best = np.empty(min(rows, a.size) * z.size), None
     for row0 in range(0, a.size, rows):
         alpha = a[row0:row0 + rows, None]
         out = block[:alpha.size * z.size].reshape(alpha.size, z.size)
-        best = _fold_argmin(best, _numerator_of_z2(z2, alpha, out), row0 * z.size)
+        best = _fold_argmin(best, _numerator_of_z2(z2, alpha, out),
+                            lambda i, j: (row0 + i) * z.size + j, ordered=True)
     ai, zi = divmod(best[1], z.size)
     return best[0], (float(z[zi]), float(a[ai]))
 

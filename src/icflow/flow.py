@@ -262,7 +262,9 @@ def _directed_sq(p: np.ndarray, q: np.ndarray) -> float:
     """Largest squared distance from a vertex of p to the closed polyline q.
 
     A vertex's squared distance to the five segments of q around its
-    aligned index (i m // n) bounds its row's minimum from above.  Rows are
+    aligned index (i m // n) bounds its row's minimum from above, and so
+    does the window offset by the index of the vertex of q nearest p[0],
+    which aligns an index-rolled q; the smaller bound is kept.  Rows are
     then scanned whole, in descending order of that bound and in doubling
     batches of at most about BLOCK_PAIRS / 4 pairs, until the next bound is
     not above the largest row minimum found: no row left can exceed it, so
@@ -271,8 +273,10 @@ def _directed_sq(p: np.ndarray, q: np.ndarray) -> float:
     n, m = p.shape[0], q.shape[0]
     d = edge_vectors(q)
     segments = (*q.T, *d.T, np.maximum(np.einsum("ij,ij->i", d, d), 1e-300))
-    near = (np.arange(n)[:, None] * m // n + np.arange(-2, 3)) % m
-    bound = _pair_sq(p, *(column[near] for column in segments)).min(axis=1)
+    window = np.arange(n)[:, None] * m // n + np.arange(-2, 3)
+    nearest = int(np.argmin(np.einsum("ij,ij->i", q - p[0], q - p[0])))
+    bound = np.min([_pair_sq(p, *(column[(window + shift) % m] for column in segments)).min(axis=1)
+                    for shift in {0, nearest}], axis=0)
     order = np.argsort(bound)[::-1]
     worst, start, batch = 0.0, 0, 1
     cap = max(1, BLOCK_PAIRS // (4 * m))

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icflow import comparison, flow
 from icflow.cli import _inclusive_grid
@@ -413,15 +415,15 @@ def loop_certificate_scan(x, t):
 
 
 SCAN_GRIDS = {
-    # 23 t-rows, so blocks of 7, 10 and 64 rows end in a partial block; x
-    # holds pi exactly and a point near 0
+    # 23 t-rows, so blocks of 7, 10 and 64 whole rows end in a partial
+    # block; x holds pi exactly and a point near 0
     "ragged_pi": (np.concatenate([[4e-6], np.linspace(0.05, np.pi, 96)]),
                   np.linspace(-3.0, 3.0, 23)),
     # e^{-t} sin(x/2) passes 1e8, where arctan is within an ulp of pi/2
     "large_arg": (np.arange(0.5, 1.0 + 1e-12, 0.01), np.arange(-30.0, 30.0 + 1e-9, 0.7)),
     # exact ties: far out in t the residual rounds to the same few values
     "ties": (np.linspace(0.2, np.pi, 60), np.linspace(35.0, 45.0, 11)),
-    # more x points than a block holds: one t-row per block
+    # more x points than a block holds: one whole t-row per block
     "one_row": (np.linspace(1e-3, np.pi, comparison.BLOCK_PAIRS + 7),
                 np.array([-1.0, 0.0, 2.5])),
     # one x, pi itself, where the slope is 0 and the residual 5 - pi at t = 0
@@ -434,7 +436,7 @@ SCAN_GRIDS = {
 def test_blocked_certificate_scan_is_bit_identical_to_the_per_t_loop(name, rows, monkeypatch):
     x, t = SCAN_GRIDS[name]
     if rows is not None:
-        monkeypatch.setattr(comparison, "BLOCK_PAIRS", rows * x.size)
+        monkeypatch.setattr(comparison, "BLOCK_PAIRS", 4 * rows * x.size)  # rows whole rows
     assert residual_certificate_scan(x, t) == loop_certificate_scan(x, t)
 
 
@@ -444,7 +446,7 @@ def test_certificate_scan_reports_the_first_nan_like_argmin(rows, monkeypatch):
     # scan skipped such rows and certified the finite t = 0 row
     x = np.linspace(0.05, np.pi, 64)
     if rows is not None:
-        monkeypatch.setattr(comparison, "BLOCK_PAIRS", rows * x.size)
+        monkeypatch.setattr(comparison, "BLOCK_PAIRS", 4 * rows * x.size)  # rows whole rows
     t = np.array([0.0, -400.0, 1.0])
     cert = residual_certificate_scan(x, t)
     for value, at in [(cert.min_residual, cert.min_residual_at),
@@ -480,81 +482,125 @@ def count_forks(monkeypatch):
     return forks
 
 
-def forked_and_inline_scans(x, t, monkeypatch):
-    # the scan with os.fork, which must fork once, and without it
-    with monkeypatch.context() as patch:
-        forks = count_forks(patch)
-        forked = residual_certificate_scan(x, t)
-        patch.delattr(os, "fork")
-        inline = residual_certificate_scan(x, t)
-    assert len(forks) == 1
-    return forked, inline
-
-
 @pytest.mark.parametrize("name", sorted(SCAN_GRIDS))
-def test_forked_scan_is_bit_identical_to_one_process_and_the_loop(name, monkeypatch):
+def test_pruned_scan_is_bit_identical_to_argmin_and_the_loop(name):
     x, t = SCAN_GRIDS[name]
-    if name != "one_row":  # whose x alone fills a block
-        # about four blocks, so that the split falls mid-grid
-        monkeypatch.setattr(comparison, "BLOCK_PAIRS", max(1, t.size // 4) * x.size)
-    forked, inline = forked_and_inline_scans(x, t, monkeypatch)
-    assert repr(forked) == repr(inline) == repr(loop_certificate_scan(x, t))
-    assert repr(forked) == repr(argmin_certificate_scan(x, t))
+    cert = residual_certificate_scan(x, t)
+    assert repr(cert) == repr(argmin_certificate_scan(x, t)) == repr(loop_certificate_scan(x, t))
 
 
-# Two halves of t-rows and the t of the first residual minimum in (t, x)
+# t-rows over ORDER_X and the t of the first residual minimum in (t, x)
 # order.  Every residual at t = -400 and at t = -500 is NaN; on this x grid
 # the residual minima at t = 37, 38, 42 and 44 are the same float.
-HALF_GRIDS = {
-    "nan_first": ([0.0, -400.0, 1.0, 2.0], [3.0, 4.0, 5.0, 6.0], -400.0),
-    "nan_second": ([0.0, 1.0, 2.0, 3.0], [4.0, -400.0, 5.0, -500.0], -400.0),
-    "nan_both": ([0.0, 1.0, -500.0, 2.0], [3.0, -400.0, 4.0, 5.0], -500.0),
-    "ties_first": ([35.0, 37.0, 36.0, 38.0], [39.0, 40.0, 41.0, 43.0], 37.0),
-    "ties_second": ([35.0, 36.0, 39.0, 40.0], [41.0, 44.0, 43.0, 42.0], 44.0),
-    "ties_both": ([35.0, 38.0, 36.0, 39.0], [40.0, 37.0, 41.0, 42.0], 38.0),
+ORDER_X = np.linspace(0.2, np.pi, 60)
+ORDER_GRIDS = {
+    "nan_first": ([0.0, -400.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0], -400.0),
+    "nan_second": ([0.0, 1.0, 2.0, 3.0, 4.0, -400.0, 5.0, -500.0], -400.0),
+    "nan_both": ([0.0, 1.0, -500.0, 2.0, 3.0, -400.0, 4.0, 5.0], -500.0),
+    "ties_first": ([35.0, 37.0, 36.0, 38.0, 39.0, 40.0, 41.0, 43.0], 37.0),
+    "ties_second": ([35.0, 36.0, 39.0, 40.0, 41.0, 44.0, 43.0, 42.0], 44.0),
+    "ties_both": ([35.0, 38.0, 36.0, 39.0, 40.0, 37.0, 41.0, 42.0], 38.0),
 }
 
 
-@pytest.mark.parametrize("name", sorted(HALF_GRIDS))
-def test_forked_scan_merges_nans_and_ties_like_argmin(name, monkeypatch):
-    # two-row blocks: the parent scans the first four rows, the child the rest
-    x = np.linspace(0.2, np.pi, 60)
-    head, tail, first_t = HALF_GRIDS[name]
-    t = np.array(head + tail)
-    monkeypatch.setattr(comparison, "BLOCK_PAIRS", 2 * x.size)
-    forked, inline = forked_and_inline_scans(x, t, monkeypatch)
-    assert repr(forked) == repr(inline) == repr(argmin_certificate_scan(x, t))
-    assert forked.min_residual_at[1] == first_t
+@pytest.mark.parametrize("name", sorted(ORDER_GRIDS))
+def test_pruned_scan_orders_nans_and_ties_like_argmin(name):
+    # the scan evaluates cells lowest bound first, not in (t, x) order
+    rows, first_t = ORDER_GRIDS[name]
+    t = np.array(rows)
+    cert = residual_certificate_scan(ORDER_X, t)
+    assert repr(cert) == repr(argmin_certificate_scan(ORDER_X, t))
+    assert cert.min_residual_at[1] == first_t
 
 
-def test_a_child_that_raises_surfaces_with_its_traceback_and_is_reaped(monkeypatch):
-    x = np.linspace(0.05, np.pi, 64)
-    t = np.linspace(-3.0, 3.0, 25)
-    monkeypatch.setattr(comparison, "BLOCK_PAIRS", 4 * x.size)
-    parent, slope = os.getpid(), comparison._residual_dx_of_z
-
-    def failing_in_the_child(*args):
-        if os.getpid() != parent:
-            raise ValueError("slope failed in the child")
-        return slope(*args)
-
-    monkeypatch.setattr(comparison, "_residual_dx_of_z", failing_in_the_child)
-    with pytest.raises(RuntimeError, match="(?s)certificate scan raised.*Traceback.*"
-                                           "slope failed in the child"):
-        residual_certificate_scan(x, t)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@st.composite
+def certificate_grids(draw):
+    # x in (0, pi], unsorted, with repeats and pi itself, and the validation
+    # slack past pi, where the slope is negative, and NaN; t on both sides
+    # of the safe range, where rows are evaluated whole and NaN
+    xs = draw(st.lists(st.one_of(
+        st.floats(0.0, np.pi, exclude_min=True), st.just(np.pi),
+        st.floats(np.pi, np.pi + 1e-12), st.just(np.nan)), min_size=1, max_size=300))
+    xs += draw(st.lists(st.sampled_from(xs), max_size=20))
+    ts = draw(st.lists(st.one_of(
+        st.floats(-75.0, 75.0), st.sampled_from([-500.0, -400.0, -80.0, -71.0, 71.0, 500.0, 800.0])),
+        min_size=1, max_size=40))
+    return np.array(draw(st.permutations(xs))), np.array(ts)
 
 
-@pytest.mark.parametrize("extra, forks", [(0, 0), (1, 1)])
-def test_a_grid_below_two_blocks_does_not_fork(extra, forks, monkeypatch):
-    # one block of 5 rows, then one more row: a second block
-    x = np.linspace(0.05, np.pi, 64)
-    t = np.linspace(-3.0, 3.0, 5 + extra)
-    monkeypatch.setattr(comparison, "BLOCK_PAIRS", 5 * x.size)
-    counted = count_forks(monkeypatch)
-    assert repr(residual_certificate_scan(x, t)) == repr(argmin_certificate_scan(x, t))
-    assert len(counted) == forks
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(certificate_grids(), st.sampled_from([1, 3, 16, None]), st.sampled_from([1, 7, None]))
+def test_pruned_scan_is_argmins_on_random_grids(grid, width, rows):
+    x, t = grid
+    with pytest.MonkeyPatch.context() as patch:
+        if width is not None:
+            patch.setattr(comparison, "_CELL_COLUMNS", width)
+        if rows is not None:
+            patch.setattr(comparison, "BLOCK_PAIRS", 4 * rows * x.size)
+        assert repr(residual_certificate_scan(x, t)) == repr(argmin_certificate_scan(x, t))
+
+
+def test_cell_floors_lie_at_or_below_every_value_of_their_cell(rng):
+    # cells of one segment each, over the safe range of t, as narrow as a
+    # grid step and as wide as 1e-300 to pi
+    for _ in range(300):
+        lo = 10.0 ** rng.uniform(-300.0, np.log10(np.pi))
+        hi = min(np.pi, lo * 10.0 ** rng.uniform(0.0, 8.0))
+        x = np.sort(np.concatenate([[lo, hi], rng.uniform(lo, hi, 30)]))
+        t = rng.uniform(-comparison._SAFE_T, comparison._SAFE_T, (20, 1))
+        z, c = np.sin(0.5 * x), np.cos(0.5 * x)
+        alpha = comparison._alpha(t)
+        work = comparison._work_arrays(3, x, t)
+        lowest = comparison._residual_of_z(z, z * z, alpha, t, work).min(axis=1)
+        span = comparison._CELL_SLACK * (z[0] + z[-1])
+        floor = comparison._residual_floor(work[0][:, :1].copy(), alpha, span, np.empty((20, 1)))
+        assert np.all(floor[:, 0] <= lowest)
+        lowest = comparison._residual_dx_of_z(z * z, c, alpha, work).min(axis=1)
+        cell = [np.empty((20, 1)) for _ in range(3)]
+        floor = comparison._slope_floor(alpha, z[:1] ** 2, z[-1:] ** 2, c.min(keepdims=True), cell)
+        assert np.all(floor[:, 0] <= lowest)
+        assert np.all(floor[:, 0] >= 0.0)  # never -inf: h_lo > 0 on every cell
+
+
+def counting_closed_forms(monkeypatch):
+    # the number of (x, t) points at which each closed form is evaluated
+    counts = {"residual": 0, "slope": 0}
+    for name, key in (("_residual_of_z", "residual"), ("_residual_dx_of_z", "slope")):
+        def counting(*args, _form=getattr(comparison, name), _key=key):
+            values = _form(*args)
+            counts[_key] += values.size
+            return values
+        monkeypatch.setattr(comparison, name, counting)
+    return counts
+
+
+def certificate_grid(t_min=-5.0, t_max=5.0, t_step=0.01):
+    # verify-profile's grid, by default its default grid
+    return _inclusive_grid(1e-3, np.pi, 1e-3), _inclusive_grid(t_min, t_max, t_step)
+
+
+def test_the_default_grid_evaluates_at_most_two_percent_and_forks_no_child(monkeypatch):
+    x, t = certificate_grid()
+    counts, forks = counting_closed_forms(monkeypatch), count_forks(monkeypatch)
+    residual_certificate_scan(x, t)
+    assert forks == []
+    assert max(counts.values()) <= 0.02 * x.size * t.size, counts
+
+
+def test_a_nan_minimum_skips_every_cell_with_a_finite_bound(monkeypatch):
+    # the slope is NaN on the row t = -80, which is evaluated whole; of the
+    # other rows only the cells' representatives are
+    x, t = certificate_grid(-80.0, 3.0, 20.75)
+    counts = counting_closed_forms(monkeypatch)
+    cert = residual_certificate_scan(x, t)
+    assert np.isnan(cert.min_slope_closed) and cert.min_slope_closed_at == (1e-3, -80.0)
+    cells = -(-x.size // comparison._CELL_COLUMNS)
+    assert counts["slope"] == x.size + cells * (t.size - 1)
+
+
+def test_the_default_grid_gives_the_per_t_loops_certificate():
+    x, t = certificate_grid()
+    assert repr(residual_certificate_scan(x, t)) == repr(loop_certificate_scan(x, t))
 
 
 def test_an_all_inf_grid_keeps_its_first_location():

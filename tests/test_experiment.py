@@ -175,6 +175,21 @@ def test_cli_flags_map_onto_config_fields():
         {"shape": "circle", "modes": [4], "n": 64})
 
 
+def test_main_builds_one_parser_and_reuses_it(monkeypatch, capsys):
+    # a parse that fails, with exit 2, leaves the parser as it was
+    builds, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        outputs = []
+        for argv in (["tbar", "--n", "64"], ["tbar", "--n", "six"], ["tbar", "--n", "64"]):
+            outputs.append((cli.main(argv), capsys.readouterr().out))
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+    assert outputs[0] == outputs[2] and outputs[0][0] == 0 and outputs[1][0] == 2
+
+
 def test_cli_run_with_infinite_t_end_exits_2_before_any_work(tmp_path, capsys):
     # inf - inf is NaN in the evolve loop test: the run took no step and
     # reported convergence: pass

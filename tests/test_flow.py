@@ -256,8 +256,9 @@ def test_blocked_hausdorff_is_the_dense_evaluation_bit_for_bit(block_pairs, monk
     # pairs: by default up to 40 rows against a 200-vertex curve; 1800 caps
     # them at 2 rows against it and 1 row against the others, as 450 does
     # against all.  The window bound settles the unequal counts and the
-    # bumped farthest vertex in one row; the index-rolled curve takes every
-    # row, and the perturbed 517-gon against the ellipse 103 rows
+    # bumped farthest vertex in one row, the index-rolled curve too (its
+    # window is offset by the vertex nearest the first), and the perturbed
+    # 517-gon against the ellipse 64 rows
     if block_pairs is not None:
         monkeypatch.setattr(flow, "BLOCK_PAIRS", block_pairs)
     a = make_ellipse(2.0, 1.0, 200)
@@ -274,6 +275,27 @@ def test_blocked_hausdorff_is_the_dense_evaluation_bit_for_bit(block_pairs, monk
         for x, y in ((p, q), (q, p)):
             assert polyline_hausdorff(x, y) == dense_polyline_hausdorff(x, y)
     assert polyline_hausdorff(a, a.copy()) == 0.0
+
+
+def test_an_index_rolled_polygon_scans_the_rows_of_the_aligned_one(monkeypatch):
+    # the window once sat on index i m // n alone: the rolled 512-gon took
+    # every row, 14 times the aligned copy's time, for the same value
+    p = make_ellipse(2.0, 1.0, 512)
+    q = 1.001 * p + 0.002
+    pairs, pair_sq = [], flow._pair_sq
+
+    def counting(rows, *segments):
+        pairs.append(np.broadcast(rows[:, :1], segments[0]).size)
+        return pair_sq(rows, *segments)
+
+    monkeypatch.setattr(flow, "_pair_sq", counting)
+    distances, counts = [], []
+    for shift in (0, 173):
+        pairs.clear()
+        distances.append(polyline_hausdorff(p, np.roll(q, shift, axis=0)))
+        counts.append(sum(pairs))
+    assert distances[0] == distances[1] == dense_polyline_hausdorff(p, q)
+    assert counts[1] <= 2 * counts[0] < 0.05 * 2 * 512 * 512
 
 
 def _cross_check_worst(tmp_path, **config):
