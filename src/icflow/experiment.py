@@ -44,7 +44,6 @@ from .flow import (
     polyline_hausdorff,
     renormalize,
 )
-from .forked import forked
 
 CSV_HEADER = (
     "t,length,kappa_min,kappa_max,min_Z,tbar,thm12_residual,l2_deficit,"
@@ -438,12 +437,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     With os.fork a run uses two cores (forked): a child runs the mode's
     last lane (the unnormalized formulation in both mode, which runs the
     normalized one here meanwhile) and sends each snapshot, then its
-    failure record, to the observers here; in normalized and unnormalized
-    mode with it each snapshot's SVG document, which this process writes
-    after grading the snapshot (and renders itself in both mode and
-    inline).  A monitor failure kills the child.  A normalized failure (of
-    the flow or a monitor) drops the unnormalized data; an unnormalized
-    failure keeps its snapshots so far.
+    failure record, to the observers here.  In normalized and unnormalized
+    mode a snapshot's SVG document comes with it if the child rendered it,
+    which it does while this process is behind on the pipe; else this
+    process renders it, as in both mode and inline, and it writes each SVG
+    after grading the snapshot.  A monitor failure kills the child.  A
+    normalized failure (of the flow or a monitor) drops the unnormalized
+    data; an unnormalized failure keeps its snapshots so far.
     A traced evolve keeps it all here, with the same floats.  Each
     unnormalized snapshot, rescaled to length 2*pi, is paired with the
     normalized one of the same time, and cross_check grades the largest
@@ -543,21 +543,25 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     observers = {"normalized": (stats_observer,), "both": (raw_observer,),
                  "unnormalized": (raw_observer, stats_observer)}[config.mode]
 
-    def child_lane(send):
-        # a both-mode parent reads only after its own lane, and a pipe holds
-        # few snapshots, so that child holds its records until its lane ends;
-        # another child, idle while the parent grades, renders each SVG too
+    def child_lane(send, backlog):
+        # a both-mode parent reads only after its own lane, and a pipe may
+        # not hold every snapshot, so that child holds its records until its
+        # lane ends; another child renders a snapshot's SVG while the parent
+        # is behind (unread bytes in the pipe, or a pipe that cannot tell)
+        # and leaves it to the parent once the parent has read all it sent
         held = []
         keep = held.append if config.mode == "both" else send
         render = config.mode != "both" and config.svg_dir is not None
         held.append(lane(last, lambda t, v, m: keep(
-            (t, v, m, svg_document(monitored_view(v, m)[0], t)) if render else (t, v, m))))
+            (t, v, m, svg_document(monitored_view(v, m)[0], t))
+            if render and backlog() != 0 else (t, v, m))))
         for message in held:
             send(message)
 
     # a traced evolve (it has __wrapped__) would record a child's calls in the child, unseen
     inline = not hasattr(os, "fork") or hasattr(evolve, "__wrapped__")
     if failure is None:
+        from .forked import forked  # tbar and verify-profile never load it
         with (contextlib.nullcontext() if inline
               else forked(f"{last} formulation", child_lane)) as stream:
             if config.mode == "both":
@@ -673,15 +677,24 @@ def serialize_json(obj) -> str:
     return emit(obj, 0)
 
 
+# Vertices formatted by one %.  A process that renders an SVG then holds the
+# float objects of one block at a time, not 2 n of them (48 KB at n = 1024,
+# whose pymalloc pools stay in its memory), for about 1% more time.
+SVG_BLOCK = 64
+
+
 def svg_document(vertices: np.ndarray, time: float) -> str:
     """One snapshot as a closed path in a fixed [-2, 2]^2 viewbox.
 
     The y axis is flipped into mathematical orientation and a dashed unit
     circle is overlaid for reference.
     """
-    coords = np.asarray(vertices).ravel().tolist()
-    # one % over the whole path: the _format_float of each coordinate
-    points = " L ".join(["%.17g %.17g"] * (len(coords) // 2)) % tuple(coords)
+    coords = np.asarray(vertices).ravel()
+    step = 2 * SVG_BLOCK
+    # one % per block: the _format_float of each coordinate
+    points = " L ".join(
+        " L ".join(["%.17g %.17g"] * (len(block) // 2)) % tuple(block.tolist())
+        for block in (coords[i:i + step] for i in range(0, len(coords), step)))
     return (
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-2 -2 4 4">\n'
         f"  <!-- t = {_format_float(float(time))} -->\n"

@@ -4,7 +4,9 @@ import dataclasses
 import functools
 import json
 import os
+import pickle
 import random
+import select
 import shutil
 import signal
 import subprocess
@@ -19,6 +21,7 @@ from icflow.errors import ParameterError, StepRejectedError
 from icflow.experiment import (
     CSV_HEADER,
     DEFAULT_TOLERANCES,
+    SVG_BLOCK,
     ExperimentConfig,
     build_initial_curve,
     checks_for_mode,
@@ -29,6 +32,7 @@ from icflow.experiment import (
     svg_document,
     write_svg,
 )
+from icflow.forked import PIPE_BYTES, forked
 
 EXPECTED_HEADER = (
     "t,length,kappa_min,kappa_max,min_Z,tbar,thm12_residual,l2_deficit,"
@@ -518,13 +522,16 @@ def svg_as_first_written(vertices, time):
 
 
 def test_write_svg_bytes_match_the_per_vertex_formatting(tmp_path):
+    # svg_document formats SVG_BLOCK vertices per %, so the sizes straddle
+    # the edges of its blocks
     rng = np.random.default_rng(5)
     curves = [
-        flow.renormalize(make_ellipse(2.0, 1.0, 64)),
+        flow.renormalize(make_ellipse(2.0, 1.0, SVG_BLOCK)),
         rng.normal(size=(1024, 2)) * 10.0 ** rng.integers(-300, 300, size=(1024, 2)),
         np.array([[0.0, -0.0], [1e-320, 1.0], [-1.5, 3.0], [2.0, 2.0]]),
+        *(rng.normal(size=(n, 2)) for n in (SVG_BLOCK - 1, SVG_BLOCK + 1, 2 * SVG_BLOCK + 3)),
     ]
-    for k, (v, time) in enumerate(zip(curves, [0.1, 1e-3 * 7, 5.0])):
+    for k, (v, time) in enumerate(zip(curves, [0.1, 1e-3 * 7, 5.0, 0.5, 0.5, 0.5])):
         path = tmp_path / f"{k}.svg"
         write_svg(str(path), svg_document(v, time))
         assert path.read_bytes() == svg_as_first_written(v, time).encode("utf-8")
@@ -1119,40 +1126,164 @@ def test_a_traced_single_mode_evolve_runs_in_this_process(
 
 
 def _record_renderers(monkeypatch, log):
-    # a forked child's calls are unseen here, so each call appends its pid to a file
+    # a forked child's calls are unseen here, so each call appends its pid
+    # and snapshot time to a file
     real = experiment.svg_document
 
     def recording(vertices, time):
         with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
+            fh.write(f"{os.getpid()} {time!r}\n")
         return real(vertices, time)
 
     monkeypatch.setattr(experiment, "svg_document", recording)
-    return lambda: [int(pid) for pid in log.read_text(encoding="utf-8").split()]
+    return lambda: [(int(pid), float(time)) for pid, time in (
+        line.split() for line in log.read_text(encoding="utf-8").splitlines())]
+
+
+def _record_children(monkeypatch):
+    """The pids of the children that os.fork starts from now on."""
+    real_fork = os.fork
+    children = []
+
+    def recording_fork():
+        pid = real_fork()
+        children.append(pid)  # in the child, its own copy of the list
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return children
 
 
 @pytest.mark.parametrize("layout", ["forked", "inline", "traced"])
 @pytest.mark.parametrize("mode", LANES)
 def test_who_renders_the_svgs(mode, layout, tmp_path, monkeypatch, no_hang):
-    # a forked single-formulation child renders every snapshot's SVG, idle
-    # while the parent grades; a both-mode child, an inline run and a traced
-    # run leave all rendering to the parent
+    # a forked single-formulation child renders a snapshot's SVG while the
+    # parent is behind and leaves it to the parent otherwise, so each SVG is
+    # rendered once, on one side or the other; a both-mode child, an inline
+    # run and a traced run leave all rendering to the parent
     if layout == "forked" and not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
+    children = _record_children(monkeypatch) if layout == "forked" else []
     if layout == "inline":
         monkeypatch.delattr(os, "fork", raising=False)
     if layout == "traced":
         monkeypatch.setattr(experiment, "evolve", functools.wraps(flow.evolve)(
             lambda *args, **kwargs: flow.evolve(*args, **kwargs)))
     renderers = _record_renderers(monkeypatch, tmp_path / "renderers.log")
+    rows = run_experiment(config_with_svgs(tmp_path, mode)).rows
+    assert_no_child_left()
+    renders = renderers()
+    assert len(list((tmp_path / "svg").glob("*.svg"))) == len(rows) == 7
+    assert sorted(time for _, time in renders) == [row["t"] for row in rows]
+    pids = {pid for pid, _ in renders}
+    if layout == "forked" and mode != "both":
+        assert len(children) == 1 and pids <= {os.getpid(), *children}
+    else:
+        assert pids == {os.getpid()}
+
+
+def _force_backlog(monkeypatch, unread):
+    # the forked child reads `unread` bytes not yet read from its pipe
+    # before each snapshot, whatever the parent has read
+    monkeypatch.setattr("icflow.forked.forked", lambda label, work: forked(
+        label, lambda send, backlog: work(send, lambda: unread)))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("fault", BOTH_MODE_FAULTS)
+@pytest.mark.parametrize("renderer", ["child", "parent"])
+@pytest.mark.parametrize("mode", ["normalized", "unnormalized"])
+def test_a_forked_run_writes_the_same_svgs_whichever_side_renders(
+        mode, renderer, fault, tmp_path, no_hang):
+    # a parent always behind leaves every SVG to the child, one never
+    # behind renders them all itself; either way a monitor fault (3rd
+    # snapshot) leaves only the SVGs of the graded snapshots
+    outputs = []
+    for inline in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            BOTH_MODE_FAULTS[fault](mp)
+            if inline:
+                mp.delattr(os, "fork")
+            else:
+                _force_backlog(mp, 1 if renderer == "child" else 0)
+                renderers = _record_renderers(mp, tmp_path / "renderers.log")
+            result = run_experiment(config_with_svgs(tmp_path, mode))
+        assert_no_child_left()
+        outputs.append((result.exit_code, *written_bytes(tmp_path)))
+        shutil.rmtree(tmp_path / "svg")
+    assert outputs[0] == outputs[1]
+    written = len(outputs[1][3])
+    assert written == (2 if fault == "monitor" else len(result.rows))
+    pids = [pid for pid, _ in renderers()]
+    if renderer == "child":  # a killed child may have rendered ahead
+        assert os.getpid() not in pids and len(pids) >= written
+    else:
+        assert pids == [os.getpid()] * written
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("pipe_size", ["refused", "unknown"])
+@pytest.mark.parametrize("mode", ["normalized", "unnormalized"])
+def test_a_pipe_that_cannot_be_widened_or_measured_still_serves(
+        mode, pipe_size, tmp_path, monkeypatch, no_hang):
+    # the pipe keeps its default size, and a child that cannot count the
+    # unread bytes renders every SVG
+    import fcntl
+
+    monkeypatch.delattr(os, "fork")
+    run_experiment(config_with_svgs(tmp_path, mode))
+    inline = written_bytes(tmp_path)
+    shutil.rmtree(tmp_path / "svg")
+    monkeypatch.undo()
+
+    if pipe_size == "unknown":
+        monkeypatch.delattr(fcntl, "F_SETPIPE_SZ", raising=False)
+    else:
+        real_fcntl = fcntl.fcntl
+
+        def refusing(fd, cmd, *args):
+            if cmd == fcntl.F_SETPIPE_SZ:
+                raise PermissionError("injected refusal")
+            return real_fcntl(fd, cmd, *args)
+
+        monkeypatch.setattr(fcntl, "fcntl", refusing)
+
+    def failing_ioctl(*args):
+        raise OSError("injected FIONREAD failure")
+
+    monkeypatch.setattr(fcntl, "ioctl", failing_ioctl)
+    children = _record_children(monkeypatch)
+    renderers = _record_renderers(monkeypatch, tmp_path / "renderers.log")
     run_experiment(config_with_svgs(tmp_path, mode))
     assert_no_child_left()
-    pids = renderers()
-    assert len(pids) == len(list((tmp_path / "svg").glob("*.svg"))) == 7
-    if layout == "forked" and mode != "both":
-        assert os.getpid() not in pids
-    else:
-        assert set(pids) == {os.getpid()}
+    assert written_bytes(tmp_path) == inline
+    assert len(children) == 1
+    assert [pid for pid, _ in renderers()] == children * len(inline[2])
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="F_SETPIPE_SZ and FIONREAD on a pipe")
+def test_the_backlog_counts_what_the_parent_has_not_read(no_hang):
+    # the parent reads nothing until the child says it has sent both
+    # messages, so the child's counts are exact; a pipe of the default
+    # 64 KiB would block the child's first send, and the wait would time out
+    message = b"x" * (PIPE_BYTES // 2)
+    sent = len(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
+    ready_read, ready_write = os.pipe()
+
+    def work(send, backlog):
+        before = backlog()
+        send(message)
+        send((before, backlog()))
+        os.write(ready_write, b"!")
+
+    try:
+        with forked("test work", work) as messages:
+            assert select.select([ready_read], [], [], 30.0)[0]
+            assert list(messages) == [message, (0, sent)]
+    finally:
+        os.close(ready_read)
+        os.close(ready_write)
+    assert_no_child_left()
 
 
 def test_cli_tbar_subcommand(capsys):
