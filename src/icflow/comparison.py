@@ -20,25 +20,25 @@ and scans the two-point gap
 
 over all vertex pairs of a snapshot.
 
-The certificate scan bounds cells of its grid from below, the residual
-through its rise with z = sin(x/2), and evaluates only the cells whose
-bound is not above the running minimum (about 1% of the default grid); its
-result is that of the exhaustive scan, ties and NaNs included.
+Three scans prune exactly: the certificate scan over cells of its grid,
+and the gap scan and the admissible offset's sign test over the cyclic
+diagonals of vertex pairs.  Each bounds its cells or diagonals from below
+with cheap operations only, then evaluates them in curves._lowest_first
+order until the next bound rules out the rest; the two minimum scans stop
+by one rule (_floor_target) and fold by np.argmin's (_fold_argmin), so
+their results are those of the exhaustive scans, ties and NaNs included.
 
-The gap scan walks the n(n-1)/2 pairs as cyclic diagonals in cache-sized
-blocks, so memory stays at a few blocks rather than O(n^2) arrays, and
-each pair's value is the float a plain np.triu_indices scan gives.  It
-first bounds each diagonal's gaps from below with cheap operations only
-(squared chords and arcs, no hypot, sin or arctan per pair; a run's next
-scan bounds the chords from the last full pass by the triangle inequality
-and refreshes only the diagonals that could hold the minimum), then
-evaluates diagonals exactly, lowest bound first, until the next bound
-exceeds the smallest gap found; its result is that of the exhaustive
-scan, ties and NaNs included.  The admissible offset needs only the sign
-of that minimum, at the curvature floor first and along a bisection only
-where the floor fails: each test proves the diagonals whose bound is >= 0
-and evaluates the others one row at a time, lowest bound first, until a
-gap is negative or NaN.
+The certificate scan bounds the residual through its rise with
+z = sin(x/2) and evaluates about 1% of the default grid.  The gap scan
+walks the n(n-1)/2 pairs in cache-sized blocks, so memory stays at a few
+blocks rather than O(n^2) arrays, and each pair's value is the float a
+plain np.triu_indices scan gives.  Its bounds take squared chords, and no
+hypot, arc, sin or arctan per pair; a run's next scan bounds the chords from
+the last full pass by the triangle inequality and refreshes only the
+diagonals that could hold the minimum.  The admissible offset needs only
+the sign of that minimum, at the curvature floor first and along a
+bisection only where the floor fails: each test evaluates the diagonals
+whose bound is below 0 one row at a time, until a gap is negative or NaN.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .curves import BLOCK_PAIRS, _geometry, _validated_edges, validate_vertices
+from .curves import BLOCK_PAIRS, _geometry, _lowest_first, _validated_edges, validate_vertices
 from .errors import NoAdmissibleOffsetError, ParameterError
 
 _DOMAIN_SLACK = 1e-12
@@ -374,14 +374,10 @@ def residual_certificate_scan(x_values: np.ndarray, t_values: np.ndarray) -> Pro
             with np.errstate(invalid="ignore"):  # -inf * 0 where x past pi meets z = 0
                 bound = floor(values, alpha, w).ravel()
             cells = np.flatnonzero(~(bound > _floor_target(best)))
-            lows = bound[cells]
-            lows[np.isnan(lows)] = -np.inf  # NaN bounds sort first, with -inf
-            ranked = np.argsort(lows, kind="stable")
-            cells, lows = cells[ranked], lows[ranked]
-            pos, size = 0, 1
-            while pos < cells.size and not lows[pos] > _floor_target(best):
-                r, s = np.divmod(cells[pos:pos + size], segments)
-                pos, size = pos + size, min(2 * size, cap)
+            for chunk, low in _lowest_first(bound[cells], cap):
+                if low > _floor_target(best):
+                    break
+                r, s = np.divmod(cells[chunk], segments)
                 at, tr = columns[s], t[rows[r], None]
                 values = evaluate(z[at], z2[at], c[at], _alpha(tr), tr, work(r.size, width))
                 best = _fold_argmin(best, values, lambda i, j: rows[r[i]] * nx + at[i, j])
@@ -391,10 +387,12 @@ def residual_certificate_scan(x_values: np.ndarray, t_values: np.ndarray) -> Pro
 
 
 def _floor_target(best) -> float:
-    """The value a cell's bound must exceed for the cell to be skipped: the
-    running minimum, or -inf where that is NaN, which only a cell whose
-    bound is not finite can match."""
-    return -np.inf if np.isnan(best[0]) else best[0]
+    """The value a bound must exceed for its cell or diagonal to be skipped,
+    the stop rule of both minimum scans: _fold_argmin's running minimum
+    best, +inf before the first value, or -inf where the minimum is NaN,
+    which only a bound that is not finite can match (a finite bound rules
+    out a NaN value)."""
+    return np.inf if best is None else -np.inf if np.isnan(best[0]) else best[0]
 
 
 def numerator_grid_min(z_values, alphas) -> tuple[float, tuple[float, float]]:
@@ -591,42 +589,30 @@ class TwoPointReport:
 
 
 def _min_gap(diag: _Diagonals, t: float) -> tuple:
-    """The smallest gap over all pairs at time t, and i * n + j of its pair.
+    """The smallest gap over all pairs at time t, and i * n + j of its pair
+    (i < j: triu order is key order), by _fold_argmin's rule.
 
-    Diagonals are evaluated exactly in ascending order of their bounds, in
-    chunks of 1, 2, 4, ... diagonals up to a block, until the next bound is
-    strictly above the smallest gap found, so no skipped pair can hold a
-    smaller or an equal gap; a NaN minimum never stops the scan.
+    Diagonals are evaluated exactly, _lowest_first of their bounds in chunks
+    of up to a block, until the next bound is strictly above the smallest
+    gap found (_floor_target), so no skipped pair can hold a smaller or an
+    equal gap.  Once the minimum is NaN, the walk stops at the first finite
+    bound, which rules out a NaN gap (_gap_lower_bounds).
     """
-    n = diag.n
-    bound = _gap_lower_bounds(diag, t)
-    order = np.argsort(bound, kind="stable")
-    best = np.inf
-    best_key = n * n  # i * n + j of the reported pair; triu order is key order
-    pos, size = 0, 1
-    while pos < order.size and not bound[order[pos]] > best:
-        ks = np.sort(order[pos:pos + size]) + 1
-        pos, size = pos + size, min(2 * size, len(diag.blocks[0]))
+    n, best = diag.n, None
+    for chunk, low in _lowest_first(_gap_lower_bounds(diag, t), len(diag.blocks[0])):
+        if low > _floor_target(best):
+            break
+        ks = np.sort(chunk) + 1
         chord, z, gaps = (block[:ks.size] for block in diag.blocks)
         _pair_rows(diag, ks.tolist(), chord, z, gaps)
         _row_gaps(chord, z, t, gaps)
-        # np.argmin semantics: the first NaN wins, else the first minimum
-        low = gaps.min()
-        nan = np.isnan(low)
-        if nan:
-            hits = np.isnan(gaps)
-        elif low <= best:
-            hits = gaps == low
-        else:
-            continue
-        r, i = np.nonzero(hits)
-        j = (i + ks[r]) % n
-        key = int(np.min(np.minimum(i, j) * n + np.maximum(i, j)))
-        if nan == np.isnan(best) and (nan or low == best):
-            best_key = min(best_key, key)
-        else:
-            best, best_key = low, key
-    return float(best), best_key
+
+        def flat(r, i):  # the triu key of pair (i, i + ks[r] mod n)
+            j = (i + ks[r]) % n
+            return np.minimum(i, j) * n + np.maximum(i, j)
+
+        best = _fold_argmin(best, gaps, flat)
+    return best
 
 
 def two_point_gap_scan(vertices: np.ndarray, time: float, offset: float,
@@ -707,15 +693,15 @@ def admissible_offset(vertices: np.ndarray) -> float:
 
     def feasible(offset: float) -> bool:
         t = -offset
-        bound = _gap_lower_bounds(diag, t)
-        # plain Python bookkeeping: array comparisons here left lasting numpy
-        # dispatch-cache entries, which raised a run's peak RSS in benchmarks
-        low = bound.tolist()
-        for k in np.argsort(bound, kind="stable").tolist():
-            if not low[k] >= 0.0:
-                _pair_rows(diag, [k + 1], chord, z, gap)
-                if not _row_gaps(chord[0], z[0], t, gap[0]).min() >= 0.0:
-                    return False
+        # _lowest_first's bounds are Python floats: array comparisons here
+        # left lasting numpy dispatch-cache entries, which raised a run's
+        # peak RSS in benchmarks
+        for k, low in _lowest_first(_gap_lower_bounds(diag, t), 1):
+            if low >= 0.0:
+                break
+            _pair_rows(diag, [int(k[0]) + 1], chord, z, gap)
+            if not _row_gaps(chord[0], z[0], t, gap[0]).min() >= 0.0:
+                return False
         return True
 
     lo, hi = OFFSET_BRACKET

@@ -26,6 +26,20 @@ MAX_VERTICES = 2**16
 # per array, so a block's temporaries stay within a few MB of cache.
 BLOCK_PAIRS = 1 << 15
 
+
+def _lowest_first(bound: np.ndarray, cap: int):
+    """Yield the indices of the 1-D bound lowest first, in chunks of 1, 2, 4,
+    ... up to cap, each chunk with its first bound as a Python float: NaN
+    counts as -inf, and ties stay in index order.  The walk of every pruned
+    scan, which stops at the first chunk whose bound rules out the rest."""
+    key = np.where(np.isnan(bound), -np.inf, bound)
+    order = np.argsort(key, kind="stable")
+    pos, size = 0, 1
+    while pos < order.size:
+        yield order[pos:pos + size], float(key[order[pos]])
+        pos, size = pos + size, min(2 * size, cap)
+
+
 # 5-point Gauss-Legendre rule on [-1, 1], for _arclength_nodes' tail integrals.
 _GAUSS5_NODES = np.array(
     [-0.9061798459386640, -0.5384693101056831, 0.0, 0.5384693101056831, 0.9061798459386640]
@@ -179,14 +193,12 @@ def make_perturbed_circle(
 class CurveMetrics(NamedTuple):
     """Per-vertex geometry derived from a closed polygon.
 
-    edge_lengths[i] is |v_{i+1} - v_i| (index mod n), curvature is the
-    inverse circumradius of each vertex triple (signed), and outward_normal
-    is the unit chord v_{i+1} - v_{i-1} rotated by -pi/2.
+    edge_lengths[i] is |v_{i+1} - v_i| (index mod n), and curvature is the
+    inverse circumradius of each vertex triple (signed).
     """
 
     edge_lengths: np.ndarray
     curvature: np.ndarray
-    outward_normal: np.ndarray
 
     @property
     def total_length(self) -> float:
@@ -237,14 +249,14 @@ def _kernel_terms(v: np.ndarray):
 
 
 def _geometry(v: np.ndarray) -> CurveMetrics:
-    """The CurveMetrics of a float (n, 2) polygon: _kernel_terms' edge lengths,
-    curvature, and turned chords over their lengths (the normals)."""
-    edge_len, _, kappa, chord, chord_len = _kernel_terms(v)
-    return CurveMetrics(edge_len, kappa, chord.view(np.float64).reshape(-1, 2) / chord_len[:, None])
+    """The CurveMetrics of a float (n, 2) polygon: _kernel_terms' edge lengths
+    and curvature."""
+    edge_len, _, kappa, _, _ = _kernel_terms(v)
+    return CurveMetrics(edge_len, kappa)
 
 
 def compute_metrics(vertices: np.ndarray) -> CurveMetrics:
-    """Edge lengths, total length, curvature and outward normals of a polygon:
+    """Edge lengths, total length and curvature of a polygon:
     the step kernel's geometry (_geometry) of the validated vertices."""
     return _geometry(validate_vertices(vertices))
 

@@ -33,7 +33,7 @@ One lean kernel steps both formulations.  Per state it computes only what
 the step and its checks read (curves._kernel_terms): edge lengths, whose
 one minimum serves the degeneracy test and the order budget, curvature, whose
 minimum is the convexity test and the budget's other input, and chords.  The
-CurveMetrics with its normals is built only for a state an observer sees.
+CurveMetrics is built only for a state an observer sees.
 The normalized step is homogeneous of degree 1 in the curve's scale, and the
 budget, the mesh measure and the convexity sign are scale-free, so that
 lane steps unrescaled (the continuum flow keeps its length: d/dt L =
@@ -56,6 +56,7 @@ from .curves import (
     CurveMetrics,
     _geometry,
     _kernel_terms,
+    _lowest_first,
     _mesh_arcs,
     _validated_edges,
     edge_vectors,
@@ -111,9 +112,9 @@ def renormalize(vertices: np.ndarray) -> np.ndarray:
 
 def _renormalized(v: np.ndarray, geometry: CurveMetrics) -> tuple[np.ndarray, CurveMetrics]:
     """renormalize(v) and geometry = _geometry(v) scaled with it (not recomputed)."""
-    edge_len, kappa, normal = geometry
+    edge_len, kappa = geometry
     scale = 2.0 * np.pi / float(edge_len.sum())
-    return scale * v, CurveMetrics(scale * edge_len, kappa / scale, normal)
+    return scale * v, CurveMetrics(scale * edge_len, kappa / scale)
 
 
 def initial_state(vertices: np.ndarray, mode: str) -> FlowState:
@@ -265,10 +266,10 @@ def _directed_sq(p: np.ndarray, q: np.ndarray) -> float:
     aligned index (i m // n) bounds its row's minimum from above, and so
     does the window offset by the index of the vertex of q nearest p[0],
     which aligns an index-rolled q; the smaller bound is kept.  Rows are
-    then scanned whole, in descending order of that bound and in doubling
-    batches of at most about BLOCK_PAIRS / 4 pairs, until the next bound is
-    not above the largest row minimum found: no row left can exceed it, so
-    the result is the exhaustive scan's float.
+    then scanned whole, highest bound first (_lowest_first of its negation),
+    in batches of at most about BLOCK_PAIRS / 4 pairs, until the next bound
+    is not above the largest row minimum found: no row left can exceed it,
+    so the result is the exhaustive scan's float.
     """
     n, m = p.shape[0], q.shape[0]
     d = edge_vectors(q)
@@ -277,13 +278,11 @@ def _directed_sq(p: np.ndarray, q: np.ndarray) -> float:
     nearest = int(np.argmin(np.einsum("ij,ij->i", q - p[0], q - p[0])))
     bound = np.min([_pair_sq(p, *(column[(window + shift) % m] for column in segments)).min(axis=1)
                     for shift in {0, nearest}], axis=0)
-    order = np.argsort(bound)[::-1]
-    worst, start, batch = 0.0, 0, 1
-    cap = max(1, BLOCK_PAIRS // (4 * m))
-    while start < n and bound[order[start]] > worst:
-        rows = p[order[start:start + batch]]
-        worst = max(worst, float(_pair_sq(rows, *segments).min(axis=1).max()))
-        start, batch = start + batch, min(2 * batch, cap)
+    worst = 0.0
+    for rows, low in _lowest_first(-bound, max(1, BLOCK_PAIRS // (4 * m))):
+        if -low <= worst:
+            break
+        worst = max(worst, float(_pair_sq(p[rows], *segments).min(axis=1).max()))
     return worst
 
 

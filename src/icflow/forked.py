@@ -7,7 +7,7 @@ import signal
 import sys
 
 # Linux's default pipe-max-size, the most an unprivileged process may ask
-# for: about 11 records of 92 KB, where the default 64 KiB holds none whole.
+# for: about 13 records of 77 KB, where the default 64 KiB holds none whole.
 PIPE_BYTES = 1 << 20
 
 

@@ -12,6 +12,7 @@ from icflow.curves import (
     _centroid,
     _dual_weights,
     _lengths,
+    _lowest_first,
     arc_spread,
     compute_metrics,
     convexity_check,
@@ -31,9 +32,11 @@ def nonconvex_star(n=64):
     return make_perturbed_circle(1.0, n, [0.5], [7], seed=0)
 
 
-def normal_turning(m):
-    """Signed angle from each outward normal to the next one (index mod n)."""
-    a, b = m.outward_normal, np.roll(m.outward_normal, -1, axis=0)
+def edge_turning(v):
+    """Signed angle from each edge to the next one (index mod n): the
+    polygon's exterior angles, at vertices 1, ..., n - 1, 0."""
+    a = edge_vectors(v)
+    b = np.roll(a, -1, axis=0)
     return np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], np.einsum("ij,ij->i", a, b))
 
 
@@ -44,8 +47,7 @@ def test_circle_metrics_match_closed_forms(n, radius):
     assert m.total_length == pytest.approx(2 * n * radius * np.sin(np.pi / n), rel=1e-14)
     # the circumcircle estimator is exact on circle-inscribed polygons
     assert np.max(np.abs(m.curvature - 1.0 / radius)) < 1e-11 / radius
-    assert np.max(np.abs(normal_turning(m) - 2 * np.pi / n)) < 1e-12
-    assert np.max(np.abs(m.outward_normal - v / radius)) < 1e-12
+    assert np.max(np.abs(edge_turning(v) - 2 * np.pi / n)) < 1e-12
     assert np.max(np.abs(_dual_weights(m.edge_lengths) - m.total_length / n)) < 1e-13
 
 
@@ -84,18 +86,18 @@ def test_circle_honors_center():
 
 
 def test_tangent_angles_increase_on_convex_curves():
-    # the unit tangent is the outward normal rotated by +pi/2
-    m = compute_metrics(make_ellipse(2.0, 1.0, 128))
-    tangent_angles = np.unwrap(np.arctan2(m.outward_normal[:, 0], -m.outward_normal[:, 1]))
+    # the edges' directions
+    v = make_ellipse(2.0, 1.0, 128)
+    edges = edge_vectors(v)
+    tangent_angles = np.unwrap(np.arctan2(edges[:, 1], edges[:, 0]))
     assert np.all(np.diff(tangent_angles) > 0)
-    assert np.sum(normal_turning(m)) == pytest.approx(2 * np.pi, abs=1e-10)
+    assert np.sum(edge_turning(v)) == pytest.approx(2 * np.pi, abs=1e-10)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_total_turning_is_one_revolution(seed):
     v = make_perturbed_circle(1.0, 256, [0.05, 0.03], [3, 5], seed=seed)
-    m = compute_metrics(v)
-    assert np.sum(normal_turning(m)) == pytest.approx(2 * np.pi, abs=1e-10)
+    assert np.sum(edge_turning(v)) == pytest.approx(2 * np.pi, abs=1e-10)
 
 
 @pytest.mark.parametrize("a,b", [(2.0, 1.0), (1.5, 0.7), (1.0, 1.0)])
@@ -339,16 +341,38 @@ def test_dual_cell_weights_sum_to_total_length():
     assert np.array_equal(centroid(v), weights @ v / np.sum(weights))
 
 
-def test_normals_are_unit_and_outward(rng):
-    for _ in range(10):
-        amps = rng.uniform(0.005, 0.02, size=2)
-        seed = int(rng.integers(10_000))
-        v = make_perturbed_circle(1.0, 128, amps, [2, 5], seed=seed)
-        m = compute_metrics(v)
-        norms = np.hypot(m.outward_normal[:, 0], m.outward_normal[:, 1])
-        assert np.max(np.abs(norms - 1.0)) < 1e-14
-        rel = v - centroid(v)
-        assert np.all(np.einsum("ij,ij->i", m.outward_normal, rel) > 0)
+def walk(bound, cap):
+    return [(chunk.tolist(), low) for chunk, low in _lowest_first(np.array(bound, float), cap)]
+
+
+def test_lowest_first_takes_nan_and_minus_inf_first_and_ties_in_index_order():
+    inf, nan = np.inf, np.nan
+    bound = [3.0, nan, 1.0, -inf, 1.0, nan, inf, 1.0, -0.0, 0.0]
+    assert walk(bound, 16) == [([1], -inf), ([3, 5], -inf), ([8, 9, 2, 4], -0.0),
+                               ([7, 0, 6], 1.0)]
+    assert all(type(low) is float for _, low in walk(bound, 16))
+
+
+def test_lowest_first_chunks_double_up_to_the_cap(rng):
+    for size in (0, 1, 2, 3, 7, 8, 40):
+        bound = rng.integers(0, 5, size).astype(float)
+        for cap in (1, 2, 3, 4, 64):
+            chunks = walk(bound, cap)
+            expected, left, step = [], size, 1
+            while left > 0:
+                expected.append(min(step, left))
+                left, step = left - expected[-1], min(2 * step, cap)
+            assert [len(chunk) for chunk, _ in chunks] == expected
+            assert sum((chunk for chunk, _ in chunks), []) == np.argsort(
+                bound, kind="stable").tolist()
+            assert [low for _, low in chunks] == [bound[chunk[0]] for chunk, _ in chunks]
+
+
+def test_lowest_first_of_an_empty_and_an_all_nan_bound():
+    assert walk([], 4) == []
+    assert walk([np.nan] * 6, 2) == [([0], -np.inf), ([1, 2], -np.inf), ([3, 4], -np.inf),
+                                     ([5], -np.inf)]
+    assert walk([np.nan] * 3, 1) == [([0], -np.inf), ([1], -np.inf), ([2], -np.inf)]
 
 
 def test_curvature_positive_on_random_convex_curves(rng):

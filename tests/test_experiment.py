@@ -1,5 +1,6 @@
 """Experiment orchestration, serialization contracts, and the CLI."""
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -1219,6 +1220,39 @@ def test_a_forked_run_writes_the_same_svgs_whichever_side_renders(
         assert os.getpid() not in pids and len(pids) >= written
     else:
         assert pids == [os.getpid()] * written
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("unread", [0, 1])
+@pytest.mark.parametrize("mode", LANES)
+def test_a_forked_childs_record_is_its_snapshot_and_two_fields_per_vertex(
+        mode, unread, tmp_path, monkeypatch, no_hang):
+    # each snapshot record is (t, vertices, CurveMetrics(edge_lengths,
+    # curvature)), with the SVG document where the child rendered it (a
+    # single-formulation child whose parent is behind): at n = 512 the
+    # record pickles to 4 n floats and a few hundred bytes
+    received = []
+
+    @contextlib.contextmanager
+    def recording(label, work):
+        with forked(label, lambda send, backlog: work(send, lambda: unread)) as messages:
+            yield (received.append(message) or message for message in messages)
+
+    monkeypatch.setattr("icflow.forked.forked", recording)
+    n = 512
+    rows = run_experiment(circle_config(
+        tmp_path, n=n, t_end=0.02, snapshot_interval=0.01, mode=mode,
+        svg_dir=str(tmp_path / "svg"))).rows
+    assert_no_child_left()
+    records = [message for message in received if isinstance(message, tuple)]
+    assert len(records) == len(rows) == 3
+    for t, vertices, metrics, *document in records:
+        assert type(metrics) is curves.CurveMetrics
+        assert metrics._fields == ("edge_lengths", "curvature")
+        assert vertices.shape == (n, 2) and [a.shape for a in metrics] == [(n,), (n,)]
+        assert [type(d) for d in document] == ([str] if unread and mode != "both" else [])
+        record = pickle.dumps((t, vertices, metrics), protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(record) < 4 * n * 8 + 512
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

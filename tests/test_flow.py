@@ -349,11 +349,11 @@ def _roll_geometry(v, lengths=_hypot_lengths):
     ids=["circle", "ellipse", "perturbed"],
 )
 def test_kernel_geometry_is_the_roll_formulas_to_two_ulps_of_the_cross_terms(v):
-    # lengths and normals bit for bit; the complex cross product
+    # lengths bit for bit; the complex cross product
     # Im(conj(e_prev) e) may round a*d - b*c differently (a fused
     # multiply-add), within two ulps of its terms |a d| + |b c|, and
     # curvature inherits that bound through the circumcircle denominator
-    edge_len, curvature, normal = _roll_geometry(v, _lengths)
+    edge_len, curvature, _ = _roll_geometry(v, _lengths)
     edges = np.roll(v, -1, axis=0) - v
     e_prev = np.roll(edges, 1, axis=0)
     terms = np.abs(e_prev[:, 0] * edges[:, 1]) + np.abs(e_prev[:, 1] * edges[:, 0])
@@ -362,7 +362,6 @@ def test_kernel_geometry_is_the_roll_formulas_to_two_ulps_of_the_cross_terms(v):
     for m in (_geometry(v), compute_metrics(v)):
         assert isinstance(m, CurveMetrics)
         assert np.array_equal(m.edge_lengths, edge_len)
-        assert np.array_equal(m.outward_normal, normal)
         assert np.all(np.abs(m.curvature - curvature) <= bound)
         assert m.total_length == float(np.sum(edge_len))
 
@@ -550,7 +549,7 @@ def test_observers_get_the_geometry_of_the_state_they_see(mode):
     evolve(s, StepControl(dt=5e-4, resample_every=3), 0.01,
            observers=[lambda t, v, m: seen.append((v, m))], snapshot_interval=2e-3)
     assert len(seen) == 6
-    tolerance = {"edge_lengths": 1e-14, "curvature": 1e-12, "outward_normal": 1e-14}
+    tolerance = {"edge_lengths": 1e-14, "curvature": 1e-12}
     for k, (v, m) in enumerate(seen):
         expected = compute_metrics(v)
         for field, tol in tolerance.items():
